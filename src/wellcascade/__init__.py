@@ -8,124 +8,20 @@ electron-transfer cascade model of the bacterial photosynthetic reaction
 center.
 """
 
-from .cascade import (
-    CascadeReport,
-    ResonanceNotFoundError,
-    compare_to_experiment,
-    report_to_dict,
-    solve_cascade,
-    tunneling_vs_decay,
-)
-from .dynamics import (
-    ResonantPair,
-    TransferStep,
-    decay_time,
-    first_maximum_time,
-    rabi_probability,
-    tunneling_time,
-)
-from .eigensolver import (
-    CalibrationError,
-    CalibrationResult,
-    Level,
-    SolverConfig,
-    SolveResult,
-    calibrate_depth,
-    calibrate_distance,
-    count_levels,
-    find_levels,
-    solve_pair,
-)
-from .oracle import FdConfig, FdResult, count_nodes, fd_levels, fd_solve, fd_splitting, fd_states
-from .potential import (
-    CascadeSpec,
-    PotentialProfile,
-    WellPair,
-    cascade_profile,
-    pair_profile,
-)
-from .quantities import (
-    CODATA2018,
-    PhysicalConstants,
-    ev_to_joule,
-    joule_to_ev,
-    make_constants,
-    photon_wavelength_nm,
-    wavenumber,
-)
-from .transcendental import (
-    MatchPoint,
-    Regime,
-    WavenumberSet,
-    classify_regime,
-    evaluate,
-    grid_scan,
-    lhs,
-    mismatch,
-    rhs,
-    wavenumbers,
-)
-from .wavefunctions import (
-    PiecewiseWavefunction,
-    build_wavefunction,
-    sample_wavefunction,
-)
+from .cascade import solve_cascade
+from .eigensolver import find_levels, solve_pair
+from .oracle import fd_solve
+from .potential import CascadeSpec, WellPair
+from .wavefunctions import build_wavefunction
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CODATA2018",
-    "CalibrationError",
-    "CalibrationResult",
-    "CascadeReport",
     "CascadeSpec",
-    "FdConfig",
-    "FdResult",
-    "Level",
-    "MatchPoint",
-    "PhysicalConstants",
-    "PiecewiseWavefunction",
-    "PotentialProfile",
-    "Regime",
-    "ResonanceNotFoundError",
-    "ResonantPair",
-    "SolveResult",
-    "SolverConfig",
-    "TransferStep",
-    "WavenumberSet",
     "WellPair",
     "build_wavefunction",
-    "calibrate_depth",
-    "calibrate_distance",
-    "cascade_profile",
-    "classify_regime",
-    "compare_to_experiment",
-    "count_levels",
-    "count_nodes",
-    "decay_time",
-    "ev_to_joule",
-    "evaluate",
-    "fd_levels",
     "fd_solve",
-    "fd_splitting",
-    "fd_states",
     "find_levels",
-    "first_maximum_time",
-    "grid_scan",
-    "joule_to_ev",
-    "lhs",
-    "make_constants",
-    "mismatch",
-    "pair_profile",
-    "photon_wavelength_nm",
-    "rabi_probability",
-    "report_to_dict",
-    "rhs",
-    "sample_wavefunction",
     "solve_cascade",
     "solve_pair",
-    "tunneling_time",
-    "tunneling_vs_decay",
-    "wavenumber",
-    "wavenumbers",
 ]

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .dynamics import ResonantPair, TransferStep, decay_time, tunneling_time
-from .eigensolver import SolveResult, SolverConfig, solve_pair
+from .eigensolver import Level, SolveResult, SolverConfig, solve_pair
 from .potential import CascadeSpec
 from .quantities import CODATA2018, PhysicalConstants, photon_wavelength_nm
 from .transcendental import Regime
@@ -195,12 +195,11 @@ def solve_cascade(
             )
         )
     if spec.has_closing_distance:
-        closing_offset = spec.max_depth - max(spec.depths[3], spec.depths[0])
         pairs.append(
             PairLevels(
                 index=4,
                 labels=(spec.labels[3], spec.labels[0]),
-                offset_ev=closing_offset,
+                offset_ev=spec.closing_offset(),
                 result=solve_pair(spec.closing_pair(), cfg, constants=constants),
             )
         )
@@ -342,6 +341,25 @@ def _sig9(x: float) -> float:
     return float(f"{x:.9g}")
 
 
+def _solver_dict(cfg: SolverConfig) -> dict:
+    return {
+        "grid_step_eV": _sig9(cfg.grid_step),
+        "refine_tol_eV": _sig9(cfg.refine_tol),
+        "residual_tol": _sig9(cfg.residual_tol),
+        "max_levels": cfg.max_levels,
+    }
+
+
+def _level_dict(lv: Level, offset_ev: float) -> dict:
+    return {
+        "index": lv.index,
+        "energy_eV": _sig9(lv.energy),
+        "energy_global_eV": _sig9(lv.energy + offset_ev),
+        "regime": str(lv.regime),
+        "residual": _sig9(lv.residual),
+    }
+
+
 def report_to_dict(report: CascadeReport) -> dict:
     """JSON-ready dictionary; deterministic for identical inputs.
 
@@ -360,12 +378,7 @@ def report_to_dict(report: CascadeReport) -> dict:
             "absorption_target_eV": _sig9(report.absorption_target_ev),
             "resonance_window_eV": _sig9(report.resonance_window_ev),
         },
-        "solver": {
-            "grid_step_eV": _sig9(report.solver.grid_step),
-            "refine_tol_eV": _sig9(report.solver.refine_tol),
-            "residual_tol": _sig9(report.solver.residual_tol),
-            "max_levels": report.solver.max_levels,
-        },
+        "solver": _solver_dict(report.solver),
         "wells": [
             {
                 "label": w.label,
@@ -384,16 +397,7 @@ def report_to_dict(report: CascadeReport) -> dict:
                 "v_shallow_eV": _sig9(p.result.pair.v_shallow),
                 "v_deep_eV": _sig9(p.result.pair.v_deep),
                 "offset_eV": _sig9(p.offset_ev),
-                "levels": [
-                    {
-                        "index": lv.index,
-                        "energy_eV": _sig9(lv.energy),
-                        "energy_global_eV": _sig9(lv.energy + p.offset_ev),
-                        "regime": str(lv.regime),
-                        "residual": _sig9(lv.residual),
-                    }
-                    for lv in p.result.levels
-                ],
+                "levels": [_level_dict(lv, p.offset_ev) for lv in p.result.levels],
             }
             for p in report.pairs
         ],

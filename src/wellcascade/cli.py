@@ -22,9 +22,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import cascade as cascade_mod
+from .cascade import _level_dict, _sig9, _solver_dict
 from .dynamics import ResonantPair, decay_time, tunneling_time
 from .eigensolver import (
     CalibrationError,
@@ -33,11 +32,12 @@ from .eigensolver import (
     calibrate_depth,
     calibrate_distance,
     solve_pair,
+    uniform_grid,
 )
 from .oracle import FdConfig, fd_solve, fd_states
 from .potential import CascadeSpec, WellPair, cascade_profile, pair_profile, write_profile_csv
 from .quantities import CODATA2018, PhysicalConstants, make_constants
-from .transcendental import grid_scan
+from .transcendental import GridScan, grid_scan
 from .wavefunctions import build_wavefunction, write_wavefunction_csv
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config", "main"]
@@ -168,10 +168,10 @@ def parse_config(text: str) -> RunConfig:
         if len(raw_labels) != 4:
             raise ConfigError(f"[wells] labels: expected 4 labels, got {len(raw_labels)}")
         labels = raw_labels
-    absorption_target = 1.4267
+    absorption_target = cascade_mod.DEFAULT_ABSORPTION_TARGET_EV
     if parser.has_option("wells", "absorption_target_eV"):
         absorption_target = _float("wells", "absorption_target_eV", wells["absorption_target_eV"])
-    resonance_window = 0.05
+    resonance_window = cascade_mod.DEFAULT_RESONANCE_WINDOW_EV
     if parser.has_option("wells", "resonance_window_eV"):
         resonance_window = _float("wells", "resonance_window_eV", wells["resonance_window_eV"])
     if not (math.isfinite(absorption_target) and absorption_target > 0.0):
@@ -272,55 +272,6 @@ def load_config(path) -> RunConfig:
     return parse_config(p.read_text(encoding="utf-8"))
 
 
-def serialize_config(config: RunConfig) -> str:
-    """Emit config text that parses back to an equal :class:`RunConfig`."""
-    spec = config.spec
-    lines = [
-        "[wells]",
-        "labels = " + ", ".join(spec.labels),
-        "widths_A = " + ", ".join(f"{w:.9g}" for w in spec.widths),
-        "depths_eV = " + ", ".join(f"{v:.9g}" for v in spec.depths),
-        "distances_A = " + ", ".join(f"{d:.9g}" for d in spec.distances[:3]),
-    ]
-    if spec.has_closing_distance:
-        lines.append(f"closing_distance_A = {spec.distances[3]:.9g}")
-    lines += [
-        f"absorption_target_eV = {config.absorption_target_ev:.9g}",
-        f"resonance_window_eV = {config.resonance_window_ev:.9g}",
-        "",
-        "[solver]",
-        f"grid_step_eV = {config.solver.grid_step:.9g}",
-        f"refine_tol_eV = {config.solver.refine_tol:.9g}",
-        f"residual_tol = {config.solver.residual_tol:.9g}",
-    ]
-    if config.solver.max_levels is not None:
-        lines.append(f"max_levels = {config.solver.max_levels}")
-    lines += [
-        "",
-        "[oracle]",
-        f"grid_points = {config.oracle.grid_points}",
-        f"padding_A = {config.oracle.padding:.9g}",
-        f"extrapolate = {'true' if config.oracle.extrapolate else 'false'}",
-        "",
-        "[output]",
-        f"directory = {config.output_dir}",
-        "formats = " + ", ".join(config.formats),
-    ]
-    if config.constants != CODATA2018:
-        c = config.constants
-        lines += [
-            "",
-            "[constants]",
-            f"hbar_eV_s = {c.hbar_eV_s!r}",
-            f"hbar_J_s = {c.hbar_J_s!r}",
-            f"electron_mass_kg = {c.electron_mass_kg!r}",
-            f"eV_in_J = {c.eV_in_J!r}",
-            f"hc_eV_nm = {c.hc_eV_nm!r}",
-            f"wavenumber_factor = {c.wavenumber_factor!r}",
-        ]
-    return "\n".join(lines) + "\n"
-
-
 def reference_config_path() -> Path:
     """Path of the packaged reference configuration."""
     return Path(__file__).parent / "data" / "paper.cfg"
@@ -346,13 +297,8 @@ def _resolve_pair(config: RunConfig, index: int) -> tuple[WellPair, float, str]:
         if not spec.has_closing_distance:
             raise ValueError("pair 4 (closing) requested but no closing_distance_A configured")
         name = f"{spec.labels[3]}{spec.labels[0]}"
-        offset = spec.max_depth - max(spec.depths[3], spec.depths[0])
-        return spec.closing_pair(), offset, name
+        return spec.closing_pair(), spec.closing_offset(), name
     raise ValueError(f"pair index must be 1..4, got {index}")
-
-
-def _sig9(x: float) -> float:
-    return float(f"{x:.9g}")
 
 
 def _solve_result_dict(result: SolveResult, offset: float) -> dict:
@@ -365,22 +311,8 @@ def _solve_result_dict(result: SolveResult, offset: float) -> dict:
             "v_deep_eV": _sig9(result.pair.v_deep),
             "offset_eV": _sig9(offset),
         },
-        "config": {
-            "grid_step_eV": _sig9(result.config.grid_step),
-            "refine_tol_eV": _sig9(result.config.refine_tol),
-            "residual_tol": _sig9(result.config.residual_tol),
-            "max_levels": result.config.max_levels,
-        },
-        "levels": [
-            {
-                "index": lv.index,
-                "energy_eV": _sig9(lv.energy),
-                "energy_global_eV": _sig9(lv.energy + offset),
-                "regime": str(lv.regime),
-                "residual": _sig9(lv.residual),
-            }
-            for lv in result.levels
-        ],
+        "config": _solver_dict(result.config),
+        "levels": [_level_dict(lv, offset) for lv in result.levels],
         "diagnostics": {
             "grid_points": result.diagnostics.grid_points,
             "sign_changes": result.diagnostics.sign_changes,
@@ -393,6 +325,18 @@ def _solve_result_dict(result: SolveResult, offset: float) -> dict:
 
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+
+
+def _write_scan_csv(path: Path, scan: GridScan) -> None:
+    lines = ["E_eV,lhs,rhs,mismatch,regime,pole_flag"]
+    mismatch = scan.mismatch
+    for i, energy in enumerate(scan.energies):
+        regime = "B" if scan.regime_b[i] else "A"
+        lines.append(
+            f"{energy:.9g},{scan.lhs[i]:.9g},{scan.rhs[i]:.9g},"
+            f"{mismatch[i]:.9g},{regime},{int(scan.pole[i])}"
+        )
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 # ------------------------------------------------------------- commands
@@ -426,19 +370,11 @@ def _cmd_scan_pair(args) -> int:
     e_hi = min(args.emax, pair.v_deep - args.step)
     if e_hi <= e_lo:
         raise ValueError(f"empty scan range ({args.emin}, {args.emax}) for pair {args.pair}")
-    n = int(math.floor((e_hi - e_lo) / args.step)) + 1
-    energies = e_lo + args.step * np.arange(n)
-    scan = grid_scan(pair, energies, config.constants)
+    scan = grid_scan(pair, uniform_grid(e_lo, e_hi, args.step), config.constants)
     out = _output_dir(config, args.output_dir) / f"scan_pair{args.pair}.csv"
-    lines = ["E_eV,lhs,rhs,mismatch,regime,pole_flag"]
-    for i in range(n):
-        regime = "B" if scan.regime_b[i] else "A"
-        lines.append(
-            f"{energies[i]:.9g},{scan.lhs[i]:.9g},{scan.rhs[i]:.9g},"
-            f"{scan.mismatch[i]:.9g},{regime},{int(scan.pole[i])}"
-        )
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"pair {args.pair} ({name}): scanned {n} energies in [{e_lo:.6g}, {e_hi:.6g}] eV")
+    _write_scan_csv(out, scan)
+    print(f"pair {args.pair} ({name}): scanned {scan.energies.size} energies "
+          f"in [{e_lo:.6g}, {e_hi:.6g}] eV")
     print(f"wrote {out}")
     return 0
 
@@ -496,14 +432,13 @@ def _cmd_times(args) -> int:
         levels = [lv["energy_eV"] for lv in payload["levels"]]
         if args.upper_index is None or args.lower_index is None:
             raise ValueError("--from-json requires --upper-index and --lower-index")
-        try:
-            e_plus = levels[args.upper_index]
-            e_minus = levels[args.lower_index]
-        except IndexError:
+        if not all(0 <= i < len(levels) for i in (args.upper_index, args.lower_index)):
             raise ValueError(
                 f"level indices ({args.lower_index}, {args.upper_index}) out of range; "
                 f"file has {len(levels)} levels"
             )
+        e_plus = levels[args.upper_index]
+        e_minus = levels[args.lower_index]
     else:
         if args.e_plus is None or args.e_minus is None:
             raise ValueError("provide --e-plus and --e-minus, or --from-json with indices")
@@ -545,19 +480,9 @@ def _cmd_cascade(args) -> int:
             pad = config.resonance_window_ev
             e_lo = max(resonance.e_minus - offset - pad, config.solver.grid_step)
             e_hi = min(resonance.e_plus - offset + pad, pair.v_deep - config.solver.grid_step)
-            step = 0.5 * config.solver.grid_step
-            n = int(math.floor((e_hi - e_lo) / step)) + 1
-            energies = e_lo + step * np.arange(n)
-            scan = grid_scan(pair, energies, config.constants)
+            energies = uniform_grid(e_lo, e_hi, 0.5 * config.solver.grid_step)
             out = out_dir / f"scan_pair{i + 1}.csv"
-            lines = ["E_eV,lhs,rhs,mismatch,regime,pole_flag"]
-            for j in range(n):
-                regime = "B" if scan.regime_b[j] else "A"
-                lines.append(
-                    f"{energies[j]:.9g},{scan.lhs[j]:.9g},{scan.rhs[j]:.9g},"
-                    f"{scan.mismatch[j]:.9g},{regime},{int(scan.pole[j])}"
-                )
-            out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            _write_scan_csv(out, grid_scan(pair, energies, config.constants))
             print(f"wrote {out}")
     return 0
 

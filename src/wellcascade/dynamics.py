@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .eigensolver import _golden_minimize
 from .quantities import CODATA2018, PhysicalConstants
 
 __all__ = [
@@ -30,9 +31,6 @@ __all__ = [
     "decay_time",
     "first_maximum_time",
 ]
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 @dataclass(frozen=True)
 class ResonantPair:
@@ -157,16 +155,4 @@ def first_maximum_time(
     def negative_p(t: float) -> float:
         return -rabi_probability(t, pair, constants)
 
-    c = hi - _GOLDEN * (hi - lo)
-    d = lo + _GOLDEN * (hi - lo)
-    fc, fd = negative_p(c), negative_p(d)
-    while (hi - lo) > 1e-9 * period:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - _GOLDEN * (hi - lo)
-            fc = negative_p(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _GOLDEN * (hi - lo)
-            fd = negative_p(d)
-    return 0.5 * (lo + hi)
+    return _golden_minimize(negative_p, lo, hi, xtol=1e-9 * period)

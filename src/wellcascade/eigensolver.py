@@ -42,9 +42,9 @@ __all__ = [
     "CalibrationError",
     "solve_pair",
     "find_levels",
-    "count_levels",
     "calibrate_distance",
     "calibrate_depth",
+    "uniform_grid",
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -102,6 +102,14 @@ class SolveResult:
     diagnostics: SolveDiagnostics
 
 
+def uniform_grid(lo: float, hi: float, step: float) -> np.ndarray:
+    """Points ``lo + step*i`` for ``i = 0, 1, ...`` up to ``hi``."""
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError(f"grid step must be finite and positive, got {step!r}")
+    n = int(math.floor((hi - lo) / step)) + 1
+    return lo + step * np.arange(n)
+
+
 def _bisect_characteristic(pair, lo, hi, f_lo, constants):
     """Shrink a verified sign-change bracket down to machine resolution."""
     for _ in range(200):
@@ -140,8 +148,7 @@ def solve_pair(
         empty = SolveDiagnostics(0, 0, 0, (), ())
         return SolveResult(pair=pair, config=cfg, levels=(), diagnostics=empty)
 
-    n = int(math.floor((hi - lo) / step)) + 1
-    energies = lo + step * np.arange(n)
+    energies = uniform_grid(lo, hi, step)
     scan = grid_scan(pair, energies, constants)
 
     valid = np.isfinite(scan.char) & ~((scan.char == 0.0) & (scan.char_scale == 0.0))
@@ -200,7 +207,7 @@ def solve_pair(
         levels = levels[: cfg.max_levels]
     levels = [replace(lv, index=i) for i, lv in enumerate(levels)]
     diag = SolveDiagnostics(
-        grid_points=n,
+        grid_points=energies.size,
         sign_changes=sign_changes,
         pole_points=int(np.count_nonzero(scan.pole)),
         skipped_intervals=tuple(skipped),
@@ -218,14 +225,6 @@ def find_levels(
     constants: PhysicalConstants = CODATA2018,
 ) -> list[Level]:
     return list(solve_pair(pair, config, e_min=e_min, e_max=e_max, constants=constants).levels)
-
-
-def count_levels(
-    pair: WellPair,
-    config: SolverConfig | None = None,
-    constants: PhysicalConstants = CODATA2018,
-) -> int:
-    return len(find_levels(pair, config, constants=constants))
 
 
 @dataclass(frozen=True)
@@ -298,8 +297,7 @@ def _calibrate_1d(make_pair, targets, lo, hi, step, misfit_tol, cfg, pad, consta
     if hi == lo:
         best = result_at(lo)
     else:
-        n = int(math.floor((hi - lo) / step)) + 1
-        grid = [lo + i * step for i in range(n)]
+        grid = uniform_grid(lo, hi, step).tolist()
         if grid[-1] < hi - 1e-12 * max(1.0, abs(hi)):
             grid.append(hi)
         misfits = [objective(x) for x in grid]

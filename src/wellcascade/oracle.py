@@ -10,6 +10,9 @@ piecewise-constant profile the cell average is exact and the discretisation
 error is a clean O(h^2), which makes Richardson step-halving meaningful;
 sampling the potential pointwise instead would leave an O(h) boundary
 misalignment error that dominates and does not extrapolate away.
+
+scipy is imported inside the two functions that call it, so importing the
+package, and running every CLI command but ``oracle``, does not load it.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .potential import PotentialProfile
 from .quantities import CODATA2018, PhysicalConstants
@@ -29,7 +31,6 @@ __all__ = [
     "fd_solve",
     "fd_levels",
     "fd_states",
-    "fd_splitting",
     "count_nodes",
 ]
 
@@ -93,6 +94,8 @@ def _tridiagonal(profile, grid_points, padding, constants):
 
 
 def _eigenvalues(profile, n_levels, grid_points, padding, constants):
+    from scipy.linalg import eigh_tridiagonal
+
     _, _, diag, off = _tridiagonal(profile, grid_points, padding, constants)
     top = min(n_levels, grid_points)
     return eigh_tridiagonal(
@@ -154,6 +157,8 @@ def fd_states(
     Eigenvectors come back L2-normalised so that ``h * sum(psi**2) = 1``.
     Extrapolation does not apply to states; the configured grid is used as is.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     if n_levels < 1:
         raise ValueError(f"n_levels must be >= 1, got {n_levels}")
     cfg = config or FdConfig()
@@ -162,25 +167,6 @@ def fd_states(
     energies, vectors = eigh_tridiagonal(diag, off, select="i", select_range=(0, top - 1))
     keep = energies < profile.max_value()
     return x, energies[keep], vectors[:, keep] / math.sqrt(h)
-
-
-def fd_splitting(
-    profile: PotentialProfile,
-    level_indices: tuple[int, int],
-    config: FdConfig | None = None,
-    constants: PhysicalConstants = CODATA2018,
-) -> float:
-    """Difference ``E[j] - E[i]`` of two oracle eigenvalues."""
-    i, j = level_indices
-    if i < 0 or j < 0:
-        raise ValueError(f"level indices must be non-negative, got {level_indices}")
-    result = fd_solve(profile, max(i, j) + 1, config, constants)
-    if max(i, j) >= len(result.levels):
-        raise ValueError(
-            f"level indices {level_indices} not resolved: only "
-            f"{len(result.levels)} bound states found"
-        )
-    return result.levels[j] - result.levels[i]
 
 
 def count_nodes(values, rel_floor: float = 1e-9) -> int:

@@ -150,6 +150,10 @@ class CascadeSpec:
             raise ValueError(f"active pair index must be 0..2, got {index}")
         return self.max_depth - max(self.depths[index], self.depths[index + 1])
 
+    def closing_offset(self) -> float:
+        """Shift adding closing-pair energies onto the global reference."""
+        return self.max_depth - max(self.depths[3], self.depths[0])
+
 
 @dataclass(frozen=True)
 class PotentialProfile:

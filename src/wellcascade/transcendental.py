@@ -49,14 +49,9 @@ from .quantities import CODATA2018, PhysicalConstants
 __all__ = [
     "Regime",
     "WavenumberSet",
-    "MatchPoint",
     "GridScan",
     "classify_regime",
     "wavenumbers",
-    "evaluate",
-    "lhs",
-    "rhs",
-    "mismatch",
     "characteristic",
     "grid_scan",
 ]
@@ -114,21 +109,6 @@ def wavenumbers(
 
 
 @dataclass(frozen=True)
-class MatchPoint:
-    """One evaluation of both matching sides at a given energy."""
-
-    energy_ev: float
-    lhs: float
-    rhs: float
-    regime: Regime
-    is_pole: bool
-
-    @property
-    def mismatch(self) -> float:
-        return self.lhs - self.rhs
-
-
-@dataclass(frozen=True)
 class GridScan:
     """Vectorised evaluation over an energy grid (used by solver and CLI)."""
 
@@ -180,33 +160,27 @@ def _cleared_terms(pair: WellPair, energies: np.ndarray, constants: PhysicalCons
     decay = np.exp(-2.0 * beta * (pair.distance - a))
     nr = decay * (beta * s2 - k2 * c2)
     dr = beta * s2 + k2 * c2
-    return nl, dl, nr, dr, reg_b, beta
+    return nl, dl, nr, dr, reg_b
 
 
 def grid_scan(
     pair: WellPair,
     energies: np.ndarray,
     constants: PhysicalConstants = CODATA2018,
-    rescaled: bool = True,
 ) -> GridScan:
     """Evaluate lhs/rhs/mismatch and the cleared form over an energy grid.
 
-    All energies must lie in (0, v_deep).  With ``rescaled=False`` the raw
-    matching sides are returned (the common ``exp(-beta (L-a))`` factor is
-    not applied); the cleared form is identical either way.
+    All energies must lie in (0, v_deep).  The sides carry the common
+    ``exp(-beta (L-a))`` factor (see module notes).
     """
     e = np.asarray(energies, dtype=float)
     if e.size and not (np.all(e > 0.0) and np.all(e < pair.v_deep)):
         raise ValueError("grid energies must lie strictly inside (0, v_deep)")
-    nl, dl, nr, dr, reg_b, beta = _cleared_terms(pair, e, constants)
+    nl, dl, nr, dr, reg_b = _cleared_terms(pair, e, constants)
     pole = (np.abs(dl) < POLE_RTOL * np.abs(nl)) | (np.abs(dr) < POLE_RTOL * np.abs(nr))
     with np.errstate(divide="ignore", invalid="ignore"):
         lhs_vals = nl / dl
         rhs_vals = nr / dr
-        if not rescaled:
-            grow = np.exp(beta * (pair.distance - pair.width))
-            lhs_vals = lhs_vals * grow
-            rhs_vals = rhs_vals * grow
     # 0/0 at the exact regime boundary has no finite limit representation here;
     # treat any non-finite ratio as a pole as well.
     pole = pole | ~np.isfinite(lhs_vals) | ~np.isfinite(rhs_vals)
@@ -223,55 +197,6 @@ def grid_scan(
     )
 
 
-def evaluate(
-    pair: WellPair,
-    energy_ev: float,
-    constants: PhysicalConstants = CODATA2018,
-    rescaled: bool = True,
-) -> MatchPoint:
-    """Scalar evaluation of both matching sides at one energy."""
-    _check_energy(pair, energy_ev)
-    scan = grid_scan(pair, np.array([energy_ev]), constants, rescaled=rescaled)
-    return MatchPoint(
-        energy_ev=float(energy_ev),
-        lhs=float(scan.lhs[0]),
-        rhs=float(scan.rhs[0]),
-        regime=Regime.B if bool(scan.regime_b[0]) else Regime.A,
-        is_pole=bool(scan.pole[0]),
-    )
-
-
-def lhs(
-    pair: WellPair,
-    energy_ev: float,
-    constants: PhysicalConstants = CODATA2018,
-    rescaled: bool = True,
-) -> float:
-    """Shallow-side matching function; NaN when flagged as a pole."""
-    return evaluate(pair, energy_ev, constants, rescaled=rescaled).lhs
-
-
-def rhs(
-    pair: WellPair,
-    energy_ev: float,
-    constants: PhysicalConstants = CODATA2018,
-    rescaled: bool = True,
-) -> float:
-    """Deep-side matching function; NaN when flagged as a pole."""
-    return evaluate(pair, energy_ev, constants, rescaled=rescaled).rhs
-
-
-def mismatch(
-    pair: WellPair,
-    energy_ev: float,
-    constants: PhysicalConstants = CODATA2018,
-    rescaled: bool = True,
-) -> float:
-    """lhs - rhs on the regime branch; NaN propagates from pole flags."""
-    point = evaluate(pair, energy_ev, constants, rescaled=rescaled)
-    return point.mismatch
-
-
 def characteristic(
     pair: WellPair,
     energy_ev: float,
@@ -284,7 +209,7 @@ def characteristic(
     two products, so ``|value|/scale`` is a meaningful relative residual.
     """
     _check_energy(pair, energy_ev)
-    nl, dl, nr, dr, _, _ = _cleared_terms(pair, np.array([energy_ev]), constants)
+    nl, dl, nr, dr, _ = _cleared_terms(pair, np.array([energy_ev]), constants)
     value = float(nl[0] * dr[0] - nr[0] * dl[0])
     scale = float(abs(nl[0] * dr[0]) + abs(nr[0] * dl[0]))
     return value, scale

@@ -1,15 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wellcascade.cli import (
-    ConfigError,
-    load_config,
-    main,
-    parse_config,
-    serialize_config,
-)
+import wellcascade
+from wellcascade.cli import ConfigError, load_config, main, parse_config
+
+GOLDEN_REPORT = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "report.json"
 
 MINIMAL = """
 [wells]
@@ -26,11 +27,6 @@ def test_bundled_config_parses(reference_run_config):
     assert cfg.solver.grid_step == 2e-5
     assert cfg.oracle.grid_points == 20001
     assert cfg.formats == ("json", "table")
-
-
-def test_config_round_trip(reference_run_config):
-    text = serialize_config(reference_run_config)
-    assert parse_config(text) == reference_run_config
 
 
 def test_minimal_config_defaults():
@@ -92,6 +88,24 @@ def test_cascade_command_writes_report(tmp_path, reference_config_file, capsys):
     assert len(report["steps"]) == 3
     out = capsys.readouterr().out
     assert "transfer schedule" in out
+
+
+def _sig9_tree(value):
+    if isinstance(value, float):
+        return float(f"{value:.9g}")
+    if isinstance(value, list):
+        return [_sig9_tree(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _sig9_tree(v) for k, v in value.items()}
+    return value
+
+
+def test_cascade_report_matches_golden(tmp_path, reference_config_file):
+    rc = main(["cascade", "--config", str(reference_config_file), "--output-dir", str(tmp_path)])
+    assert rc == 0
+    fresh = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    golden = json.loads(GOLDEN_REPORT.read_text(encoding="utf-8"))
+    assert _sig9_tree(fresh) == _sig9_tree(golden)
 
 
 def test_cascade_determinism(tmp_path, reference_config_file):
@@ -156,6 +170,29 @@ def test_scan_pair_brackets_the_resonances(tmp_path, reference_config_file):
         assert any(lo - 5e-5 <= root <= hi + 5e-5 for lo, hi in intervals)
 
 
+@pytest.mark.parametrize("step", ["0", "-1e-3", "nan"])
+def test_scan_pair_rejects_bad_step(tmp_path, reference_config_file, capsys, step):
+    rc = main(
+        [
+            "scan-pair",
+            "--config",
+            str(reference_config_file),
+            "--output-dir",
+            str(tmp_path),
+            "--pair",
+            "1",
+            "--emin",
+            "1.40",
+            "--emax",
+            "1.50",
+            f"--step={step}",
+        ]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "scan_pair1.csv").exists()
+
+
 def test_solve_pair_writes_json(tmp_path, reference_config_file):
     rc = main(
         ["solve-pair", "--config", str(reference_config_file), "--output-dir", str(tmp_path), "--pair", "1"]
@@ -193,6 +230,22 @@ def test_times_from_solver_json(tmp_path, reference_config_file, capsys):
     )
     assert rc == 0
     assert "tunneling time" in capsys.readouterr().out
+
+
+def test_times_rejects_negative_indices(tmp_path, reference_config_file, capsys):
+    main(["solve-pair", "--config", str(reference_config_file), "--output-dir", str(tmp_path), "--pair", "1"])
+    capsys.readouterr()
+    rc = main(
+        [
+            "times",
+            "--from-json",
+            str(tmp_path / "solve_pair1.json"),
+            "--upper-index=-1",
+            "--lower-index=-2",
+        ]
+    )
+    assert rc == 1
+    assert "out of range" in capsys.readouterr().err
 
 
 def test_times_requires_energies():
@@ -295,3 +348,17 @@ def test_level_out_of_range_exits_1(tmp_path, reference_config_file):
         ]
     )
     assert rc == 1
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    env = dict(os.environ)
+    src = str(Path(wellcascade.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys, wellcascade.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"

@@ -9,7 +9,6 @@ from wellcascade.eigensolver import (
     SolverConfig,
     calibrate_depth,
     calibrate_distance,
-    count_levels,
     find_levels,
     solve_pair,
 )
@@ -62,7 +61,7 @@ def test_oracle_equivalence_on_random_pairs():
 
 
 def test_count_matches_oracle_on_pair1(pair1):
-    n = count_levels(pair1)
+    n = len(find_levels(pair1))
     fd = fd_levels(pair_profile(pair1), n + 3)
     assert len(fd) == n
 
@@ -71,14 +70,14 @@ def test_count_monotone_in_depth():
     counts = []
     for v_deep in (0.3, 0.6, 0.9, 1.2, 1.5, 1.8):
         pair = WellPair(width=20.0, distance=30.0, v_shallow=0.2, v_deep=v_deep)
-        counts.append(count_levels(pair))
+        counts.append(len(find_levels(pair)))
     assert counts == sorted(counts)
     assert counts[-1] > counts[0]
 
 
 def test_no_bound_state_for_tiny_well():
     pair = WellPair(width=1.0, distance=3.0, v_shallow=0.01, v_deep=0.02)
-    assert count_levels(pair) == 0
+    assert find_levels(pair) == []
     fd = fd_levels(pair_profile(pair), 1, FdConfig(grid_points=2001))
     assert fd == []
 
@@ -143,6 +142,12 @@ def test_calibrate_distance_empty_range(pair1):
         calibrate_distance(pair1, [], (60.0, 65.0))
     with pytest.raises(ValueError):  # range inside the well width
         calibrate_distance(pair1, [1.445], (10.0, 20.0))
+
+
+@pytest.mark.parametrize("step", [0.0, -0.01, math.nan, math.inf])
+def test_calibrate_rejects_bad_step(pair1, step):
+    with pytest.raises(ValueError, match="grid step"):
+        calibrate_distance(pair1, [1.445, 1.460], (60.0, 60.5), step=step)
 
 
 def test_calibration_failure_carries_best_candidate(pair1):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wellcascade.eigensolver import find_levels
-from wellcascade.oracle import FdConfig, count_nodes, fd_solve, fd_splitting, fd_states
+from wellcascade.oracle import FdConfig, count_nodes, fd_solve, fd_states
 from wellcascade.potential import PotentialProfile, cascade_profile, pair_profile
 from wellcascade.quantities import CODATA2018
 
@@ -74,7 +74,8 @@ def test_splitting_of_reference_pair(pair1):
     energies = [lv.energy for lv in levels]
     i = min(range(len(energies)), key=lambda j: abs(energies[j] - 1.445))
     j = min(range(len(energies)), key=lambda k: abs(energies[k] - 1.460))
-    split = fd_splitting(pair_profile(pair1), (i, j))
+    fd = fd_solve(pair_profile(pair1), j + 1).levels
+    split = fd[j] - fd[i]
     assert split == pytest.approx(0.015, rel=0.3)
     assert split == pytest.approx(energies[j] - energies[i], rel=0.05)
 
@@ -82,8 +83,11 @@ def test_splitting_of_reference_pair(pair1):
 def test_symmetric_well_splitting_shrinks_with_barrier():
     narrow = symmetric_double_well(4.0)
     wide = symmetric_double_well(8.0)
-    s_narrow = fd_splitting(narrow, (0, 1), FdConfig(grid_points=10001))
-    s_wide = fd_splitting(wide, (0, 1), FdConfig(grid_points=10001))
+    config = FdConfig(grid_points=10001)
+    e_narrow = fd_solve(narrow, 2, config).levels
+    e_wide = fd_solve(wide, 2, config).levels
+    s_narrow = e_narrow[1] - e_narrow[0]
+    s_wide = e_wide[1] - e_wide[0]
     assert s_narrow > s_wide > 0.0
 
 
@@ -154,7 +158,3 @@ def test_invalid_requests(pair1):
     profile = pair_profile(pair1)
     with pytest.raises(ValueError):
         fd_solve(profile, 0)
-    with pytest.raises(ValueError):
-        fd_splitting(profile, (0, 50))
-    with pytest.raises(ValueError):
-        fd_splitting(profile, (-1, 1))

@@ -121,6 +121,7 @@ def test_pair_offsets(reference_spec):
 def test_closing_pair(reference_spec):
     closing = reference_spec.closing_pair()
     assert closing.v_shallow == 0.95 and closing.v_deep == 1.585
+    assert reference_spec.closing_offset() == 0.0  # the first well is the deepest
     spec3 = CascadeSpec(
         widths=(43.85,) * 4,
         distances=(60.0, 60.0, 60.0),

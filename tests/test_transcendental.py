@@ -6,18 +6,22 @@ import pytest
 
 from wellcascade.eigensolver import find_levels
 from wellcascade.quantities import CODATA2018
-from wellcascade.transcendental import (
-    Regime,
-    classify_regime,
-    evaluate,
-    grid_scan,
-    lhs,
-    mismatch,
-    rhs,
-    wavenumbers,
-)
+from wellcascade.transcendental import Regime, classify_regime, grid_scan, wavenumbers
 
 mp.mp.dps = 50
+
+
+def _raw_sides(pair, energies):
+    """grid_scan's sides with the common exp(-beta (L-a)) factor multiplied back out."""
+    e = np.atleast_1d(np.asarray(energies, dtype=float))
+    scan = grid_scan(pair, e)
+    beta = CODATA2018.wavenumber_factor * np.sqrt(pair.v_deep - e)
+    grow = np.exp(beta * (pair.distance - pair.width))
+    return scan.lhs * grow, scan.rhs * grow, scan.pole
+
+
+def _mismatch(pair, energy):
+    return float(grid_scan(pair, np.array([energy])).mismatch[0])
 
 
 def _literal_sides(pair, energy):
@@ -70,12 +74,12 @@ def test_sides_match_literal_high_precision(pair1):
     rng = np.random.default_rng(42)
     checked = 0
     for e in rng.uniform(0.01, pair1.v_deep - 0.01, 20):
-        point = evaluate(pair1, float(e), rescaled=False)
-        if point.is_pole:
+        (lhs,), (rhs,), (pole,) = _raw_sides(pair1, e)
+        if pole:
             continue
         f, g = _literal_sides(pair1, float(e))
-        assert point.lhs == pytest.approx(float(f), rel=1e-10)
-        assert point.rhs == pytest.approx(float(g), rel=1e-10)
+        assert lhs == pytest.approx(float(f), rel=1e-10)
+        assert rhs == pytest.approx(float(g), rel=1e-10)
         checked += 1
     assert checked >= 18
 
@@ -83,14 +87,14 @@ def test_sides_match_literal_high_precision(pair1):
 def test_rescaled_sides_carry_common_decay_factor(pair1):
     rng = np.random.default_rng(3)
     for e in rng.uniform(0.05, pair1.v_deep - 0.05, 10):
-        raw = evaluate(pair1, float(e), rescaled=False)
-        scaled = evaluate(pair1, float(e), rescaled=True)
-        if raw.is_pole:
+        scan = grid_scan(pair1, np.array([e]))
+        if scan.pole[0]:
             continue
-        beta = wavenumbers(pair1, float(e)).beta
-        decay = math.exp(-beta * (pair1.distance - pair1.width))
-        assert scaled.lhs == pytest.approx(raw.lhs * decay, rel=1e-12)
-        assert scaled.rhs == pytest.approx(raw.rhs * decay, rel=1e-12)
+        f, g = _literal_sides(pair1, float(e))
+        beta = mp.mpf(wavenumbers(pair1, float(e)).beta)
+        decay = mp.e ** (-beta * (mp.mpf(pair1.distance) - mp.mpf(pair1.width)))
+        assert scan.lhs[0] == pytest.approx(float(f * decay), rel=1e-10)
+        assert scan.rhs[0] == pytest.approx(float(g * decay), rel=1e-10)
 
 
 def test_rhs_at_cot_zero_reduces_to_barrier_decay(pair1):
@@ -99,7 +103,8 @@ def test_rhs_at_cot_zero_reduces_to_barrier_decay(pair1):
     e = (0.5 * math.pi / (factor * pair1.width)) ** 2
     beta = factor * math.sqrt(pair1.v_deep - e)
     expected = math.exp(-beta * (pair1.distance - pair1.width))
-    assert rhs(pair1, e, rescaled=False) == pytest.approx(expected, rel=1e-10)
+    (rhs,) = _raw_sides(pair1, e)[1]
+    assert rhs == pytest.approx(expected, rel=1e-10)
 
 
 def test_mismatch_small_at_resonance_roots(pair1):
@@ -107,13 +112,13 @@ def test_mismatch_small_at_resonance_roots(pair1):
     energies = [lv.energy for lv in levels]
     assert len(energies) == 2
     for e in energies:
-        assert abs(mismatch(pair1, e)) < 1e-6
+        assert abs(_mismatch(pair1, e)) < 1e-6
 
 
 def test_mismatch_sign_change_around_isolated_root(pair1):
     (root,) = [lv.energy for lv in find_levels(pair1, e_min=1.43, e_max=1.45)]
-    before = mismatch(pair1, root - 1e-6)
-    after = mismatch(pair1, root + 1e-6)
+    before = _mismatch(pair1, root - 1e-6)
+    after = _mismatch(pair1, root + 1e-6)
     assert math.isfinite(before) and math.isfinite(after)
     assert (before > 0) != (after > 0)
 
@@ -173,10 +178,9 @@ def test_pole_flag_and_nan_at_lhs_pole(pair1):
             lo, f_lo = mid, f_mid
         else:
             hi = mid
-    point = evaluate(pair1, 0.5 * (lo + hi))
-    assert point.is_pole
-    assert math.isnan(point.lhs) and math.isnan(point.mismatch)
-    assert math.isnan(lhs(pair1, 0.5 * (lo + hi)))
+    scan = grid_scan(pair1, np.array([0.5 * (lo + hi)]))
+    assert scan.pole[0]
+    assert math.isnan(scan.lhs[0]) and math.isnan(scan.mismatch[0])
 
 
 def test_roots_unchanged_by_rescaling(pair1):
@@ -184,12 +188,12 @@ def test_roots_unchanged_by_rescaling(pair1):
     step = 1e-5
     n = int(0.10 / step) + 1
     energies = 1.40 + step * np.arange(n)
-    raw = grid_scan(pair1, energies, rescaled=False)
-    mism = raw.mismatch
+    raw_lhs, raw_rhs, _ = _raw_sides(pair1, energies)
+    mism = raw_lhs - raw_rhs
 
     def raw_mismatch(e):
-        point = evaluate(pair1, float(e), rescaled=False)
-        return point.mismatch
+        (lhs,), (rhs,), _ = _raw_sides(pair1, e)
+        return lhs - rhs
 
     raw_roots = []
     for i in np.nonzero(np.sign(mism[:-1]) * np.sign(mism[1:]) < 0)[0]:
