@@ -445,10 +445,10 @@ def _cmd_times(args) -> int:
         e_plus, e_minus = args.e_plus, args.e_minus
     pair = ResonantPair(e_plus=e_plus, e_minus=e_minus)
     t = tunneling_time(pair, args.k)
+    dt = None if args.decay_gap is None else decay_time(args.decay_gap)
     print(f"E+ = {e_plus:.9g} eV, E- = {e_minus:.9g} eV, splitting = {pair.splitting:.9g} eV")
     print(f"tunneling time (k={args.k}): {t:.9g} s = {t * 1e12:.6g} ps")
-    if args.decay_gap is not None:
-        dt = decay_time(args.decay_gap)
+    if dt is not None:
         print(f"decay gap {args.decay_gap:.9g} eV -> decay time {dt:.9g} s = {dt * 1e12:.6g} ps")
         print(f"tunneling/decay ratio: {t / dt:.6g}")
     return 0
@@ -515,19 +515,17 @@ def _print_cascade_table(report) -> None:
 def _cmd_calibrate(args) -> int:
     config = load_config(args.config)
     pair, offset, name = _resolve_pair(config, args.pair)
-    targets = [float(t) for t in args.targets.split(",") if t.strip()]
-    lo, hi = (float(v) for v in args.range.split(","))
     if args.mode == "distance":
         result = calibrate_distance(
-            pair, targets, (lo, hi), config=config.solver, constants=config.constants
+            pair, args.targets, args.range, config=config.solver, constants=config.constants
         )
         label = "distance_A"
     else:
         result = calibrate_depth(
             pair,
             args.vary_fixed,
-            targets,
-            (lo, hi),
+            args.targets,
+            args.range,
             config=config.solver,
             constants=config.constants,
         )
@@ -557,6 +555,25 @@ def _cmd_wavefunction(args) -> int:
           f"wall residual {wf.wall_residual:.2e}")
     print(f"wrote {out}")
     return 0
+
+
+def _number_list(text: str) -> list[float]:
+    """argparse type of a non-empty comma-separated list of numbers."""
+    try:
+        values = [float(t) for t in text.split(",") if t.strip()]
+    except ValueError:
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected numbers 'a,b,...', got {text!r}")
+    return values
+
+
+def _number_pair(text: str) -> tuple[float, float]:
+    """argparse type of a ``lo,hi`` range."""
+    values = _number_list(text)
+    if len(values) != 2:
+        raise argparse.ArgumentTypeError(f"expected 'lo,hi', got {text!r}")
+    return values[0], values[1]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -617,9 +634,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="tune distance or one depth to target levels")
     add_common(p)
     p.add_argument("--pair", type=int, required=True)
-    p.add_argument("--targets", required=True, help="comma-separated pair-local energies (eV)")
+    p.add_argument("--targets", type=_number_list, required=True,
+                   help="comma-separated pair-local energies (eV)")
     p.add_argument("--mode", choices=("distance", "depth"), default="distance")
-    p.add_argument("--range", required=True, help="search range 'lo,hi'")
+    p.add_argument("--range", type=_number_pair, required=True, help="search range 'lo,hi'")
     p.add_argument("--vary-fixed", choices=("shallow", "deep"), default="shallow",
                    help="depth mode: which depth stays fixed (the other is searched)")
     p.set_defaults(func=_cmd_calibrate)

@@ -1,8 +1,11 @@
 """Bound-state search and geometry calibration for well pairs.
 
 Roots are located by scanning the denominator-cleared matching function on a
-uniform energy grid and refining every sign change by bisection.  Bisection
-is unconditionally safe here because the cleared form is continuous and free
+uniform energy grid and refining every sign change by bisection.  All
+brackets of a solve are halved in lockstep, with one array evaluation of the
+cleared form per step; each bracket still sees its own midpoint sequence, so
+the roots are those of bisecting one bracket at a time.  Bisection is
+unconditionally safe here because the cleared form is continuous and free
 of poles; it always runs down to machine resolution, so the configured
 ``refine_tol`` acts as a guaranteed upper bound on the reported bracket
 width rather than a stopping knob.
@@ -110,19 +113,29 @@ def uniform_grid(lo: float, hi: float, step: float) -> np.ndarray:
     return lo + step * np.arange(n)
 
 
-def _bisect_characteristic(pair, lo, hi, f_lo, constants):
-    """Shrink a verified sign-change bracket down to machine resolution."""
+def _bisect(pair, lo, hi, f_lo, constants):
+    """Shrink verified sign-change brackets down to machine resolution, together.
+
+    Every iteration evaluates :func:`characteristic` once, on the midpoints of
+    the brackets still open, so each bracket sees the midpoint sequence it
+    would see alone.  A bracket closes when its midpoint is no longer strictly
+    inside it, after 200 halvings, or at an exact zero, which collapses it to
+    ``(mid, mid)``.
+    """
+    lo, hi, f_lo = lo.copy(), hi.copy(), f_lo.copy()
+    live = np.arange(lo.size)
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if not (lo < mid < hi):
+        mid = 0.5 * (lo[live] + hi[live])
+        inside = (lo[live] < mid) & (mid < hi[live])
+        live, mid = live[inside], mid[inside]
+        if not live.size:
             break
-        f_mid, _ = characteristic(pair, mid, constants)
-        if f_mid == 0.0:
-            return mid, mid
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
+        f_mid = characteristic(pair, mid, constants)
+        zero = f_mid == 0.0
+        same = ~zero & ((f_mid > 0.0) == (f_lo[live] > 0.0))
+        lo[live[same | zero]] = mid[same | zero]
+        hi[live[~same]] = mid[~same]
+        f_lo[live[same]] = f_mid[same]
     return lo, hi
 
 
@@ -151,69 +164,42 @@ def solve_pair(
     energies = uniform_grid(lo, hi, step)
     scan = grid_scan(pair, energies, constants)
 
-    valid = np.isfinite(scan.char) & ~((scan.char == 0.0) & (scan.char_scale == 0.0))
     char = scan.char
-    roots: list[float] = []
-    discarded: list[float] = []
-    skipped: list[tuple[float, float]] = []
-
-    # exact zeros on the grid are roots already
+    valid = np.isfinite(char) & ~((char == 0.0) & (scan.char_scale == 0.0))
+    change = char[:-1] * char[1:] < 0.0
+    isolated = change & valid[:-1] & valid[1:]
+    skipped = np.flatnonzero(change & ~isolated)
+    # an exact zero on the grid is a bracket of zero width, already a root; no
+    # bracket touches it, so brackets in grid order yield ascending roots
     exact = valid & (char == 0.0)
-    roots.extend(float(e) for e in energies[exact])
-    brackets: list[tuple[float, float, float, float]] = []
-    for i in np.nonzero((char[:-1] * char[1:]) < 0.0)[0]:
-        if not (valid[i] and valid[i + 1]):
-            skipped.append((float(energies[i]), float(energies[i + 1])))
-            continue
-        bracket_scale = max(abs(float(char[i])), abs(float(char[i + 1])))
-        brackets.append(
-            (float(energies[i]), float(energies[i + 1]), float(char[i]), bracket_scale)
-        )
-    sign_changes = len(brackets)
+    left = np.flatnonzero(exact | np.append(isolated, False))
+    right = np.where(exact[left], left, left + 1)
 
-    levels: list[Level] = []
-    for e in roots:
-        levels.append(
-            Level(
-                energy=e,
-                regime=classify_regime(pair, e),
-                residual=0.0,
-                bracket=(e, e),
-                index=0,
-            )
-        )
-    for b_lo, b_hi, f_lo, bracket_scale in brackets:
-        r_lo, r_hi = _bisect_characteristic(pair, b_lo, b_hi, f_lo, constants)
-        energy = 0.5 * (r_lo + r_hi)
-        value, _ = characteristic(pair, energy, constants)
-        # convergence measure: cleared mismatch at the root relative to its
-        # size at the isolating grid bracket; a pole artifact cannot shrink
-        residual = abs(value) / bracket_scale if bracket_scale > 0.0 else math.inf
-        if residual > cfg.residual_tol:
-            discarded.append(energy)
-            continue
-        levels.append(
-            Level(
-                energy=energy,
-                regime=classify_regime(pair, energy),
-                residual=residual,
-                bracket=(r_lo, r_hi),
-                index=0,
-            )
-        )
+    r_lo, r_hi = _bisect(pair, energies[left], energies[right], char[left], constants)
+    energy = 0.5 * (r_lo + r_hi)
+    # convergence measure: cleared mismatch at the root relative to its size at
+    # the isolating grid bracket (at a grid zero, its own term scale); a pole
+    # artifact cannot shrink it
+    scale = np.where(
+        exact[left], scan.char_scale[left], np.maximum(np.abs(char[left]), np.abs(char[right]))
+    )
+    residual = np.abs(characteristic(pair, energy, constants)) / scale
+    discard = residual > cfg.residual_tol
 
-    levels.sort(key=lambda lv: lv.energy)
-    if cfg.max_levels is not None:
-        levels = levels[: cfg.max_levels]
-    levels = [replace(lv, index=i) for i, lv in enumerate(levels)]
+    kept = np.flatnonzero(~discard)[: cfg.max_levels]
+    rows = zip(*(a[kept].tolist() for a in (energy, residual, r_lo, r_hi)))
+    levels = tuple(
+        Level(energy=e, regime=classify_regime(pair, e), residual=res, bracket=(b0, b1), index=i)
+        for i, (e, res, b0, b1) in enumerate(rows)
+    )
     diag = SolveDiagnostics(
         grid_points=energies.size,
-        sign_changes=sign_changes,
+        sign_changes=int(np.count_nonzero(isolated)),
         pole_points=int(np.count_nonzero(scan.pole)),
-        skipped_intervals=tuple(skipped),
-        discarded_candidates=tuple(discarded),
+        skipped_intervals=tuple(zip(energies[skipped].tolist(), energies[skipped + 1].tolist())),
+        discarded_candidates=tuple(energy[discard].tolist()),
     )
-    return SolveResult(pair=pair, config=cfg, levels=tuple(levels), diagnostics=diag)
+    return SolveResult(pair=pair, config=cfg, levels=levels, diagnostics=diag)
 
 
 def find_levels(
@@ -282,36 +268,30 @@ def _calibrate_1d(make_pair, targets, lo, hi, step, misfit_tol, cfg, pad, consta
     if hi < lo:
         raise ValueError(f"empty {what} range ({lo}, {hi})")
 
-    def objective(x: float) -> float:
+    def evaluate(x: float) -> CalibrationResult:
         try:
             pair = make_pair(x)
         except ValueError:
-            return math.inf
-        return _misfit(_window_levels(pair, targets, cfg, pad, constants), targets)
-
-    def result_at(x: float) -> CalibrationResult:
-        pair = make_pair(x)
+            return CalibrationResult(value=x, misfit=math.inf, levels=())
         levels = _window_levels(pair, targets, cfg, pad, constants)
         return CalibrationResult(value=x, misfit=_misfit(levels, targets), levels=tuple(levels))
 
-    if hi == lo:
-        best = result_at(lo)
-    else:
-        grid = uniform_grid(lo, hi, step).tolist()
-        if grid[-1] < hi - 1e-12 * max(1.0, abs(hi)):
-            grid.append(hi)
-        misfits = [objective(x) for x in grid]
-        b = int(np.argmin(misfits))
-        if misfits[b] <= 1e-12:
-            best = result_at(grid[b])
-        else:
-            g_lo = grid[max(0, b - 1)]
-            g_hi = grid[min(len(grid) - 1, b + 1)]
-            x_star = _golden_minimize(objective, g_lo, g_hi, xtol=1e-6 * max(step, 1e-9))
-            best = result_at(x_star)
-            coarse = result_at(grid[b])
-            if coarse.misfit < best.misfit:
-                best = coarse
+    # a one-point range is a one-point grid, after the same step check
+    grid = uniform_grid(lo, hi, step).tolist()
+    if grid[-1] < hi - 1e-12 * max(1.0, abs(hi)):
+        grid.append(hi)
+    coarse = [evaluate(x) for x in grid]
+    b = int(np.argmin([r.misfit for r in coarse]))
+    best = coarse[b]
+    if best.misfit > 1e-12 and len(grid) > 1:
+        g_lo = grid[max(0, b - 1)]
+        g_hi = grid[min(len(grid) - 1, b + 1)]
+        x_star = _golden_minimize(
+            lambda x: evaluate(x).misfit, g_lo, g_hi, xtol=1e-6 * max(step, 1e-9)
+        )
+        fine = evaluate(x_star)
+        if fine.misfit <= best.misfit:
+            best = fine
     if best.misfit > misfit_tol:
         raise CalibrationError(
             f"calibration failed: best {what} {best.value:.6g} leaves misfit "

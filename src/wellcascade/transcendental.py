@@ -30,9 +30,10 @@ Numerical notes
   numerator scale; flagged evaluations report NaN instead of a number.
 * Deep-well-dominated eigenvalues lie exponentially close to poles of
   ``rhs`` (within ~1e-13 eV for the reference geometry), so root finding
-  never uses the raw mismatch.  :func:`characteristic` returns the
-  denominator-cleared form ``Nl*Dr - Nr*Dl``, which has the same roots, no
-  poles, and a well-conditioned sign everywhere.
+  never uses the raw mismatch.  :func:`characteristic` evaluates the
+  denominator-cleared form ``Nl*Dr - Nr*Dl`` over an array of energies (the
+  values of :attr:`GridScan.char`); it has the same roots, no poles, and a
+  well-conditioned sign everywhere.
 """
 
 from __future__ import annotations
@@ -79,16 +80,12 @@ class WavenumberSet:
     regime: Regime
 
 
-def _check_energy(pair: WellPair, energy_ev: float) -> None:
+def classify_regime(pair: WellPair, energy_ev: float) -> Regime:
+    """Regime A below the shallow floor, B at or above it."""
     if not (math.isfinite(energy_ev) and 0.0 < energy_ev < pair.v_deep):
         raise ValueError(
             f"energy must lie in (0, v_deep={pair.v_deep}); got {energy_ev!r}"
         )
-
-
-def classify_regime(pair: WellPair, energy_ev: float) -> Regime:
-    """Regime A below the shallow floor, B at or above it."""
-    _check_energy(pair, energy_ev)
     return Regime.A if energy_ev < pair.shallow_floor else Regime.B
 
 
@@ -199,17 +196,14 @@ def grid_scan(
 
 def characteristic(
     pair: WellPair,
-    energy_ev: float,
+    energies: np.ndarray,
     constants: PhysicalConstants = CODATA2018,
-) -> tuple[float, float]:
-    """Denominator-cleared mismatch and its magnitude scale at one energy.
+) -> np.ndarray:
+    """Denominator-cleared mismatch ``Nl*Dr - Nr*Dl`` over an array of energies.
 
-    Returns ``(value, scale)`` where ``value = Nl*Dr - Nr*Dl`` vanishes
-    exactly at the bound-state energies and ``scale`` bounds the size of the
-    two products, so ``|value|/scale`` is a meaningful relative residual.
+    Vanishes exactly at the bound-state energies and equals :attr:`GridScan.char`
+    at the same points.  The energies are not checked: callers pass points
+    inside a grid that :func:`grid_scan` has already validated.
     """
-    _check_energy(pair, energy_ev)
-    nl, dl, nr, dr, _ = _cleared_terms(pair, np.array([energy_ev]), constants)
-    value = float(nl[0] * dr[0] - nr[0] * dl[0])
-    scale = float(abs(nl[0] * dr[0]) + abs(nr[0] * dl[0]))
-    return value, scale
+    nl, dl, nr, dr, _ = _cleared_terms(pair, energies, constants)
+    return nl * dr - nr * dl

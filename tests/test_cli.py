@@ -252,6 +252,14 @@ def test_times_requires_energies():
     assert main(["times"]) == 1
 
 
+def test_times_rejects_bad_decay_gap_before_output(capsys):
+    rc = main(["times", "--e-plus", "1.460", "--e-minus", "1.445", "--decay-gap=-1"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "decay gap" in captured.err
+
+
 def test_oracle_pair_command(reference_config_file, capsys):
     rc = main(["oracle", "--config", str(reference_config_file), "--pair", "2", "--levels", "4"])
     assert rc == 0
@@ -280,6 +288,28 @@ def test_calibrate_command(reference_config_file, capsys):
     )
     assert rc == 0
     assert "calibrated distance_A" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--range", "60"),
+        ("--range", "60,61,62"),
+        ("--range", "60,x"),
+        ("--targets", "1.445,abc"),
+        ("--targets", ","),
+    ],
+)
+def test_calibrate_rejects_malformed_numbers(reference_config_file, capsys, flag, value):
+    args = {"--targets": "1.445,1.460", "--range": "60.15,60.25", flag: value}
+    rc = main(
+        ["calibrate", "--config", str(reference_config_file), "--pair", "1",
+         "--targets", args["--targets"], "--range", args["--range"]]
+    )
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}" in captured.err
 
 
 def test_wavefunction_command(tmp_path, reference_config_file):

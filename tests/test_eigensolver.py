@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from wellcascade import eigensolver, transcendental
 from wellcascade.eigensolver import (
     CalibrationError,
     SolverConfig,
@@ -11,9 +12,12 @@ from wellcascade.eigensolver import (
     calibrate_distance,
     find_levels,
     solve_pair,
+    uniform_grid,
 )
 from wellcascade.oracle import FdConfig, fd_levels
 from wellcascade.potential import WellPair, pair_profile
+from wellcascade.quantities import CODATA2018
+from wellcascade.transcendental import characteristic, grid_scan
 
 
 def random_pairs(n, seed):
@@ -49,6 +53,88 @@ def test_levels_sorted_unique_and_converged(pair1):
         assert lv.index == i
         assert lv.residual <= result.config.residual_tol
         assert lv.bracket[1] - lv.bracket[0] <= result.config.refine_tol
+
+
+def test_brackets_close_to_adjacent_floats(pair1, pair2, pair3):
+    for pair in (pair1, pair2, pair3):
+        for lv in find_levels(pair):
+            lo, hi = lv.bracket
+            assert lo == hi or np.nextafter(lo, math.inf) == hi
+
+
+def test_strict_residual_tol_discards_every_root(pair1):
+    energies = tuple(lv.energy for lv in find_levels(pair1))
+    strict = solve_pair(pair1, SolverConfig(residual_tol=1e-300))
+    assert strict.levels == ()
+    assert strict.diagnostics.discarded_candidates == energies
+
+
+def test_grid_zero_is_a_level_and_infinite_bracket_is_skipped(monkeypatch):
+    pair = WellPair(width=5.0, distance=10.0, v_shallow=0.5, v_deep=1.0)
+    config = SolverConfig(grid_step=0.01)
+    grid = uniform_grid(0.01, 0.99, 0.01)
+
+    def fake_terms(pair, energies, constants):
+        # cleared form (g + 2)*1 - 2*1 = g, exactly 0 at grid[10] and -inf at
+        # grid[70], whose neighbours are both positive
+        e = np.asarray(energies, dtype=float)
+        g = np.where(e == grid[10], 0.0, np.where(e == grid[70], -np.inf, np.sin(37.0 * e + 0.3)))
+        one = np.ones_like(e)
+        return g + 2.0, one, 2.0 * one, one, e >= pair.shallow_floor
+
+    monkeypatch.setattr(transcendental, "_cleared_terms", fake_terms)
+    result = solve_pair(pair, config)
+    energies = [lv.energy for lv in result.levels]
+    assert energies == sorted(set(energies))
+    zero = [lv for lv in result.levels if lv.energy == grid[10]]
+    assert len(zero) == 1 and zero[0].residual == 0.0 and zero[0].bracket == (grid[10], grid[10])
+    assert result.diagnostics.skipped_intervals == ((grid[69], grid[70]), (grid[70], grid[71]))
+    assert result.diagnostics.sign_changes == len(result.levels) - 1
+
+
+def _bisect_one(pair, lo, hi, f_lo):
+    """One bracket at a time: the reference for the lockstep refinement."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if not (lo < mid < hi):
+            break
+        f_mid = characteristic(pair, np.array([mid]))[0]
+        if f_mid == 0.0:
+            return mid, mid
+        if (f_mid > 0.0) == (f_lo > 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def test_lockstep_bisection_matches_one_bracket_at_a_time(pair1, pair3):
+    for pair in (pair1, pair3):
+        energies = uniform_grid(2e-5, pair.v_deep - 2e-5, 2e-5)
+        char = grid_scan(pair, energies).char
+        i = np.flatnonzero(char[:-1] * char[1:] < 0.0)
+        lo, hi = eigensolver._bisect(pair, energies[i], energies[i + 1], char[i], CODATA2018)
+        expected = [_bisect_one(pair, energies[j], energies[j + 1], char[j]) for j in i]
+        assert list(zip(lo.tolist(), hi.tolist())) == expected
+
+
+def test_bisect_collapses_only_the_bracket_with_an_exact_zero(pair1, monkeypatch):
+    sizes = []
+
+    def fake(pair, energies, constants):
+        # zero at 0.5, the first midpoint of the first bracket; a jump with no
+        # zero at 1.3 inside the second one
+        sizes.append(energies.size)
+        return np.where(energies < 1.0, energies - 0.5, np.where(energies < 1.3, -1.0, 1.0))
+
+    monkeypatch.setattr(eigensolver, "characteristic", fake)
+    lo, hi = eigensolver._bisect(
+        pair1, np.array([0.0, 1.0]), np.array([1.0, 2.0]), np.array([-0.5, -1.0]), CODATA2018
+    )
+    assert (lo[0], hi[0]) == (0.5, 0.5)
+    assert lo[1] < 1.3 <= hi[1] and np.nextafter(lo[1], math.inf) == hi[1]
+    # one call per halving, on the midpoints of the brackets still open
+    assert sizes[0] == 2 and set(sizes[1:]) == {1}
 
 
 def test_oracle_equivalence_on_random_pairs():
@@ -146,8 +232,9 @@ def test_calibrate_distance_empty_range(pair1):
 
 @pytest.mark.parametrize("step", [0.0, -0.01, math.nan, math.inf])
 def test_calibrate_rejects_bad_step(pair1, step):
-    with pytest.raises(ValueError, match="grid step"):
-        calibrate_distance(pair1, [1.445, 1.460], (60.0, 60.5), step=step)
+    for l_range in ((60.0, 60.5), (60.19, 60.19)):  # also before a one-point range
+        with pytest.raises(ValueError, match="grid step"):
+            calibrate_distance(pair1, [1.445, 1.460], l_range, step=step)
 
 
 def test_calibration_failure_carries_best_candidate(pair1):
