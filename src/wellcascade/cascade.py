@@ -1,13 +1,14 @@
 """Four-well cascade assembly: levels, resonances, schedule and comparisons.
 
-The chain is solved pairwise (wells 1-2, 2-3, 3-4 and optionally the closing
-4-1 pair).  Pair-local energies are shifted onto the global reference (the
-bottom of the deepest well) by ``max(depths) - max(depth_i, depth_j)``.  The
-electron schedule is: photon absorption from the first well's ground state
-into the first resonant doublet, then for each pair a tunnel step timed by
-the doublet splitting followed by an intra-well decay to the next well's
-ground-class level.  The closing pair is solved for information only and
-produces no transfer step.
+The chain is solved pairwise, one solve per pair of the spec's ring (wells
+1-2, 2-3, 3-4 and optionally the closing 4-1 pair).  Pair-local energies are
+shifted onto the global reference (the bottom of the deepest well) by
+``max(depths) - max(depth_i, depth_j)``.  The electron schedule is: photon
+absorption from the first well's ground state into the first resonant
+doublet, then for each pair a tunnel step timed by the doublet splitting
+followed by an intra-well decay to the next well's ground-class level.  The
+closing pair is solved for information only and produces no transfer step.
+The report is plain data; ``wellcascade.cli`` turns it into ``report.json``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .dynamics import ResonantPair, TransferStep, decay_time, tunneling_time
-from .eigensolver import Level, SolveResult, SolverConfig, solve_pair
+from .eigensolver import SolveResult, SolverConfig, solve_pair
 from .potential import CascadeSpec
 from .quantities import CODATA2018, PhysicalConstants, photon_wavelength_nm
 from .transcendental import Regime
@@ -37,7 +38,6 @@ __all__ = [
     "solve_cascade",
     "compare_to_experiment",
     "tunneling_vs_decay",
-    "report_to_dict",
 ]
 
 DEFAULT_ABSORPTION_TARGET_EV = 1.4267
@@ -183,28 +183,17 @@ def solve_cascade(
     if not (math.isfinite(resonance_window_ev) and resonance_window_ev > 0.0):
         raise ValueError(f"resonance window must be positive, got {resonance_window_ev!r}")
 
-    pairs = []
-    for i in range(3):
-        result = solve_pair(spec.pair(i), cfg, constants=constants)
-        pairs.append(
-            PairLevels(
-                index=i + 1,
-                labels=(spec.labels[i], spec.labels[i + 1]),
-                offset_ev=spec.pair_offset(i),
-                result=result,
-            )
+    pairs = tuple(
+        PairLevels(
+            index=i + 1,
+            labels=spec.pair_labels(i),
+            offset_ev=spec.pair_offset(i),
+            result=solve_pair(spec.pair(i), cfg, constants=constants),
         )
-    if spec.has_closing_distance:
-        pairs.append(
-            PairLevels(
-                index=4,
-                labels=(spec.labels[3], spec.labels[0]),
-                offset_ev=spec.closing_offset(),
-                result=solve_pair(spec.closing_pair(), cfg, constants=constants),
-            )
-        )
+        for i in range(len(spec.distances))
+    )
 
-    p12, p23, p34 = pairs[0], pairs[1], pairs[2]
+    p12, p23, p34 = pairs[:3]
     ground1 = _ground_class(p12, member_is_deep=True)  # well 1 is the deepest
     doublet1 = _select_doublet(p12, ground1 + absorption_target_ev, resonance_window_ev)
     ground2 = _ground_class(p23, member_is_deep=spec.depths[1] > spec.depths[2])
@@ -274,7 +263,7 @@ def solve_cascade(
         absorption_target_ev=absorption_target_ev,
         resonance_window_ev=resonance_window_ev,
         wells=wells,
-        pairs=tuple(pairs),
+        pairs=pairs,
         resonances=(doublet1, doublet2, doublet3),
         absorption=absorption,
         steps=tuple(steps),
@@ -336,131 +325,3 @@ def tunneling_vs_decay(report: CascadeReport) -> list[float]:
     """Per-step ratio tunneling_time / decay_time."""
     return [s.tunneling_time_s / s.decay_time_s for s in report.steps]
 
-
-def _sig9(x: float) -> float:
-    return float(f"{x:.9g}")
-
-
-def _solver_dict(cfg: SolverConfig) -> dict:
-    return {
-        "grid_step_eV": _sig9(cfg.grid_step),
-        "refine_tol_eV": _sig9(cfg.refine_tol),
-        "residual_tol": _sig9(cfg.residual_tol),
-        "max_levels": cfg.max_levels,
-    }
-
-
-def _level_dict(lv: Level, offset_ev: float) -> dict:
-    return {
-        "index": lv.index,
-        "energy_eV": _sig9(lv.energy),
-        "energy_global_eV": _sig9(lv.energy + offset_ev),
-        "regime": str(lv.regime),
-        "residual": _sig9(lv.residual),
-    }
-
-
-def report_to_dict(report: CascadeReport) -> dict:
-    """JSON-ready dictionary; deterministic for identical inputs.
-
-    Energies carry 9 significant digits; times appear in seconds and in a
-    convenience picoseconds field.  No run metadata (timestamps, hosts) is
-    included so byte-identical reruns stay byte-identical.
-    """
-    spec = report.spec
-    d = {
-        "schema_version": 1,
-        "spec": {
-            "labels": list(spec.labels),
-            "widths_A": [_sig9(w) for w in spec.widths],
-            "depths_eV": [_sig9(v) for v in spec.depths],
-            "distances_A": [_sig9(x) for x in spec.distances],
-            "absorption_target_eV": _sig9(report.absorption_target_ev),
-            "resonance_window_eV": _sig9(report.resonance_window_ev),
-        },
-        "solver": _solver_dict(report.solver),
-        "wells": [
-            {
-                "label": w.label,
-                "width_A": _sig9(w.width),
-                "depth_eV": _sig9(w.depth_ev),
-                "floor_eV": _sig9(w.floor_ev),
-                "ground_eV": _sig9(w.ground_ev),
-            }
-            for w in report.wells
-        ],
-        "pairs": [
-            {
-                "index": p.index,
-                "wells": p.name,
-                "distance_A": _sig9(p.result.pair.distance),
-                "v_shallow_eV": _sig9(p.result.pair.v_shallow),
-                "v_deep_eV": _sig9(p.result.pair.v_deep),
-                "offset_eV": _sig9(p.offset_ev),
-                "levels": [_level_dict(lv, p.offset_ev) for lv in p.result.levels],
-            }
-            for p in report.pairs
-        ],
-        "resonances": [
-            {
-                "pair": i + 1,
-                "E_minus_eV": _sig9(r.e_minus),
-                "E_plus_eV": _sig9(r.e_plus),
-                "splitting_eV": _sig9(r.splitting),
-            }
-            for i, r in enumerate(report.resonances)
-        ],
-        "absorption": {
-            "from_eV": _sig9(report.absorption.from_ev),
-            "to_eV": _sig9(report.absorption.to_ev),
-            "delta_eV": _sig9(report.absorption.delta_ev),
-            "wavelength_nm": _sig9(report.absorption.wavelength_nm),
-        },
-        "steps": [
-            {
-                "step": i + 1,
-                "from_site": s.from_site,
-                "to_site": s.to_site,
-                "E_plus_eV": _sig9(s.resonance.e_plus),
-                "E_minus_eV": _sig9(s.resonance.e_minus),
-                "splitting_eV": _sig9(s.resonance.splitting),
-                "tunneling_time_s": _sig9(s.tunneling_time_s),
-                "tunneling_time_ps": _sig9(s.tunneling_time_s * 1e12),
-                "decay_gap_eV": _sig9(s.decay_gap_ev),
-                "decay_time_s": _sig9(s.decay_time_s),
-                "decay_time_ps": _sig9(s.decay_time_s * 1e12),
-                "tunneling_vs_decay_ratio": _sig9(s.tunneling_time_s / s.decay_time_s),
-            }
-            for i, s in enumerate(report.steps)
-        ],
-        "comparison": {
-            "reference_model": {
-                "times_ps": [_sig9(t) for t in REFERENCE_TIMES_PS],
-                "levels_eV": {
-                    k: (list(map(_sig9, v)) if isinstance(v, tuple) else _sig9(v))
-                    for k, v in REFERENCE_LEVELS_EV.items()
-                },
-                "time_deviation_ps": [
-                    _sig9(s.tunneling_time_s * 1e12 - t)
-                    for s, t in zip(report.steps, REFERENCE_TIMES_PS)
-                ],
-            },
-            "experiment": [
-                {
-                    "step": row.step,
-                    "sites": row.sites,
-                    "model_time_ps": _sig9(row.model_time_ps),
-                    "reference_time_ps": _sig9(row.reference_time_ps),
-                    "time_ratio": _sig9(row.time_ratio),
-                    "same_order": row.same_order,
-                    "model_energy_from_eV": _sig9(row.model_energy_from_ev),
-                    "model_energy_to_eV": _sig9(row.model_energy_to_ev),
-                    "reference_energy_from_eV": _sig9(row.reference_energy_from_ev),
-                    "reference_energy_to_eV": _sig9(row.reference_energy_to_ev),
-                }
-                for row in compare_to_experiment(report)
-            ],
-        },
-        "notes": list(report.notes),
-    }
-    return d

@@ -6,15 +6,21 @@ resonance search that comes up empty), 2 configuration or usage error.
 
 The configuration file is flat INI text with sections [wells], [solver],
 [oracle], [output] and optionally [constants].  Keys are case sensitive and
-unknown keys are rejected rather than ignored.  All file outputs are
-deterministic for a given config: no timestamps or host information is ever
-written into data files.
+unknown keys are rejected rather than ignored; the [solver], [oracle] and
+[constants] keys are named once, in ``_KEYWORDS``.
+
+This module writes every output file: JSON through ``_write_json`` (the
+report and solve-pair dictionaries are built here) and every CSV through
+``_write_csv``, numbers at 9 significant digits, LF line ends on every
+platform.  All file outputs are deterministic for a given config: no
+timestamps or host information is ever written into data files.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import json
 import math
 import os
@@ -23,10 +29,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import cascade as cascade_mod
-from .cascade import _level_dict, _sig9, _solver_dict
 from .dynamics import ResonantPair, decay_time, tunneling_time
 from .eigensolver import (
     CalibrationError,
+    Level,
     SolveResult,
     SolverConfig,
     calibrate_depth,
@@ -35,41 +41,18 @@ from .eigensolver import (
     uniform_grid,
 )
 from .oracle import FdConfig, fd_solve, fd_states
-from .potential import CascadeSpec, WellPair, cascade_profile, pair_profile, write_profile_csv
-from .quantities import CODATA2018, PhysicalConstants, make_constants
+from .potential import CascadeSpec, WellPair, cascade_profile, pair_profile
+from .quantities import PhysicalConstants, make_constants
 from .transcendental import GridScan, grid_scan
-from .wavefunctions import build_wavefunction, write_wavefunction_csv
+from .wavefunctions import build_wavefunction, sample_wavefunction
 
-__all__ = ["ConfigError", "RunConfig", "parse_config", "load_config", "main"]
+__all__ = ["ConfigError", "RunConfig", "parse_config", "load_config", "report_to_dict", "main"]
 
 OUTPUT_DIR_ENV = "WELLCASCADE_OUTDIR"
 
 _REQUIRED_KEYS = (("wells", "widths_A"), ("wells", "depths_eV"), ("wells", "distances_A"))
 
-_KNOWN_KEYS = {
-    "wells": {
-        "labels",
-        "widths_A",
-        "depths_eV",
-        "distances_A",
-        "closing_distance_A",
-        "absorption_target_eV",
-        "resonance_window_eV",
-    },
-    "solver": {"grid_step_eV", "refine_tol_eV", "residual_tol", "max_levels"},
-    "oracle": {"grid_points", "padding_A", "extrapolate"},
-    "output": {"directory", "formats"},
-    "constants": {
-        "hbar_eV_s",
-        "hbar_J_s",
-        "electron_mass_kg",
-        "eV_in_J",
-        "hc_eV_nm",
-        "wavenumber_factor",
-    },
-}
-
-_FORMATS = ("json", "csv", "table")
+_FORMATS = ("json", "table")
 
 
 class ConfigError(ValueError):
@@ -117,6 +100,65 @@ def _bool(section: str, key: str, raw: str) -> bool:
     if lowered in ("0", "false", "no", "off"):
         return False
     raise ConfigError(f"[{section}] {key}: expected a boolean, got {raw!r}")
+
+
+def _int(section: str, key: str, raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"[{section}] {key}: expected an integer")
+
+
+def _int_or_none(section: str, key: str, raw: str) -> int | None:
+    """An integer, or None (no limit) when the value is blank."""
+    return _int(section, key, raw) if raw.strip() else None
+
+
+# [section] key -> (keyword of the object the section builds, parser of the value)
+_KEYWORDS = {
+    "solver": {
+        "grid_step_eV": ("grid_step", _float),
+        "refine_tol_eV": ("refine_tol", _float),
+        "residual_tol": ("residual_tol", _float),
+        "max_levels": ("max_levels", _int_or_none),
+    },
+    "oracle": {
+        "grid_points": ("grid_points", _int),
+        "padding_A": ("padding", _float),
+        "extrapolate": ("extrapolate", _bool),
+    },
+    "constants": {
+        field.name: (field.name, _float) for field in dataclasses.fields(PhysicalConstants)
+    },
+}
+
+_KNOWN_KEYS = {
+    "wells": {
+        "labels",
+        "widths_A",
+        "depths_eV",
+        "distances_A",
+        "closing_distance_A",
+        "absorption_target_eV",
+        "resonance_window_eV",
+    },
+    "output": {"directory", "formats"},
+    **_KEYWORDS,
+}
+
+
+def _build(parser: configparser.ConfigParser, section: str, build, rejected: str):
+    """Call ``build`` with the section's keys parsed into its keywords."""
+    values = parser[section] if parser.has_section(section) else {}
+    kwargs = {
+        keyword: parse(section, key, values[key])
+        for key, (keyword, parse) in _KEYWORDS[section].items()
+        if key in values
+    }
+    try:
+        return build(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {rejected}: {exc}") from exc
 
 
 def parse_config(text: str) -> RunConfig:
@@ -189,41 +231,8 @@ def parse_config(text: str) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"[wells] invalid geometry: {exc}") from exc
 
-    solver_kwargs: dict = {}
-    if parser.has_section("solver"):
-        sec = parser["solver"]
-        if "grid_step_eV" in sec:
-            solver_kwargs["grid_step"] = _float("solver", "grid_step_eV", sec["grid_step_eV"])
-        if "refine_tol_eV" in sec:
-            solver_kwargs["refine_tol"] = _float("solver", "refine_tol_eV", sec["refine_tol_eV"])
-        if "residual_tol" in sec:
-            solver_kwargs["residual_tol"] = _float("solver", "residual_tol", sec["residual_tol"])
-        if "max_levels" in sec and sec["max_levels"].strip():
-            try:
-                solver_kwargs["max_levels"] = int(sec["max_levels"])
-            except ValueError:
-                raise ConfigError("[solver] max_levels: expected an integer")
-    try:
-        solver = SolverConfig(**solver_kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"[solver] invalid configuration: {exc}") from exc
-
-    oracle_kwargs: dict = {}
-    if parser.has_section("oracle"):
-        sec = parser["oracle"]
-        if "grid_points" in sec:
-            try:
-                oracle_kwargs["grid_points"] = int(sec["grid_points"])
-            except ValueError:
-                raise ConfigError("[oracle] grid_points: expected an integer")
-        if "padding_A" in sec:
-            oracle_kwargs["padding"] = _float("oracle", "padding_A", sec["padding_A"])
-        if "extrapolate" in sec:
-            oracle_kwargs["extrapolate"] = _bool("oracle", "extrapolate", sec["extrapolate"])
-    try:
-        oracle = FdConfig(**oracle_kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"[oracle] invalid configuration: {exc}") from exc
+    solver = _build(parser, "solver", SolverConfig, "invalid configuration")
+    oracle = _build(parser, "oracle", FdConfig, "invalid configuration")
 
     output_dir = "out"
     formats: tuple[str, ...] = ("json", "table")
@@ -243,15 +252,7 @@ def parse_config(text: str) -> RunConfig:
             if not formats:
                 raise ConfigError("[output] formats: must not be empty")
 
-    constants = CODATA2018
-    if parser.has_section("constants"):
-        overrides = {
-            key: _float("constants", key, raw) for key, raw in parser["constants"].items()
-        }
-        try:
-            constants = make_constants(**overrides)
-        except ValueError as exc:
-            raise ConfigError(f"[constants] invalid override: {exc}") from exc
+    constants = _build(parser, "constants", make_constants, "invalid override")
 
     return RunConfig(
         spec=spec,
@@ -290,15 +291,34 @@ def _output_dir(config: RunConfig, override: str | None) -> Path:
 def _resolve_pair(config: RunConfig, index: int) -> tuple[WellPair, float, str]:
     """Pair geometry, global offset and display name for pair 1..4."""
     spec = config.spec
-    if index in (1, 2, 3):
-        name = f"{spec.labels[index - 1]}{spec.labels[index]}"
-        return spec.pair(index - 1), spec.pair_offset(index - 1), name
-    if index == 4:
-        if not spec.has_closing_distance:
-            raise ValueError("pair 4 (closing) requested but no closing_distance_A configured")
-        name = f"{spec.labels[3]}{spec.labels[0]}"
-        return spec.closing_pair(), spec.closing_offset(), name
-    raise ValueError(f"pair index must be 1..4, got {index}")
+    if not 1 <= index <= 4:
+        raise ValueError(f"pair index must be 1..4, got {index}")
+    if index > len(spec.distances):
+        raise ValueError(f"pair {index} (closing) requested but no closing_distance_A configured")
+    return spec.pair(index - 1), spec.pair_offset(index - 1), "".join(spec.pair_labels(index - 1))
+
+
+def _sig9(x: float) -> float:
+    return float(f"{x:.9g}")
+
+
+def _solver_dict(cfg: SolverConfig) -> dict:
+    return {
+        "grid_step_eV": _sig9(cfg.grid_step),
+        "refine_tol_eV": _sig9(cfg.refine_tol),
+        "residual_tol": _sig9(cfg.residual_tol),
+        "max_levels": cfg.max_levels,
+    }
+
+
+def _level_dict(lv: Level, offset_ev: float) -> dict:
+    return {
+        "index": lv.index,
+        "energy_eV": _sig9(lv.energy),
+        "energy_global_eV": _sig9(lv.energy + offset_ev),
+        "regime": str(lv.regime),
+        "residual": _sig9(lv.residual),
+    }
 
 
 def _solve_result_dict(result: SolveResult, offset: float) -> dict:
@@ -323,20 +343,129 @@ def _solve_result_dict(result: SolveResult, offset: float) -> dict:
     }
 
 
+def report_to_dict(report: cascade_mod.CascadeReport) -> dict:
+    """JSON-ready dictionary; deterministic for identical inputs.
+
+    Energies carry 9 significant digits; times appear in seconds and in a
+    convenience picoseconds field.  No run metadata (timestamps, hosts) is
+    included so byte-identical reruns stay byte-identical.
+    """
+    spec = report.spec
+    return {
+        "schema_version": 1,
+        "spec": {
+            "labels": list(spec.labels),
+            "widths_A": [_sig9(w) for w in spec.widths],
+            "depths_eV": [_sig9(v) for v in spec.depths],
+            "distances_A": [_sig9(x) for x in spec.distances],
+            "absorption_target_eV": _sig9(report.absorption_target_ev),
+            "resonance_window_eV": _sig9(report.resonance_window_ev),
+        },
+        "solver": _solver_dict(report.solver),
+        "wells": [
+            {
+                "label": w.label,
+                "width_A": _sig9(w.width),
+                "depth_eV": _sig9(w.depth_ev),
+                "floor_eV": _sig9(w.floor_ev),
+                "ground_eV": _sig9(w.ground_ev),
+            }
+            for w in report.wells
+        ],
+        "pairs": [
+            {
+                "index": p.index,
+                "wells": p.name,
+                "distance_A": _sig9(p.result.pair.distance),
+                "v_shallow_eV": _sig9(p.result.pair.v_shallow),
+                "v_deep_eV": _sig9(p.result.pair.v_deep),
+                "offset_eV": _sig9(p.offset_ev),
+                "levels": [_level_dict(lv, p.offset_ev) for lv in p.result.levels],
+            }
+            for p in report.pairs
+        ],
+        "resonances": [
+            {
+                "pair": i + 1,
+                "E_minus_eV": _sig9(r.e_minus),
+                "E_plus_eV": _sig9(r.e_plus),
+                "splitting_eV": _sig9(r.splitting),
+            }
+            for i, r in enumerate(report.resonances)
+        ],
+        "absorption": {
+            "from_eV": _sig9(report.absorption.from_ev),
+            "to_eV": _sig9(report.absorption.to_ev),
+            "delta_eV": _sig9(report.absorption.delta_ev),
+            "wavelength_nm": _sig9(report.absorption.wavelength_nm),
+        },
+        "steps": [
+            {
+                "step": i + 1,
+                "from_site": s.from_site,
+                "to_site": s.to_site,
+                "E_plus_eV": _sig9(s.resonance.e_plus),
+                "E_minus_eV": _sig9(s.resonance.e_minus),
+                "splitting_eV": _sig9(s.resonance.splitting),
+                "tunneling_time_s": _sig9(s.tunneling_time_s),
+                "tunneling_time_ps": _sig9(s.tunneling_time_s * 1e12),
+                "decay_gap_eV": _sig9(s.decay_gap_ev),
+                "decay_time_s": _sig9(s.decay_time_s),
+                "decay_time_ps": _sig9(s.decay_time_s * 1e12),
+                "tunneling_vs_decay_ratio": _sig9(s.tunneling_time_s / s.decay_time_s),
+            }
+            for i, s in enumerate(report.steps)
+        ],
+        "comparison": {
+            "reference_model": {
+                "times_ps": [_sig9(t) for t in cascade_mod.REFERENCE_TIMES_PS],
+                "levels_eV": {
+                    k: (list(map(_sig9, v)) if isinstance(v, tuple) else _sig9(v))
+                    for k, v in cascade_mod.REFERENCE_LEVELS_EV.items()
+                },
+                "time_deviation_ps": [
+                    _sig9(s.tunneling_time_s * 1e12 - t)
+                    for s, t in zip(report.steps, cascade_mod.REFERENCE_TIMES_PS)
+                ],
+            },
+            "experiment": [
+                {
+                    "step": row.step,
+                    "sites": row.sites,
+                    "model_time_ps": _sig9(row.model_time_ps),
+                    "reference_time_ps": _sig9(row.reference_time_ps),
+                    "time_ratio": _sig9(row.time_ratio),
+                    "same_order": row.same_order,
+                    "model_energy_from_eV": _sig9(row.model_energy_from_ev),
+                    "model_energy_to_eV": _sig9(row.model_energy_to_ev),
+                    "reference_energy_from_eV": _sig9(row.reference_energy_from_ev),
+                    "reference_energy_to_eV": _sig9(row.reference_energy_to_ev),
+                }
+                for row in cascade_mod.compare_to_experiment(report)
+            ],
+        },
+        "notes": list(report.notes),
+    }
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8", newline="\n")
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    """Header line, then one line per row: numbers at 9 significant digits, strings as given."""
+    lines = [",".join(header)]
+    lines.extend(",".join(v if isinstance(v, str) else f"{v:.9g}" for v in row) for row in rows)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def _write_scan_csv(path: Path, scan: GridScan) -> None:
-    lines = ["E_eV,lhs,rhs,mismatch,regime,pole_flag"]
-    mismatch = scan.mismatch
-    for i, energy in enumerate(scan.energies):
-        regime = "B" if scan.regime_b[i] else "A"
-        lines.append(
-            f"{energy:.9g},{scan.lhs[i]:.9g},{scan.rhs[i]:.9g},"
-            f"{mismatch[i]:.9g},{regime},{int(scan.pole[i])}"
-        )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    columns = zip(scan.energies, scan.lhs, scan.rhs, scan.mismatch, scan.regime_b, scan.pole)
+    _write_csv(
+        path,
+        ("E_eV", "lhs", "rhs", "mismatch", "regime", "pole_flag"),
+        ((e, lhs, rhs, m, "B" if b else "A", int(pole)) for e, lhs, rhs, m, b, pole in columns),
+    )
 
 
 # ------------------------------------------------------------- commands
@@ -417,11 +546,8 @@ def _cmd_oracle(args) -> int:
     if args.emit_states:
         x, energies, vectors = fd_states(profile, n_levels, config.oracle, config.constants)
         out = _output_dir(config, args.output_dir) / f"oracle_pair{args.pair}_states.csv"
-        header = "x_A," + ",".join(f"psi_{i}" for i in range(vectors.shape[1]))
-        rows = [header]
-        for r in range(len(x)):
-            rows.append(f"{x[r]:.9g}," + ",".join(f"{vectors[r, c]:.9g}" for c in range(vectors.shape[1])))
-        out.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        header = ("x_A", *(f"psi_{i}" for i in range(vectors.shape[1])))
+        _write_csv(out, header, ((xi, *row) for xi, row in zip(x, vectors)))
         print(f"wrote {out}")
     return 0
 
@@ -468,11 +594,12 @@ def _cmd_cascade(args) -> int:
         _print_cascade_table(report)
     if "json" in config.formats:
         out = out_dir / "report.json"
-        _write_json(out, cascade_mod.report_to_dict(report))
+        _write_json(out, report_to_dict(report))
         print(f"wrote {out}")
     if args.emit_profile:
         out = out_dir / "profile.csv"
-        write_profile_csv(cascade_profile(config.spec), out)
+        outline = [(x, v) for x0, x1, v in cascade_profile(config.spec).segments() for x in (x0, x1)]
+        _write_csv(out, ("x_A", "V_eV"), outline)
         print(f"wrote {out}")
     if args.emit_scan:
         for i, resonance in enumerate(report.resonances):
@@ -481,7 +608,7 @@ def _cmd_cascade(args) -> int:
             e_lo = max(resonance.e_minus - offset - pad, config.solver.grid_step)
             e_hi = min(resonance.e_plus - offset + pad, pair.v_deep - config.solver.grid_step)
             energies = uniform_grid(e_lo, e_hi, 0.5 * config.solver.grid_step)
-            out = out_dir / f"scan_pair{i + 1}.csv"
+            out = out_dir / f"resonance_scan_pair{i + 1}.csv"
             _write_scan_csv(out, grid_scan(pair, energies, config.constants))
             print(f"wrote {out}")
     return 0
@@ -549,12 +676,23 @@ def _cmd_wavefunction(args) -> int:
     level = result.levels[args.level]
     wf = build_wavefunction(pair, level, config.constants)
     out = _output_dir(config, args.output_dir) / f"wavefunction_{name}_{args.level}.csv"
-    write_wavefunction_csv(wf, out, n_points=args.points)
+    _write_csv(out, ("x_A", "psi"), zip(*sample_wavefunction(wf, args.points)))
     print(f"pair {args.pair} ({name}) level {args.level}: E = {level.energy:.9f} eV "
           f"(global {level.energy + offset:.9f} eV), regime {level.regime}, "
           f"wall residual {wf.wall_residual:.2e}")
     print(f"wrote {out}")
     return 0
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _number_list(text: str) -> list[float]:
@@ -609,7 +747,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--pair", type=int)
     group.add_argument("--cascade", action="store_true")
-    p.add_argument("--levels", type=int, default=None)
+    p.add_argument("--levels", type=_positive_int, default=None)
     p.add_argument("--emit-states", action="store_true",
                    help="write oracle eigenfunctions as CSV (pair mode)")
     p.set_defaults(func=_cmd_oracle)

@@ -6,9 +6,11 @@ on the outside and separated by a barrier of width ``distance - width``.
 Energies are measured from the bottom of the deeper well, so the barrier top
 sits at ``v_deep`` and the shallow well floor at ``v_deep - v_shallow``.
 
-:class:`CascadeSpec` chains four such wells; :func:`cascade_profile` places
-every well floor at ``max(depths) - depth`` above the global zero (the bottom
-of the deepest well), which puts all barrier tops at the same height.
+:class:`CascadeSpec` chains four such wells into a ring of pairs, indexed
+0..3 with the closing pair last; :func:`cascade_profile` places every well
+floor at ``max(depths) - depth`` above the global zero (the bottom of the
+deepest well), which puts all barrier tops at the same height.  Writing a
+profile to a file is the command line's job (``wellcascade.cli``).
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ __all__ = [
     "PotentialProfile",
     "pair_profile",
     "cascade_profile",
-    "write_profile_csv",
 ]
 
 
@@ -71,10 +72,11 @@ class WellPair:
 class CascadeSpec:
     """Four-well chain: widths/depths per well, center distances per pair.
 
-    ``distances`` holds the three active inter-well distances and optionally a
-    fourth closing distance (last well back to the first).  The first well
-    must be the deepest one, and the pairwise solver requires all well widths
-    to be equal.
+    The pairs form a ring: pair ``i`` joins wells ``i`` and ``(i + 1) % 4`` at
+    center distance ``distances[i]``.  The three active pairs are required;
+    a fourth distance adds the closing pair 3 (last well back to the first).
+    The first well must be the deepest one, and the pairwise solver requires
+    all well widths to be equal.
     """
 
     widths: tuple[float, float, float, float]
@@ -104,11 +106,9 @@ class CascadeSpec:
             all(self.depths[0] > v for v in self.depths[1:]),
             f"first well must be the deepest, got depths {self.depths}",
         )
-        # every consecutive pair (and the closing pair) must be a valid WellPair
-        for i in range(3):
+        # every pair, the closing one included, must be a valid WellPair
+        for i in range(len(self.distances)):
             self.pair(i)
-        if self.has_closing_distance:
-            self.closing_pair()
 
     @property
     def has_closing_distance(self) -> bool:
@@ -122,37 +122,36 @@ class CascadeSpec:
         """Well floors above the global zero (deepest well bottom)."""
         return tuple(self.max_depth - v for v in self.depths)
 
+    def _wells(self, index: int) -> tuple[int, int]:
+        """Wells (index, index+1 mod 4) of pair ``index``; index 3 is the closing pair."""
+        if not 0 <= index < len(self.distances):
+            raise ValueError(f"pair index must be 0..{len(self.distances) - 1}, got {index}")
+        return index, (index + 1) % 4
+
     def pair(self, index: int) -> WellPair:
-        """Well pair (index, index+1) for index in 0..2."""
-        if not 0 <= index <= 2:
-            raise ValueError(f"active pair index must be 0..2, got {index}")
-        va, vb = self.depths[index], self.depths[index + 1]
+        """Well pair ``index`` with its shallower and deeper depth."""
+        i, j = self._wells(index)
+        va, vb = self.depths[i], self.depths[j]
         return WellPair(
-            width=self.widths[index],
-            distance=self.distances[index],
+            width=self.widths[i],
+            distance=self.distances[i],
             v_shallow=min(va, vb),
             v_deep=max(va, vb),
         )
 
     def closing_pair(self) -> WellPair:
-        if not self.has_closing_distance:
-            raise ValueError("spec has no closing distance")
-        return WellPair(
-            width=self.widths[3],
-            distance=self.distances[3],
-            v_shallow=min(self.depths[3], self.depths[0]),
-            v_deep=max(self.depths[3], self.depths[0]),
-        )
+        """The closing pair: last well back to the first."""
+        return self.pair(3)
+
+    def pair_labels(self, index: int) -> tuple[str, str]:
+        """Site labels of the two wells of pair ``index``."""
+        i, j = self._wells(index)
+        return self.labels[i], self.labels[j]
 
     def pair_offset(self, index: int) -> float:
         """Shift adding pair-local energies onto the global reference."""
-        if not 0 <= index <= 2:
-            raise ValueError(f"active pair index must be 0..2, got {index}")
-        return self.max_depth - max(self.depths[index], self.depths[index + 1])
-
-    def closing_offset(self) -> float:
-        """Shift adding closing-pair energies onto the global reference."""
-        return self.max_depth - max(self.depths[3], self.depths[0])
+        i, j = self._wells(index)
+        return self.max_depth - max(self.depths[i], self.depths[j])
 
 
 @dataclass(frozen=True)
@@ -255,12 +254,3 @@ def cascade_profile(spec: CascadeSpec) -> PotentialProfile:
         x_max=x,
     )
 
-
-def write_profile_csv(profile: PotentialProfile, path) -> None:
-    """Two-column CSV (x_A, V_eV) tracing the segment outline."""
-    lines = ["x_A,V_eV"]
-    for x0, x1, value in profile.segments():
-        lines.append(f"{x0:.9g},{value:.9g}")
-        lines.append(f"{x1:.9g},{value:.9g}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")

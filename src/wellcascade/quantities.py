@@ -11,7 +11,7 @@ Constants are pinned to CODATA-2018 so golden tests are deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 __all__ = [
     "PhysicalConstants",
@@ -56,17 +56,12 @@ class PhysicalConstants:
     wavenumber_factor: float
 
     def __post_init__(self) -> None:
-        for name in (
-            "hbar_eV_s",
-            "hbar_J_s",
-            "electron_mass_kg",
-            "eV_in_J",
-            "hc_eV_nm",
-            "wavenumber_factor",
-        ):
-            value = getattr(self, name)
+        for field in fields(self):
+            value = getattr(self, field.name)
             if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"constant {name} must be finite and positive, got {value!r}")
+                raise ValueError(
+                    f"constant {field.name} must be finite and positive, got {value!r}"
+                )
         derived_factor = (
             math.sqrt(2.0 * self.electron_mass_kg * self.eV_in_J) / self.hbar_J_s * 1e-10
         )
@@ -94,31 +89,21 @@ def make_constants(**overrides: float) -> PhysicalConstants:
     fields unless given explicitly (explicit values must stay consistent).
     Intended for sensitivity studies via the ``[constants]`` config section.
     """
-    known = {
-        "hbar_eV_s",
-        "hbar_J_s",
-        "electron_mass_kg",
-        "eV_in_J",
-        "hc_eV_nm",
-        "wavenumber_factor",
-    }
-    unknown = set(overrides) - known
+    unknown = set(overrides) - {field.name for field in fields(PhysicalConstants)}
     if unknown:
         raise ValueError(f"unknown constant override(s): {sorted(unknown)}")
     hbar_j = overrides.get("hbar_J_s", _HBAR_J_S)
     mass = overrides.get("electron_mass_kg", _ELECTRON_MASS_KG)
     ev = overrides.get("eV_in_J", _EV_IN_J)
-    fields = {
+    defaults = {
         "hbar_J_s": hbar_j,
         "electron_mass_kg": mass,
         "eV_in_J": ev,
-        "hc_eV_nm": overrides.get("hc_eV_nm", _PLANCK_J_S * _LIGHT_SPEED_M_S / _EV_IN_J * 1e9),
-        "hbar_eV_s": overrides.get("hbar_eV_s", hbar_j / ev),
-        "wavenumber_factor": overrides.get(
-            "wavenumber_factor", math.sqrt(2.0 * mass * ev) / hbar_j * 1e-10
-        ),
+        "hc_eV_nm": _PLANCK_J_S * _LIGHT_SPEED_M_S / _EV_IN_J * 1e9,
+        "hbar_eV_s": hbar_j / ev,
+        "wavenumber_factor": math.sqrt(2.0 * mass * ev) / hbar_j * 1e-10,
     }
-    return PhysicalConstants(**fields)
+    return PhysicalConstants(**{**defaults, **overrides})
 
 
 CODATA2018 = make_constants()

@@ -17,6 +17,8 @@ which is the numerically stable direction for deep-well dominated states.
 
 The overall sign convention fixes the first interior lobe from the left to
 be positive, and the closed-form L2 norm over the whole domain is one.
+:func:`sample_wavefunction` tabulates a state; the ``wavefunction`` command
+of ``wellcascade.cli`` writes that table as CSV.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ __all__ = [
     "PiecewiseWavefunction",
     "build_wavefunction",
     "sample_wavefunction",
-    "write_wavefunction_csv",
 ]
 
 
@@ -231,10 +232,3 @@ def sample_wavefunction(wf: PiecewiseWavefunction, n_points: int):
     x = np.linspace(x0, x3, n_points)
     return x, wf(x)
 
-
-def write_wavefunction_csv(wf: PiecewiseWavefunction, path, n_points: int = 2001) -> None:
-    x, psi = sample_wavefunction(wf, n_points)
-    lines = ["x_A,psi"]
-    lines.extend(f"{xi:.9g},{pi:.9g}" for xi, pi in zip(x, psi))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")

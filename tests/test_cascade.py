@@ -7,10 +7,10 @@ from wellcascade.cascade import (
     ResonanceNotFoundError,
     StepReference,
     compare_to_experiment,
-    report_to_dict,
     solve_cascade,
     tunneling_vs_decay,
 )
+from wellcascade.cli import report_to_dict
 from wellcascade.oracle import FdConfig, fd_levels
 from wellcascade.potential import CascadeSpec, cascade_profile
 

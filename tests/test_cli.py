@@ -9,6 +9,7 @@ import pytest
 
 import wellcascade
 from wellcascade.cli import ConfigError, load_config, main, parse_config
+from wellcascade.potential import cascade_profile
 
 GOLDEN_REPORT = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "report.json"
 
@@ -75,6 +76,39 @@ def test_constant_overrides_flow_through():
     assert cfg.constants.hc_eV_nm == 1240.0
 
 
+def test_solver_and_oracle_keys_reach_their_configs():
+    cfg = parse_config(
+        MINIMAL
+        + "\n[solver]\ngrid_step_eV = 1e-4\nrefine_tol_eV = 1e-10\nresidual_tol = 1e-6\n"
+        "max_levels = 5\n[oracle]\ngrid_points = 1001\npadding_A = 2.5\nextrapolate = yes\n"
+    )
+    assert (cfg.solver.grid_step, cfg.solver.refine_tol) == (1e-4, 1e-10)
+    assert (cfg.solver.residual_tol, cfg.solver.max_levels) == (1e-6, 5)
+    assert (cfg.oracle.grid_points, cfg.oracle.padding, cfg.oracle.extrapolate) == (1001, 2.5, True)
+    assert parse_config(MINIMAL + "\n[solver]\nmax_levels =\n").solver.max_levels is None
+
+
+@pytest.mark.parametrize(
+    "section, message",
+    [
+        ("[solver]\nmax_levels = many", "[solver] max_levels: expected an integer"),
+        ("[oracle]\ngrid_points = lots", "[oracle] grid_points: expected an integer"),
+        ("[oracle]\ngrid_points = 1000", "[oracle] invalid configuration: grid_points"),
+        ("[solver]\nrefine_tol_eV = 1", "[solver] invalid configuration: need grid_step"),
+        ("[constants]\nhc_eV_nm = -1", "[constants] invalid override: constant hc_eV_nm"),
+        (
+            "[output]\nformats = csv",
+            "[output] formats: unknown format(s) ['csv']; allowed: ['json', 'table']",
+        ),
+    ],
+    ids=["solver-int", "oracle-int", "oracle-value", "solver-value", "constants-value", "csv"],
+)
+def test_section_value_errors_name_the_key(section, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config(MINIMAL + "\n" + section + "\n")
+    assert str(info.value).startswith(message)
+
+
 def test_missing_config_file(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "nope.cfg")
@@ -115,7 +149,7 @@ def test_cascade_determinism(tmp_path, reference_config_file):
     assert (dir_a / "report.json").read_bytes() == (dir_b / "report.json").read_bytes()
 
 
-def test_cascade_emit_profile_and_scan(tmp_path, reference_config_file):
+def test_cascade_emit_profile_and_scan(tmp_path, reference_config_file, reference_run_config):
     rc = main(
         [
             "cascade",
@@ -128,10 +162,32 @@ def test_cascade_emit_profile_and_scan(tmp_path, reference_config_file):
         ]
     )
     assert rc == 0
-    assert (tmp_path / "profile.csv").read_text().startswith("x_A,V_eV")
+    profile = cascade_profile(reference_run_config.spec)
+    lines = (tmp_path / "profile.csv").read_text().strip().splitlines()
+    assert lines[0] == "x_A,V_eV"
+    rows = [tuple(map(float, line.split(","))) for line in lines[1:]]
+    assert len(rows) == 2 * len(profile.segment_values)
+    xs = [r[0] for r in rows]
+    assert xs == sorted(xs)
+    assert rows[0][0] == profile.x_min and rows[-1][0] == pytest.approx(profile.x_max)
     for i in (1, 2, 3):
-        header = (tmp_path / f"scan_pair{i}.csv").read_text().splitlines()[0]
+        header = (tmp_path / f"resonance_scan_pair{i}.csv").read_text().splitlines()[0]
         assert header == "E_eV,lhs,rhs,mismatch,regime,pole_flag"
+
+
+def test_scan_pair_and_emit_scan_keep_their_own_files(tmp_path, reference_config_file):
+    common = ["--config", str(reference_config_file), "--output-dir", str(tmp_path)]
+    scan_args = ["--pair", "1", "--emin", "1.40", "--emax", "1.50", "--step", "1e-4"]
+    assert main(["scan-pair", *common, *scan_args]) == 0
+    table = (tmp_path / "scan_pair1.csv").read_text().splitlines()
+    assert len(table) == 1002
+    assert main(["cascade", *common, "--emit-scan"]) == 0
+    after = (tmp_path / "scan_pair1.csv").read_text().splitlines()
+    assert len(after) == len(table)  # first: a failing comparison of long tables diffs slowly
+    assert after == table
+    resonance = (tmp_path / "resonance_scan_pair1.csv").read_text().splitlines()
+    energies = [float(line.split(",")[0]) for line in resonance[1:]]
+    assert energies[1] - energies[0] == pytest.approx(1e-5)  # half the config's grid step
 
 
 def test_scan_pair_brackets_the_resonances(tmp_path, reference_config_file):
@@ -205,6 +261,24 @@ def test_solve_pair_writes_json(tmp_path, reference_config_file):
     assert min(abs(e - 1.445) for e in energies) < 5e-3
 
 
+def test_solve_pair_closing_pair_needs_closing_distance(tmp_path, capsys):
+    cfg = tmp_path / "three.cfg"
+    cfg.write_text(MINIMAL)
+    rc = main(["solve-pair", "--config", str(cfg), "--output-dir", str(tmp_path), "--pair", "4"])
+    assert rc == 1
+    assert "no closing_distance_A configured" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("index", ["0", "5"])
+def test_solve_pair_rejects_pair_index(tmp_path, reference_config_file, capsys, index):
+    rc = main(
+        ["solve-pair", "--config", str(reference_config_file), "--output-dir", str(tmp_path),
+         "--pair", index]
+    )
+    assert rc == 1
+    assert "pair index must be 1..4" in capsys.readouterr().err
+
+
 def test_times_from_explicit_energies(capsys):
     rc = main(["times", "--e-plus", "1.460", "--e-minus", "1.445", "--decay-gap", "0.131"])
     assert rc == 0
@@ -266,6 +340,16 @@ def test_oracle_pair_command(reference_config_file, capsys):
     assert "finite-difference" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("mode", [["--pair", "1"], ["--cascade"]], ids=["pair", "cascade"])
+@pytest.mark.parametrize("levels", ["0", "-1"])
+def test_oracle_rejects_non_positive_levels(reference_config_file, capsys, mode, levels):
+    rc = main(["oracle", "--config", str(reference_config_file), *mode, f"--levels={levels}"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --levels" in captured.err
+
+
 def test_oracle_cascade_command(reference_config_file, capsys):
     rc = main(["oracle", "--config", str(reference_config_file), "--cascade", "--levels", "4"])
     assert rc == 0
@@ -312,7 +396,7 @@ def test_calibrate_rejects_malformed_numbers(reference_config_file, capsys, flag
     assert f"argument {flag}" in captured.err
 
 
-def test_wavefunction_command(tmp_path, reference_config_file):
+def test_wavefunction_command(tmp_path, reference_config_file, reference_run_config):
     rc = main(
         [
             "wavefunction",
@@ -332,6 +416,10 @@ def test_wavefunction_command(tmp_path, reference_config_file):
     lines = (tmp_path / "wavefunction_PB_0.csv").read_text().strip().splitlines()
     assert lines[0] == "x_A,psi"
     assert len(lines) == 502
+    pair = reference_run_config.spec.pair(0)
+    first = lines[1].split(",")
+    assert float(first[0]) == pytest.approx(-0.5 * (pair.distance + pair.width))
+    assert float(first[1]) == 0.0
 
 
 def test_env_var_output_dir(tmp_path, reference_config_file, monkeypatch):

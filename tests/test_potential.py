@@ -7,8 +7,8 @@ from wellcascade.potential import (
     WellPair,
     cascade_profile,
     pair_profile,
-    write_profile_csv,
 )
+from wellcascade.cli import main
 
 
 def test_well_pair_rejects_degenerate_geometry():
@@ -119,9 +119,10 @@ def test_pair_offsets(reference_spec):
 
 
 def test_closing_pair(reference_spec):
-    closing = reference_spec.closing_pair()
+    closing = reference_spec.pair(3)
     assert closing.v_shallow == 0.95 and closing.v_deep == 1.585
-    assert reference_spec.closing_offset() == 0.0  # the first well is the deepest
+    assert reference_spec.pair_offset(3) == 0.0  # the first well is the deepest
+    assert reference_spec.pair_labels(3) == ("Q", "P")
     spec3 = CascadeSpec(
         widths=(43.85,) * 4,
         distances=(60.0, 60.0, 60.0),
@@ -129,7 +130,7 @@ def test_closing_pair(reference_spec):
     )
     assert not spec3.has_closing_distance
     with pytest.raises(ValueError):
-        spec3.closing_pair()
+        spec3.pair(3)
 
 
 def test_profile_validation():
@@ -139,11 +140,13 @@ def test_profile_validation():
         PotentialProfile(breakpoints=(2.0, 1.0), segment_values=(0.0, 1.0, 0.0), x_min=0.0, x_max=3.0)
 
 
-def test_profile_csv_round_trip(tmp_path, reference_spec):
+def test_profile_csv_round_trip(tmp_path, reference_spec, reference_config_file):
+    # The CSV is written by the cli, which owns every output file.
     profile = cascade_profile(reference_spec)
-    path = tmp_path / "profile.csv"
-    write_profile_csv(profile, path)
-    lines = path.read_text().strip().splitlines()
+    argv = ["cascade", "--config", str(reference_config_file), "--output-dir", str(tmp_path),
+            "--emit-profile"]
+    assert main(argv) == 0
+    lines = (tmp_path / "profile.csv").read_text().strip().splitlines()
     assert lines[0] == "x_A,V_eV"
     rows = [tuple(map(float, line.split(","))) for line in lines[1:]]
     assert len(rows) == 2 * len(profile.segment_values)

@@ -1,15 +1,12 @@
 import numpy as np
 import pytest
 
+from wellcascade.cli import main
 from wellcascade.eigensolver import Level, find_levels
 from wellcascade.oracle import FdConfig, count_nodes, fd_states
 from wellcascade.potential import pair_profile
 from wellcascade.transcendental import Regime
-from wellcascade.wavefunctions import (
-    build_wavefunction,
-    sample_wavefunction,
-    write_wavefunction_csv,
-)
+from wellcascade.wavefunctions import build_wavefunction, sample_wavefunction
 
 
 @pytest.fixture(scope="module")
@@ -127,11 +124,13 @@ def test_sampling_validation(pair1, pair1_levels):
         sample_wavefunction(wf, 1)
 
 
-def test_csv_export(tmp_path, pair1, pair1_levels):
+def test_csv_export(tmp_path, pair1, pair1_levels, reference_config_file):
+    # The CSV is written by the cli's wavefunction command.
     wf = build_wavefunction(pair1, pair1_levels[2])
-    path = tmp_path / "wavefunction_PB_2.csv"
-    write_wavefunction_csv(wf, path, n_points=501)
-    lines = path.read_text().strip().splitlines()
+    argv = ["wavefunction", "--config", str(reference_config_file), "--output-dir", str(tmp_path),
+            "--pair", "1", "--level", "2", "--points", "501"]
+    assert main(argv) == 0
+    lines = (tmp_path / "wavefunction_PB_2.csv").read_text().strip().splitlines()
     assert lines[0] == "x_A,psi"
     assert len(lines) == 502
     first = lines[1].split(",")
