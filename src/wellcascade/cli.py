@@ -531,20 +531,27 @@ def _cmd_oracle(args) -> int:
     result = solve_pair(pair, config.solver, constants=config.constants)
     n_levels = args.levels or max(len(result.levels), 1)
     profile = pair_profile(pair)
-    fd = fd_solve(profile, n_levels, config.oracle, config.constants)
+    states = None
+    if args.emit_states:
+        states = fd_states(profile, n_levels, config.oracle, config.constants)
+    if states is not None and not config.oracle.extrapolate:
+        # fd_states runs fd_solve's eigensolve, with vectors: same levels, one solve
+        oracle_levels = states[1].tolist()
+    else:
+        oracle_levels = fd_solve(profile, n_levels, config.oracle, config.constants).levels
     print(f"pair {args.pair} ({name}): transcendental vs finite-difference (local eV)")
     print(f"{'idx':>3} {'transcendental':>15} {'finite_diff':>15} {'diff':>12}")
-    for i in range(max(len(result.levels), len(fd.levels))):
+    for i in range(max(len(result.levels), len(oracle_levels))):
         t = f"{result.levels[i].energy:>15.9f}" if i < len(result.levels) else " " * 15
-        o = f"{fd.levels[i]:>15.9f}" if i < len(fd.levels) else " " * 15
+        o = f"{oracle_levels[i]:>15.9f}" if i < len(oracle_levels) else " " * 15
         d = (
-            f"{result.levels[i].energy - fd.levels[i]:>12.2e}"
-            if i < len(result.levels) and i < len(fd.levels)
+            f"{result.levels[i].energy - oracle_levels[i]:>12.2e}"
+            if i < len(result.levels) and i < len(oracle_levels)
             else " " * 12
         )
         print(f"{i:>3} {t} {o} {d}")
-    if args.emit_states:
-        x, energies, vectors = fd_states(profile, n_levels, config.oracle, config.constants)
+    if states is not None:
+        x, _, vectors = states
         out = _output_dir(config, args.output_dir) / f"oracle_pair{args.pair}_states.csv"
         header = ("x_A", *(f"psi_{i}" for i in range(vectors.shape[1])))
         _write_csv(out, header, ((xi, *row) for xi, row in zip(x, vectors)))

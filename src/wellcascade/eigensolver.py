@@ -2,9 +2,13 @@
 
 Roots are located by scanning the denominator-cleared matching function on a
 uniform energy grid and refining every sign change by bisection.  All
-brackets of a solve are halved in lockstep, with one array evaluation of the
-cleared form per step; each bracket still sees its own midpoint sequence, so
-the roots are those of bisecting one bracket at a time.  Bisection is
+brackets are halved in lockstep, with one array evaluation of the cleared
+form per step; each bracket carries its own pair's geometry and still sees
+its own midpoint sequence, so the roots are those of bisecting one bracket
+at a time.  The lockstep spans every solve of a batch: a single
+:func:`solve_pair` is a batch of one, and calibration sends its whole coarse
+grid of candidates through one batch, so numpy's per-call overhead is paid
+once per halving rather than once per halving and candidate.  Bisection is
 unconditionally safe here because the cleared form is continuous and free
 of poles; it always runs down to machine resolution, so the configured
 ``refine_tol`` acts as a guaranteed upper bound on the reported bracket
@@ -21,14 +25,15 @@ where the raw mismatch is ill-conditioned beyond double precision.
 
 Calibration searches one geometry parameter (center distance or one depth)
 so that the pair's levels best match a set of target energies, using a
-deterministic coarse grid followed by golden-section refinement of the best
-cell.
+deterministic coarse grid (solved as one batch) followed by golden-section
+refinement of the best cell (one solve per point).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,14 +118,31 @@ def uniform_grid(lo: float, hi: float, step: float) -> np.ndarray:
     return lo + step * np.arange(n)
 
 
-def _bisect(pair, lo, hi, f_lo, constants):
+class _Geometry(NamedTuple):
+    """Pair parameters per bracket: the attributes :func:`characteristic` reads."""
+
+    width: np.ndarray
+    distance: np.ndarray
+    v_deep: np.ndarray
+    shallow_floor: np.ndarray
+
+    @classmethod
+    def of(cls, pairs) -> _Geometry:
+        return cls(*(np.array([getattr(p, name) for p in pairs]) for name in cls._fields))
+
+    def take(self, index) -> _Geometry:
+        return _Geometry(*(a[index] for a in self))
+
+
+def _bisect(geometry, lo, hi, f_lo, constants):
     """Shrink verified sign-change brackets down to machine resolution, together.
 
-    Every iteration evaluates :func:`characteristic` once, on the midpoints of
-    the brackets still open, so each bracket sees the midpoint sequence it
-    would see alone.  A bracket closes when its midpoint is no longer strictly
-    inside it, after 200 halvings, or at an exact zero, which collapses it to
-    ``(mid, mid)``.
+    ``geometry`` holds each bracket's pair parameters, so the brackets may
+    come from different pairs.  Every iteration evaluates
+    :func:`characteristic` once, on the midpoints of the brackets still open,
+    so each bracket sees the midpoint sequence it would see alone.  A bracket
+    closes when its midpoint is no longer strictly inside it, after 200
+    halvings, or at an exact zero, which collapses it to ``(mid, mid)``.
     """
     lo, hi, f_lo = lo.copy(), hi.copy(), f_lo.copy()
     live = np.arange(lo.size)
@@ -130,13 +152,110 @@ def _bisect(pair, lo, hi, f_lo, constants):
         live, mid = live[inside], mid[inside]
         if not live.size:
             break
-        f_mid = characteristic(pair, mid, constants)
+        f_mid = characteristic(geometry.take(live), mid, constants)
         zero = f_mid == 0.0
         same = ~zero & ((f_mid > 0.0) == (f_lo[live] > 0.0))
         lo[live[same | zero]] = mid[same | zero]
         hi[live[~same]] = mid[~same]
         f_lo[live[same]] = f_mid[same]
     return lo, hi
+
+
+class _Brackets(NamedTuple):
+    """One solve's grid scan, reduced to its brackets and diagnostics."""
+
+    pair: WellPair
+    config: SolverConfig
+    lo: np.ndarray
+    hi: np.ndarray
+    f_lo: np.ndarray
+    scale: np.ndarray  # residual scale of each bracket
+    grid_points: int = 0
+    sign_changes: int = 0
+    pole_points: int = 0
+    skipped_intervals: tuple[tuple[float, float], ...] = ()
+
+
+def _scan(pair, cfg, e_min, e_max, constants) -> _Brackets:
+    step = cfg.grid_step
+    lo = max(step, e_min if e_min is not None else step)
+    hi = min(pair.v_deep - step, e_max if e_max is not None else pair.v_deep - step)
+    if hi <= lo:
+        none = np.empty(0)
+        return _Brackets(pair, cfg, none, none, none, none)
+
+    energies = uniform_grid(lo, hi, step)
+    scan = grid_scan(pair, energies, constants)
+
+    char = scan.char
+    valid = np.isfinite(char) & ~((char == 0.0) & (scan.char_scale == 0.0))
+    change = char[:-1] * char[1:] < 0.0
+    isolated = change & valid[:-1] & valid[1:]
+    skipped = np.flatnonzero(change & ~isolated)
+    # an exact zero on the grid is a bracket of zero width, already a root; no
+    # bracket touches it, so brackets in grid order yield ascending roots
+    exact = valid & (char == 0.0)
+    left = np.flatnonzero(exact | np.append(isolated, False))
+    right = np.where(exact[left], left, left + 1)
+    # convergence measure: cleared mismatch at the root relative to its size at
+    # the isolating grid bracket (at a grid zero, its own term scale); a pole
+    # artifact cannot shrink it
+    scale = np.where(
+        exact[left], scan.char_scale[left], np.maximum(np.abs(char[left]), np.abs(char[right]))
+    )
+    return _Brackets(
+        pair,
+        cfg,
+        energies[left],
+        energies[right],
+        char[left],
+        scale,
+        grid_points=energies.size,
+        sign_changes=int(np.count_nonzero(isolated)),
+        pole_points=int(np.count_nonzero(scan.pole)),
+        skipped_intervals=tuple(zip(energies[skipped].tolist(), energies[skipped + 1].tolist())),
+    )
+
+
+def _levels(scanned: _Brackets, energy, residual, r_lo, r_hi) -> SolveResult:
+    pair, cfg = scanned.pair, scanned.config
+    discard = residual > cfg.residual_tol
+    kept = np.flatnonzero(~discard)[: cfg.max_levels]
+    rows = zip(*(a[kept].tolist() for a in (energy, residual, r_lo, r_hi)))
+    levels = tuple(
+        Level(energy=e, regime=classify_regime(pair, e), residual=res, bracket=(b0, b1), index=i)
+        for i, (e, res, b0, b1) in enumerate(rows)
+    )
+    diag = SolveDiagnostics(
+        grid_points=scanned.grid_points,
+        sign_changes=scanned.sign_changes,
+        pole_points=scanned.pole_points,
+        skipped_intervals=scanned.skipped_intervals,
+        discarded_candidates=tuple(energy[discard].tolist()),
+    )
+    return SolveResult(pair=pair, config=cfg, levels=levels, diagnostics=diag)
+
+
+def _solve_all(requests, constants) -> list[SolveResult]:
+    """Solve ``(pair, config, e_min, e_max)`` requests, bisecting all brackets together.
+
+    Each scan is reduced to its brackets before the next one runs, so only
+    one grid's worth of scan arrays is alive at a time.
+    """
+    found = [_scan(*request, constants) for request in requests]
+    if not found:
+        return []
+    counts = [b.lo.size for b in found]
+    geometry = _Geometry.of([b.pair for b in found]).take(np.repeat(np.arange(len(found)), counts))
+    lo, hi, f_lo, scale = (
+        np.concatenate([getattr(b, name) for b in found]) for name in ("lo", "hi", "f_lo", "scale")
+    )
+    r_lo, r_hi = _bisect(geometry, lo, hi, f_lo, constants)
+    energy = 0.5 * (r_lo + r_hi)
+    residual = np.abs(characteristic(geometry, energy, constants)) / scale
+    ends = np.cumsum(counts)[:-1]
+    parts = (np.split(a, ends) for a in (energy, residual, r_lo, r_hi))
+    return [_levels(scanned, *arrays) for scanned, *arrays in zip(found, *parts)]
 
 
 def solve_pair(
@@ -153,53 +272,7 @@ def solve_pair(
     calibration loop and the CLI).  An empty level list is a valid outcome
     for wells too shallow or narrow to bind a state.
     """
-    cfg = config or SolverConfig()
-    step = cfg.grid_step
-    lo = max(step, e_min if e_min is not None else step)
-    hi = min(pair.v_deep - step, e_max if e_max is not None else pair.v_deep - step)
-    if hi <= lo:
-        empty = SolveDiagnostics(0, 0, 0, (), ())
-        return SolveResult(pair=pair, config=cfg, levels=(), diagnostics=empty)
-
-    energies = uniform_grid(lo, hi, step)
-    scan = grid_scan(pair, energies, constants)
-
-    char = scan.char
-    valid = np.isfinite(char) & ~((char == 0.0) & (scan.char_scale == 0.0))
-    change = char[:-1] * char[1:] < 0.0
-    isolated = change & valid[:-1] & valid[1:]
-    skipped = np.flatnonzero(change & ~isolated)
-    # an exact zero on the grid is a bracket of zero width, already a root; no
-    # bracket touches it, so brackets in grid order yield ascending roots
-    exact = valid & (char == 0.0)
-    left = np.flatnonzero(exact | np.append(isolated, False))
-    right = np.where(exact[left], left, left + 1)
-
-    r_lo, r_hi = _bisect(pair, energies[left], energies[right], char[left], constants)
-    energy = 0.5 * (r_lo + r_hi)
-    # convergence measure: cleared mismatch at the root relative to its size at
-    # the isolating grid bracket (at a grid zero, its own term scale); a pole
-    # artifact cannot shrink it
-    scale = np.where(
-        exact[left], scan.char_scale[left], np.maximum(np.abs(char[left]), np.abs(char[right]))
-    )
-    residual = np.abs(characteristic(pair, energy, constants)) / scale
-    discard = residual > cfg.residual_tol
-
-    kept = np.flatnonzero(~discard)[: cfg.max_levels]
-    rows = zip(*(a[kept].tolist() for a in (energy, residual, r_lo, r_hi)))
-    levels = tuple(
-        Level(energy=e, regime=classify_regime(pair, e), residual=res, bracket=(b0, b1), index=i)
-        for i, (e, res, b0, b1) in enumerate(rows)
-    )
-    diag = SolveDiagnostics(
-        grid_points=energies.size,
-        sign_changes=int(np.count_nonzero(isolated)),
-        pole_points=int(np.count_nonzero(scan.pole)),
-        skipped_intervals=tuple(zip(energies[skipped].tolist(), energies[skipped + 1].tolist())),
-        discarded_candidates=tuple(energy[discard].tolist()),
-    )
-    return SolveResult(pair=pair, config=cfg, levels=levels, diagnostics=diag)
+    return _solve_all([(pair, config or SolverConfig(), e_min, e_max)], constants)[0]
 
 
 def find_levels(
@@ -236,13 +309,6 @@ def _misfit(levels: list[float], targets: list[float]) -> float:
     return math.sqrt(sum(min((t - e) ** 2 for e in levels) for t in targets))
 
 
-def _window_levels(pair, targets, cfg, pad, constants) -> list[float]:
-    e_min = min(targets) - pad
-    e_max = max(targets) + pad
-    result = solve_pair(pair, cfg, e_min=e_min, e_max=e_max, constants=constants)
-    return [lv.energy for lv in result.levels]
-
-
 def _golden_minimize(objective, lo, hi, xtol):
     c = hi - _GOLDEN * (hi - lo)
     d = lo + _GOLDEN * (hi - lo)
@@ -268,19 +334,34 @@ def _calibrate_1d(make_pair, targets, lo, hi, step, misfit_tol, cfg, pad, consta
     if hi < lo:
         raise ValueError(f"empty {what} range ({lo}, {hi})")
 
-    def evaluate(x: float) -> CalibrationResult:
+    e_min, e_max = min(targets) - pad, max(targets) + pad
+
+    def candidate(x: float) -> WellPair | None:
         try:
-            pair = make_pair(x)
+            return make_pair(x)
         except ValueError:
+            return None
+
+    def fit(x: float, solved: SolveResult | None) -> CalibrationResult:
+        if solved is None:
             return CalibrationResult(value=x, misfit=math.inf, levels=())
-        levels = _window_levels(pair, targets, cfg, pad, constants)
+        levels = [lv.energy for lv in solved.levels]
         return CalibrationResult(value=x, misfit=_misfit(levels, targets), levels=tuple(levels))
+
+    def evaluate(x: float) -> CalibrationResult:
+        pair = candidate(x)
+        if pair is None:
+            return fit(x, None)
+        return fit(x, solve_pair(pair, cfg, e_min=e_min, e_max=e_max, constants=constants))
 
     # a one-point range is a one-point grid, after the same step check
     grid = uniform_grid(lo, hi, step).tolist()
     if grid[-1] < hi - 1e-12 * max(1.0, abs(hi)):
         grid.append(hi)
-    coarse = [evaluate(x) for x in grid]
+    # the whole coarse grid is one batch: its brackets are bisected together
+    pairs = [candidate(x) for x in grid]
+    solved = iter(_solve_all([(p, cfg, e_min, e_max) for p in pairs if p is not None], constants))
+    coarse = [fit(x, None if p is None else next(solved)) for x, p in zip(grid, pairs)]
     b = int(np.argmin([r.misfit for r in coarse]))
     best = coarse[b]
     if best.misfit > 1e-12 and len(grid) > 1:

@@ -125,6 +125,10 @@ class GridScan:
 def _cleared_terms(pair: WellPair, energies: np.ndarray, constants: PhysicalConstants):
     """Numerators/denominators of the rescaled sides, free of poles.
 
+    ``pair`` may carry its ``width``, ``distance``, ``v_deep`` and
+    ``shallow_floor`` as arrays that broadcast against ``energies`` (one
+    geometry per energy); the formula is the same elementwise.
+
     Regime A lhs uses ``q = exp(-2 k1 a)`` so that
     ``Nl = beta*(1-q) + k1*(1+q)`` is ``(beta + k1*coth(k1 a)) * (1 - q)``
     up to the common positive factor; trigonometric parts are multiplied
@@ -202,8 +206,10 @@ def characteristic(
     """Denominator-cleared mismatch ``Nl*Dr - Nr*Dl`` over an array of energies.
 
     Vanishes exactly at the bound-state energies and equals :attr:`GridScan.char`
-    at the same points.  The energies are not checked: callers pass points
-    inside a grid that :func:`grid_scan` has already validated.
+    at the same points.  ``pair`` is a :class:`WellPair` or per-energy arrays
+    of its parameters (see :func:`_cleared_terms`), so one call can evaluate
+    brackets of several pairs.  The energies are not checked: callers pass
+    points inside a grid that :func:`grid_scan` has already validated.
     """
     nl, dl, nr, dr, _ = _cleared_terms(pair, energies, constants)
     return nl * dr - nr * dl

@@ -340,6 +340,32 @@ def test_oracle_pair_command(reference_config_file, capsys):
     assert "finite-difference" in capsys.readouterr().out
 
 
+def test_oracle_emit_states_solves_once(reference_config_file, tmp_path, capsys, monkeypatch):
+    import scipy.linalg
+
+    from wellcascade.oracle import fd_solve
+    from wellcascade.potential import pair_profile
+
+    cfg = load_config(reference_config_file)
+    expected = fd_solve(pair_profile(cfg.spec.pair(1)), 4, cfg.oracle, cfg.constants).levels
+    real, calls = scipy.linalg.eigh_tridiagonal, []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("eigvals_only", False))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counting)
+    rc = main(["oracle", "--config", str(reference_config_file), "--pair", "2", "--levels", "4",
+               "--emit-states", "--output-dir", str(tmp_path)])
+    assert rc == 0
+    # one eigensolve, with vectors, gives both the printed levels and the states
+    assert calls == [False]
+    rows = capsys.readouterr().out.splitlines()[2:6]
+    assert [row.split()[2] for row in rows] == [f"{e:.9f}" for e in expected]
+    header = (tmp_path / "oracle_pair2_states.csv").read_text().splitlines()[0]
+    assert header == "x_A,psi_0,psi_1,psi_2,psi_3"
+
+
 @pytest.mark.parametrize("mode", [["--pair", "1"], ["--cascade"]], ids=["pair", "cascade"])
 @pytest.mark.parametrize("levels", ["0", "-1"])
 def test_oracle_rejects_non_positive_levels(reference_config_file, capsys, mode, levels):

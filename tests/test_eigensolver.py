@@ -108,33 +108,82 @@ def _bisect_one(pair, lo, hi, f_lo):
     return lo, hi
 
 
+def _sign_changes(pair):
+    energies = uniform_grid(2e-5, pair.v_deep - 2e-5, 2e-5)
+    char = grid_scan(pair, energies).char
+    i = np.flatnonzero(char[:-1] * char[1:] < 0.0)
+    return [(pair, energies[j], energies[j + 1], char[j]) for j in i]
+
+
 def test_lockstep_bisection_matches_one_bracket_at_a_time(pair1, pair3):
-    for pair in (pair1, pair3):
-        energies = uniform_grid(2e-5, pair.v_deep - 2e-5, 2e-5)
-        char = grid_scan(pair, energies).char
-        i = np.flatnonzero(char[:-1] * char[1:] < 0.0)
-        lo, hi = eigensolver._bisect(pair, energies[i], energies[i + 1], char[i], CODATA2018)
-        expected = [_bisect_one(pair, energies[j], energies[j + 1], char[j]) for j in i]
-        assert list(zip(lo.tolist(), hi.tolist())) == expected
+    one, three = _sign_changes(pair1), _sign_changes(pair3)
+    # each pair alone, then both pairs' brackets interleaved in one call
+    mixed = [b for both in zip(one, three) for b in both] + one[len(three):] + three[len(one):]
+    assert {b[0] for b in mixed} == {pair1, pair3}
+    for brackets in (one, three, mixed):
+        pairs, lo, hi, f_lo = zip(*brackets)
+        geometry = eigensolver._Geometry.of(pairs)
+        r_lo, r_hi = eigensolver._bisect(
+            geometry, np.array(lo), np.array(hi), np.array(f_lo), CODATA2018
+        )
+        expected = [_bisect_one(*b) for b in brackets]
+        assert list(zip(r_lo.tolist(), r_hi.tolist())) == expected
 
 
 def test_bisect_collapses_only_the_bracket_with_an_exact_zero(pair1, monkeypatch):
     sizes = []
 
-    def fake(pair, energies, constants):
+    def fake(geometry, energies, constants):
         # zero at 0.5, the first midpoint of the first bracket; a jump with no
         # zero at 1.3 inside the second one
+        assert geometry.width.shape == energies.shape
         sizes.append(energies.size)
         return np.where(energies < 1.0, energies - 0.5, np.where(energies < 1.3, -1.0, 1.0))
 
     monkeypatch.setattr(eigensolver, "characteristic", fake)
     lo, hi = eigensolver._bisect(
-        pair1, np.array([0.0, 1.0]), np.array([1.0, 2.0]), np.array([-0.5, -1.0]), CODATA2018
+        eigensolver._Geometry.of([pair1, pair1]),
+        np.array([0.0, 1.0]),
+        np.array([1.0, 2.0]),
+        np.array([-0.5, -1.0]),
+        CODATA2018,
     )
     assert (lo[0], hi[0]) == (0.5, 0.5)
     assert lo[1] < 1.3 <= hi[1] and np.nextafter(lo[1], math.inf) == hi[1]
     # one call per halving, on the midpoints of the brackets still open
     assert sizes[0] == 2 and set(sizes[1:]) == {1}
+
+
+def test_batch_solve_matches_one_solve_at_a_time(pair1):
+    # a coarse distance grid around pair 1; the last window is empty (hi <= lo)
+    config = SolverConfig()
+    requests = [
+        (replace(pair1, distance=60.0 + 0.01 * i), config, 1.395, 1.51) for i in range(19)
+    ]
+    requests.append((pair1, config, 1.51, 1.395))
+    batch = eigensolver._solve_all(requests, CODATA2018)
+    alone = [solve_pair(p, c, e_min=lo, e_max=hi) for p, c, lo, hi in requests]
+    assert batch == alone
+    assert batch[-1].diagnostics.grid_points == 0 and batch[-1].levels == ()
+    assert all(r.levels for r in batch[:-1])
+
+
+def test_calibration_cost_follows_refinement_not_coarse_points(pair1, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return characteristic(*args)
+
+    monkeypatch.setattr(eigensolver, "characteristic", counting)
+    counts = []
+    for l_range in ((60.0, 60.5), (58.0, 63.0)):  # 51 and 501 coarse points
+        calls.clear()
+        result = calibrate_distance(pair1, [1.445, 1.460], l_range)
+        assert result.value == pytest.approx(60.1888, abs=1e-3)
+        counts.append(len(calls))
+    # one coarse point solved on its own costs ~39 calls
+    assert abs(counts[1] - counts[0]) <= 5, counts
 
 
 def test_oracle_equivalence_on_random_pairs():
