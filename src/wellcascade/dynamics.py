@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .eigensolver import _golden_minimize
 from .quantities import CODATA2018, PhysicalConstants
 
 __all__ = [
@@ -31,6 +30,9 @@ __all__ = [
     "decay_time",
     "first_maximum_time",
 ]
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
 
 @dataclass(frozen=True)
 class ResonantPair:
@@ -125,6 +127,22 @@ def decay_time(delta_e_ev: float, constants: PhysicalConstants = CODATA2018) -> 
     if not (math.isfinite(delta_e_ev) and delta_e_ev > 0.0):
         raise ValueError(f"decay gap must be positive, got {delta_e_ev!r}")
     return constants.hbar_eV_s / (2.0 * delta_e_ev)
+
+
+def _golden_minimize(objective, lo, hi, xtol):
+    c = hi - _GOLDEN * (hi - lo)
+    d = lo + _GOLDEN * (hi - lo)
+    fc, fd = objective(c), objective(d)
+    while (hi - lo) > xtol:
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - _GOLDEN * (hi - lo)
+            fc = objective(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _GOLDEN * (hi - lo)
+            fd = objective(d)
+    return 0.5 * (lo + hi)
 
 
 def first_maximum_time(

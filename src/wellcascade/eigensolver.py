@@ -24,14 +24,19 @@ levels sit within ~1e-13 eV of poles of the deep-side matching function,
 where the raw mismatch is ill-conditioned beyond double precision.
 
 Calibration searches one geometry parameter (center distance or one depth)
-so that the pair's levels best match a set of target energies, using a
-deterministic coarse grid (solved as one batch) followed by golden-section
-refinement of the best cell (one solve per point).
+so that the pair's levels best match a set of target energies: a
+deterministic coarse batch (the whole grid solved as one batch), then Newton
+refinement on implicit level slopes inside the best cell.  Each target is
+matched to its nearest level; the slope of a level follows from the cleared
+form F(x, E) = 0 as dE/dx = -F_x/F_E, both partials by differences of one
+:func:`characteristic` call, and a Gauss-Newton step (halved until the
+misfit drops) costs one windowed solve, so a fit takes about two solves.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -55,7 +60,11 @@ __all__ = [
     "uniform_grid",
 ]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# difference steps of the implicit level slopes, as fractions of the
+# calibration step (parameter) and of the solver grid step (energy)
+_SLOPE_H = 1e-3
+# Gauss-Newton iterations per calibration; a fit needs two or three
+_NEWTON_ITERATIONS = 10
 
 
 @dataclass(frozen=True)
@@ -303,32 +312,47 @@ class CalibrationError(ValueError):
         self.best = best
 
 
+def _nearest(levels: Sequence[float], targets: list[float]) -> list[float]:
+    """The level nearest each target; two targets may share a level."""
+    return [min(levels, key=lambda e: abs(t - e)) for t in targets]
+
+
 def _misfit(levels: list[float], targets: list[float]) -> float:
     if not levels:
         return math.inf
-    return math.sqrt(sum(min((t - e) ** 2 for e in levels) for t in targets))
+    return math.sqrt(sum((t - e) ** 2 for t, e in zip(targets, _nearest(levels, targets))))
 
 
-def _golden_minimize(objective, lo, hi, xtol):
-    c = hi - _GOLDEN * (hi - lo)
-    d = lo + _GOLDEN * (hi - lo)
-    fc, fd = objective(c), objective(d)
-    while (hi - lo) > xtol:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - _GOLDEN * (hi - lo)
-            fc = objective(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _GOLDEN * (hi - lo)
-            fd = objective(d)
-    return 0.5 * (lo + hi)
+def _level_slopes(make_pair, x, energies, x_range, h, h_e, constants) -> np.ndarray:
+    """dE/dx of each level in ``energies`` (roots at parameter ``x``), implicitly.
+
+    On the cleared form F(x, E) = 0 the implicit-function theorem gives
+    dE/dx = -F_x / F_E.  Both partials are difference quotients from one
+    :func:`characteristic` call: F_x from the pairs at ``x - h`` and ``x + h``,
+    cut to ``x_range`` (so one-sided at its ends, where ``make_pair`` is valid),
+    and F_E from the pair at ``x`` at ``E - h_e`` and ``E + h_e``.  A zero F_E
+    gives a non-finite slope; ``make_pair`` errors propagate.
+    """
+    e = np.asarray(energies, dtype=float)
+    x_lo, x_hi = max(x - h, x_range[0]), min(x + h, x_range[1])
+    e_lo, e_hi = e - h_e, e + h_e
+    geometry = _Geometry.of([make_pair(x_lo), make_pair(x_hi), make_pair(x)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = characteristic(
+            geometry.take(np.repeat([0, 1, 2, 2], e.size)),
+            np.concatenate([e, e, e_lo, e_hi]),
+            constants,
+        ).reshape(4, e.size)
+        return -((f[1] - f[0]) / (x_hi - x_lo)) / ((f[3] - f[2]) / (e_hi - e_lo))
 
 
 def _calibrate_1d(make_pair, targets, lo, hi, step, misfit_tol, cfg, pad, constants, what):
     targets = [float(t) for t in targets]
     if not targets:
         raise ValueError("calibration needs at least one target energy")
+    for t in targets:
+        if not math.isfinite(t):
+            raise ValueError(f"target energies must be finite, got {t!r}")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"{what} range must be finite, got ({lo}, {hi})")
     if hi < lo:
@@ -354,6 +378,21 @@ def _calibrate_1d(make_pair, targets, lo, hi, step, misfit_tol, cfg, pad, consta
             return fit(x, None)
         return fit(x, solve_pair(pair, cfg, e_min=e_min, e_max=e_max, constants=constants))
 
+    def newton_step(at: CalibrationResult) -> float:
+        """Gauss-Newton step on the nearest-level residuals; nan if it has no slope."""
+        matched = _nearest(at.levels, targets)
+        try:
+            slope = _level_slopes(
+                make_pair, at.value, matched, (lo, hi), _SLOPE_H * step, _SLOPE_H * cfg.grid_step,
+                constants,
+            )
+        except ValueError:
+            return math.nan
+        gain = float(slope @ slope)
+        if not (math.isfinite(gain) and gain > 0.0):
+            return math.nan
+        return -float(slope @ (np.array(matched) - targets)) / gain
+
     # a one-point range is a one-point grid, after the same step check
     grid = uniform_grid(lo, hi, step).tolist()
     if grid[-1] < hi - 1e-12 * max(1.0, abs(hi)):
@@ -364,15 +403,36 @@ def _calibrate_1d(make_pair, targets, lo, hi, step, misfit_tol, cfg, pad, consta
     coarse = [fit(x, None if p is None else next(solved)) for x, p in zip(grid, pairs)]
     b = int(np.argmin([r.misfit for r in coarse]))
     best = coarse[b]
-    if best.misfit > 1e-12 and len(grid) > 1:
+    iterates, solves = [], 0
+    if 1e-12 < best.misfit < math.inf and len(grid) > 1:
+        # Gauss-Newton from the best coarse point, kept inside its grid cell; a
+        # step is halved until the misfit decreases.  A tiny misfit is no reason
+        # to stop: a level that barely moves with x has one while x is still off.
+        # The error at a stop is about the last |dx|, so stopping at xtol / 2
+        # keeps golden section's bound (the midpoint of a bracket <= xtol wide).
         g_lo = grid[max(0, b - 1)]
         g_hi = grid[min(len(grid) - 1, b + 1)]
-        x_star = _golden_minimize(
-            lambda x: evaluate(x).misfit, g_lo, g_hi, xtol=1e-6 * max(step, 1e-9)
-        )
-        fine = evaluate(x_star)
+        xtol = 0.5e-6 * max(step, 1e-9)
+        fine = best
+        for _ in range(_NEWTON_ITERATIONS):
+            dx = newton_step(fine)
+            if math.isfinite(dx):
+                dx = min(max(fine.value + dx, g_lo), g_hi) - fine.value
+            iterates.append((fine.value, fine.misfit, dx))
+            if not math.isfinite(dx):
+                break
+            while abs(dx) > xtol:
+                trial = evaluate(fine.value + dx)
+                solves += 1
+                if trial.misfit < fine.misfit:
+                    break
+                dx *= 0.5
+            else:
+                break
+            fine = trial
         if fine.misfit <= best.misfit:
             best = fine
+    _log_calibration(what, coarse[b], len(grid), iterates, solves)
     if best.misfit > misfit_tol:
         raise CalibrationError(
             f"calibration failed: best {what} {best.value:.6g} leaves misfit "
@@ -380,6 +440,20 @@ def _calibrate_1d(make_pair, targets, lo, hi, step, misfit_tol, cfg, pad, consta
             best=best,
         )
     return best
+
+
+def _log_calibration(what, start, points, iterates, solves) -> None:
+    # imported here: only calibration logs, and the other commands start without logging
+    import logging
+
+    log = logging.getLogger("wellcascade")
+    if log.isEnabledFor(logging.DEBUG):
+        steps = "; ".join(f"x={x:.9g} misfit={m:.3e} dx={dx:.3e}" for x, m, dx in iterates)
+        log.debug(
+            "calibrate %s: best of %d coarse points %s=%.9g (misfit %.3e eV); "
+            "newton [%s]; %d refinement solves",
+            what, points, what, start.value, start.misfit, steps or "none", solves,
+        )
 
 
 def calibrate_distance(
@@ -395,9 +469,10 @@ def calibrate_distance(
 ) -> CalibrationResult:
     """Find the center distance whose levels best match ``targets`` (eV).
 
-    Searches ``l_range`` on a 0.01 Angstrom grid, then refines the best cell
-    by golden section.  Raises :class:`CalibrationError` (carrying the best
-    candidate) if the final misfit exceeds ``misfit_tol``.
+    Searches ``l_range`` on a 0.01 Angstrom grid as one coarse batch, then
+    refines the best cell by Newton steps on implicit level slopes.  Raises
+    :class:`CalibrationError` (carrying the best candidate) if the final
+    misfit exceeds ``misfit_tol``.  Target energies must be finite.
     """
     lo, hi = float(l_range[0]), float(l_range[1])
     if lo <= pair_template.width:

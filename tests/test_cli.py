@@ -422,6 +422,15 @@ def test_calibrate_rejects_malformed_numbers(reference_config_file, capsys, flag
     assert f"argument {flag}" in captured.err
 
 
+def test_calibrate_rejects_non_finite_target(reference_config_file, capsys):
+    rc = main(["calibrate", "--config", str(reference_config_file), "--pair", "1",
+               "--targets", "nan,1.46", "--range", "60,60.3"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "nan" in captured.err
+
+
 def test_wavefunction_command(tmp_path, reference_config_file, reference_run_config):
     rc = main(
         [

@@ -1,3 +1,4 @@
+import logging
 import math
 from dataclasses import replace
 
@@ -314,6 +315,108 @@ def test_calibrate_depth_rejects_bad_ordering(pair2):
         calibrate_depth(pair2, "deep", [0.268], (0.6, 0.7))
     with pytest.raises(ValueError):
         calibrate_depth(pair2, "neither", [0.268], (0.5, 0.55))
+
+
+@pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+def test_calibrate_rejects_non_finite_targets(pair1, pair2, target):
+    for call in (
+        lambda: calibrate_distance(pair1, [target, 1.46], (60.0, 60.3)),
+        lambda: calibrate_depth(pair2, "shallow", [0.268, target], (0.50, 0.55)),
+    ):
+        with pytest.raises(ValueError, match="must be finite") as info:
+            call()
+        assert not isinstance(info.value, CalibrationError)
+        assert repr(target) in str(info.value)
+
+
+def test_calibration_without_levels_reports_infinite_misfit():
+    tiny = WellPair(width=1.0, distance=3.0, v_shallow=0.01, v_deep=0.02)
+    with pytest.raises(CalibrationError) as info:
+        calibrate_distance(tiny, [0.015], (3.0, 3.1))
+    assert info.value.best.misfit == math.inf
+
+
+# role -> (pair index, parameter value, search range, level window, coarse step):
+# the searched parameter of each mode on pairs 1 and 2, and the window whose
+# levels the slopes are taken of
+SLOPE_CASES = {
+    "distance": (0, 60.19, (60.0, 65.0), (1.43, 1.47), 0.01),
+    "shallow": (1, 0.524, (0.50, 0.55), (0.26, 0.32), 5e-4),
+    "deep": (1, 0.272, (0.25, 0.30), (0.26, 0.32), 5e-4),
+}
+
+
+def _vary(pair, role):
+    """``make_pair`` of calibrating ``pair``: the distance, or the depth not held fixed."""
+    field = {"distance": "distance", "shallow": "v_deep", "deep": "v_shallow"}[role]
+    return lambda x: replace(pair, **{field: x})
+
+
+@pytest.mark.parametrize("role", SLOPE_CASES)
+def test_implicit_level_slopes_match_solved_levels(reference_spec, role):
+    index, x, x_range, (e_lo, e_hi), step = SLOPE_CASES[role]
+    make_pair = _vary(reference_spec.pair(index), role)
+
+    def levels(at):
+        return np.array([lv.energy for lv in find_levels(make_pair(at), e_min=e_lo, e_max=e_hi)])
+
+    energies = levels(x)
+    h = 1e-2 * step
+    solved = (levels(x + h) - levels(x - h)) / (2.0 * h)
+    assert np.all(np.abs(solved) > 1e-5)
+    h_x, h_e = eigensolver._SLOPE_H * step, eigensolver._SLOPE_H * SolverConfig().grid_step
+    slope_steps = (h_x, h_e, CODATA2018)
+    central = eigensolver._level_slopes(make_pair, x, energies, x_range, *slope_steps)
+    np.testing.assert_allclose(central, solved, rtol=1e-6)
+    # at either end of the range the stencil turns one-sided
+    for one_sided in ((x, x_range[1]), (x_range[0], x)):
+        slopes = eigensolver._level_slopes(make_pair, x, energies, one_sided, *slope_steps)
+        np.testing.assert_allclose(slopes, solved, rtol=1e-3)
+
+
+@pytest.mark.parametrize(
+    "role, hidden, x_range, window",
+    [
+        ("distance", 62.0037, (61.0, 63.0), (1.43, 1.47)),
+        ("deep", 0.27213, (0.26, 0.28), (0.26, 0.28)),
+    ],
+)
+def test_calibration_recovers_off_grid_hidden_value(pair1, pair2, role, hidden, x_range, window):
+    pair = pair1 if role == "distance" else pair2
+    targets = [lv.energy for lv in find_levels(_vary(pair, role)(hidden), e_min=window[0],
+                                               e_max=window[1])]
+    assert len(targets) == 2
+    if role == "distance":
+        result, step = calibrate_distance(pair, targets, x_range), 0.01
+    else:
+        result, step = calibrate_depth(pair, "deep", targets, x_range), 5e-4
+    assert abs(result.value - hidden) <= 1e-6 * step
+    assert result.misfit < 1e-9
+
+
+def test_calibration_refines_in_a_few_solves(pair1, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve_pair(*args, **kwargs)
+
+    monkeypatch.setattr(eigensolver, "solve_pair", counting)
+    result = calibrate_distance(pair1, [1.445, 1.460], (60.0, 60.5))
+    assert f"{result.value:.6f}" == "60.188796"
+    # the coarse batch makes no solve_pair call; golden section made ~34
+    assert len(calls) <= 6
+
+
+def test_calibration_logs_one_debug_record(pair1, caplog, capsys):
+    with caplog.at_level(logging.DEBUG, logger="wellcascade"):
+        calibrate_distance(pair1, [1.445, 1.460], (60.0, 60.5))
+    (record,) = caplog.records
+    assert record.name == "wellcascade" and record.levelno == logging.DEBUG
+    message = record.getMessage()
+    assert "best of 51 coarse points distance=60.19" in message
+    assert "x=60.19 misfit=" in message and "refinement solves" in message
+    assert capsys.readouterr().out == ""
 
 
 def test_windowed_solve_consistency(pair1):
