@@ -321,6 +321,18 @@ def _level_dict(lv: Level, offset_ev: float) -> dict:
     }
 
 
+def _min_spacing_over_step(result: SolveResult) -> float | None:
+    """Smallest gap between adjacent levels in grid steps; None below two levels.
+
+    Near 1 or below, a doublet is about to fall inside one grid cell, where its
+    two sign changes cancel and the scan misses both levels.
+    """
+    energies = [lv.energy for lv in result.levels]
+    if len(energies) < 2:
+        return None
+    return _sig9(min(b - a for a, b in zip(energies, energies[1:])) / result.config.grid_step)
+
+
 def _solve_result_dict(result: SolveResult, offset: float) -> dict:
     return {
         "schema_version": 1,
@@ -339,6 +351,7 @@ def _solve_result_dict(result: SolveResult, offset: float) -> dict:
             "pole_points": result.diagnostics.pole_points,
             "skipped_intervals": [list(map(_sig9, iv)) for iv in result.diagnostics.skipped_intervals],
             "discarded_candidates": [_sig9(e) for e in result.diagnostics.discarded_candidates],
+            "min_spacing_over_step": _min_spacing_over_step(result),
         },
     }
 

@@ -14,6 +14,15 @@ of poles; it always runs down to machine resolution, so the configured
 ``refine_tol`` acts as a guaranteed upper bound on the reported bracket
 width rather than a stopping knob.
 
+The scans of a batch share one slot: the window stage of the last scan,
+which is every factor of the cleared form but the distance's
+``exp(-2 beta (L-a))`` (see :mod:`.transcendental`), keyed by its grid
+(lo, hi, step), ``width``, ``v_deep`` and ``shallow_floor``.  A run of
+requests with the same key, such as a distance calibration's coarse grid,
+evaluates that window once and pays only the distance stage per candidate;
+a new key drops the slot before its own window is computed, so at most one
+window is alive.
+
 A level's ``residual`` is the magnitude of the cleared matching function at
 the refined energy divided by its magnitude at the isolating grid bracket
 (a positive rescaling, so the root set is untouched).  True roots collapse
@@ -185,7 +194,7 @@ class _Brackets(NamedTuple):
     skipped_intervals: tuple[tuple[float, float], ...] = ()
 
 
-def _scan(pair, cfg, e_min, e_max, constants) -> _Brackets:
+def _scan(pair, cfg, e_min, e_max, constants, slot) -> _Brackets:
     step = cfg.grid_step
     lo = max(step, e_min if e_min is not None else step)
     hi = min(pair.v_deep - step, e_max if e_max is not None else pair.v_deep - step)
@@ -193,8 +202,14 @@ def _scan(pair, cfg, e_min, e_max, constants) -> _Brackets:
         none = np.empty(0)
         return _Brackets(pair, cfg, none, none, none, none)
 
-    energies = uniform_grid(lo, hi, step)
-    scan = grid_scan(pair, energies, constants)
+    # ``slot`` holds the window of the last scan, keyed by what it reads; any
+    # other window is dropped before this scan computes its own
+    key = (lo, hi, step, pair.width, pair.v_deep, pair.shallow_floor)
+    window = slot.pop(key, None)
+    slot.clear()
+    energies = uniform_grid(lo, hi, step) if window is None else window.energies
+    scan = grid_scan(pair, energies, constants, window)
+    slot[key] = scan.window
 
     char = scan.char
     valid = np.isfinite(char) & ~((char == 0.0) & (scan.char_scale == 0.0))
@@ -249,9 +264,13 @@ def _solve_all(requests, constants) -> list[SolveResult]:
     """Solve ``(pair, config, e_min, e_max)`` requests, bisecting all brackets together.
 
     Each scan is reduced to its brackets before the next one runs, so only
-    one grid's worth of scan arrays is alive at a time.
+    one grid's worth of scan arrays is alive at a time.  Consecutive requests
+    that share a grid and every pair parameter but ``distance`` share one
+    window of the cleared form (a distance calibration's coarse batch).
     """
-    found = [_scan(*request, constants) for request in requests]
+    slot = {}
+    found = [_scan(*request, constants, slot) for request in requests]
+    slot.clear()  # bisection reads no window
     if not found:
         return []
     counts = [b.lo.size for b in found]
@@ -357,6 +376,11 @@ def _calibrate_1d(make_pair, targets, lo, hi, step, misfit_tol, cfg, pad, consta
         raise ValueError(f"{what} range must be finite, got ({lo}, {hi})")
     if hi < lo:
         raise ValueError(f"empty {what} range ({lo}, {hi})")
+    # a NaN threshold would pass every fit; a NaN or negative pad, no window
+    if not misfit_tol >= 0.0:
+        raise ValueError(f"misfit_tol must be non-negative, got {misfit_tol!r}")
+    if not (math.isfinite(pad) and pad >= 0.0):
+        raise ValueError(f"search_pad must be finite and non-negative, got {pad!r}")
 
     e_min, e_max = min(targets) - pad, max(targets) + pad
 

@@ -34,6 +34,17 @@ Numerical notes
   denominator-cleared form ``Nl*Dr - Nr*Dl`` over an array of energies (the
   values of :attr:`GridScan.char`); it has the same roots, no poles, and a
   well-conditioned sign everywhere.
+* The cleared form is evaluated in two stages, and :func:`characteristic`
+  and :func:`grid_scan` both compose them, so the formula has one
+  implementation.  The window stage (``_window_terms``) computes everything
+  that does not read the center distance: ``k2``, ``beta``, the regime mask,
+  ``Nl``, ``Dl``, ``beta*s2 - k2*c2`` and ``Dr``, with four square roots,
+  one exponential and two sine-cosine pairs per energy.  The distance stage
+  (``_cleared_terms``) adds ``decay = exp(-2 beta (L-a))`` and
+  ``Nr = decay * (beta*s2 - k2*c2)``.  A scan returns its :class:`Window`, and
+  a scan of the same energies for a pair that differs only in ``distance``
+  may pass it back to pay for the distance stage alone; every value is the
+  same bit for bit, since each expression keeps its operation order.
 """
 
 from __future__ import annotations
@@ -41,6 +52,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,6 +62,7 @@ from .quantities import CODATA2018, PhysicalConstants
 __all__ = [
     "Regime",
     "WavenumberSet",
+    "Window",
     "GridScan",
     "classify_regime",
     "wavenumbers",
@@ -105,6 +118,23 @@ def wavenumbers(
     return WavenumberSet(k1=k1, beta=beta, k2=k2, regime=regime)
 
 
+class Window(NamedTuple):
+    """The distance-free factors of the cleared form on one array of energies.
+
+    Only ``decay = exp(-2 beta (L-a))`` reads the center distance, so pairs
+    that differ in nothing but ``distance`` share one window on a shared grid
+    (see module notes).  ``tr`` is ``Nr`` without its decay.
+    """
+
+    energies: np.ndarray
+    beta: np.ndarray
+    regime_b: np.ndarray
+    nl: np.ndarray
+    dl: np.ndarray
+    tr: np.ndarray
+    dr: np.ndarray
+
+
 @dataclass(frozen=True)
 class GridScan:
     """Vectorised evaluation over an energy grid (used by solver and CLI)."""
@@ -116,24 +146,24 @@ class GridScan:
     pole: np.ndarray  # bool, denominator below pole tolerance on either side
     char: np.ndarray  # denominator-cleared mismatch Nl*Dr - Nr*Dl
     char_scale: np.ndarray  # |Nl*Dr| + |Nr*Dl|, for relative residuals
+    window: Window  # the distance-free factors, for a scan of the next distance
 
     @property
     def mismatch(self) -> np.ndarray:
         return self.lhs - self.rhs
 
 
-def _cleared_terms(pair: WellPair, energies: np.ndarray, constants: PhysicalConstants):
-    """Numerators/denominators of the rescaled sides, free of poles.
+def _window_terms(pair: WellPair, energies: np.ndarray, constants: PhysicalConstants) -> Window:
+    """Window stage of the cleared form: every factor that does not read ``distance``.
 
-    ``pair`` may carry its ``width``, ``distance``, ``v_deep`` and
-    ``shallow_floor`` as arrays that broadcast against ``energies`` (one
-    geometry per energy); the formula is the same elementwise.
+    ``pair`` may carry its ``width``, ``v_deep`` and ``shallow_floor`` as
+    arrays that broadcast against ``energies`` (one geometry per energy); the
+    formula is the same elementwise.
 
     Regime A lhs uses ``q = exp(-2 k1 a)`` so that
     ``Nl = beta*(1-q) + k1*(1+q)`` is ``(beta + k1*coth(k1 a)) * (1 - q)``
     up to the common positive factor; trigonometric parts are multiplied
     through by the relevant ``sin`` so ``cot`` poles become ordinary zeros.
-    ``Nr`` absorbs the full ``exp(-2 beta (L-a))`` of the rescaled rhs.
     """
     e = np.asarray(energies, dtype=float)
     f = constants.wavenumber_factor
@@ -154,30 +184,48 @@ def _cleared_terms(pair: WellPair, energies: np.ndarray, constants: PhysicalCons
     nl_b = beta * s1 + k1b * c1
     dl_b = beta * s1 - k1b * c1
 
-    nl = np.where(reg_b, nl_b, nl_a)
-    dl = np.where(reg_b, dl_b, dl_a)
-
     s2, c2 = np.sin(k2 * a), np.cos(k2 * a)
-    decay = np.exp(-2.0 * beta * (pair.distance - a))
-    nr = decay * (beta * s2 - k2 * c2)
-    dr = beta * s2 + k2 * c2
-    return nl, dl, nr, dr, reg_b
+    return Window(
+        energies=e,
+        beta=beta,
+        regime_b=reg_b,
+        nl=np.where(reg_b, nl_b, nl_a),
+        dl=np.where(reg_b, dl_b, dl_a),
+        tr=beta * s2 - k2 * c2,
+        dr=beta * s2 + k2 * c2,
+    )
+
+
+def _cleared_terms(pair: WellPair, window: Window):
+    """Distance stage: numerators/denominators of the rescaled sides, free of poles.
+
+    ``Nr`` absorbs the full ``exp(-2 beta (L-a))`` of the rescaled rhs; it is
+    the only term that reads ``pair.distance``.
+    """
+    decay = np.exp(-2.0 * window.beta * (pair.distance - pair.width))
+    return window.nl, window.dl, decay * window.tr, window.dr
 
 
 def grid_scan(
     pair: WellPair,
     energies: np.ndarray,
     constants: PhysicalConstants = CODATA2018,
+    window: Window | None = None,
 ) -> GridScan:
     """Evaluate lhs/rhs/mismatch and the cleared form over an energy grid.
 
     All energies must lie in (0, v_deep).  The sides carry the common
-    ``exp(-beta (L-a))`` factor (see module notes).
+    ``exp(-beta (L-a))`` factor (see module notes).  ``window`` is the
+    :attr:`GridScan.window` of an earlier scan of the same ``energies`` and the
+    same ``width``, ``v_deep`` and ``shallow_floor``; given one, the scan
+    evaluates only the distance stage.
     """
-    e = np.asarray(energies, dtype=float)
-    if e.size and not (np.all(e > 0.0) and np.all(e < pair.v_deep)):
-        raise ValueError("grid energies must lie strictly inside (0, v_deep)")
-    nl, dl, nr, dr, reg_b = _cleared_terms(pair, e, constants)
+    if window is None:
+        e = np.asarray(energies, dtype=float)
+        if e.size and not (np.all(e > 0.0) and np.all(e < pair.v_deep)):
+            raise ValueError("grid energies must lie strictly inside (0, v_deep)")
+        window = _window_terms(pair, e, constants)
+    nl, dl, nr, dr = _cleared_terms(pair, window)
     pole = (np.abs(dl) < POLE_RTOL * np.abs(nl)) | (np.abs(dr) < POLE_RTOL * np.abs(nr))
     with np.errstate(divide="ignore", invalid="ignore"):
         lhs_vals = nl / dl
@@ -188,13 +236,14 @@ def grid_scan(
     lhs_vals = np.where(pole, np.nan, lhs_vals)
     rhs_vals = np.where(pole, np.nan, rhs_vals)
     return GridScan(
-        energies=e,
+        energies=window.energies,
         lhs=lhs_vals,
         rhs=rhs_vals,
-        regime_b=reg_b,
+        regime_b=window.regime_b,
         pole=pole,
         char=nl * dr - nr * dl,
         char_scale=np.abs(nl * dr) + np.abs(nr * dl),
+        window=window,
     )
 
 
@@ -207,9 +256,9 @@ def characteristic(
 
     Vanishes exactly at the bound-state energies and equals :attr:`GridScan.char`
     at the same points.  ``pair`` is a :class:`WellPair` or per-energy arrays
-    of its parameters (see :func:`_cleared_terms`), so one call can evaluate
+    of its parameters (see :func:`_window_terms`), so one call can evaluate
     brackets of several pairs.  The energies are not checked: callers pass
     points inside a grid that :func:`grid_scan` has already validated.
     """
-    nl, dl, nr, dr, _ = _cleared_terms(pair, energies, constants)
+    nl, dl, nr, dr = _cleared_terms(pair, _window_terms(pair, energies, constants))
     return nl * dr - nr * dl

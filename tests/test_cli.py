@@ -261,6 +261,24 @@ def test_solve_pair_writes_json(tmp_path, reference_config_file):
     assert min(abs(e - 1.445) for e in energies) < 5e-3
 
 
+def test_solve_pair_reports_min_spacing_over_step(tmp_path, reference_config_file):
+    def solve(*window):
+        main(["solve-pair", "--config", str(reference_config_file), "--output-dir",
+              str(tmp_path), "--pair", "4", *window])
+        return json.loads((tmp_path / "solve_pair4.json").read_text())
+
+    payload = solve()
+    energies = [lv["energy_eV"] for lv in payload["levels"]]
+    spacing = payload["diagnostics"]["min_spacing_over_step"]
+    step = payload["config"]["grid_step_eV"]
+    assert spacing == pytest.approx(min(np.diff(energies)) / step, rel=1e-3)
+    # the closing pair's doublet, 4.76e-5 eV wide, spans fewer than 2.4 grid steps
+    assert spacing == pytest.approx(2.378, abs=1e-3)
+    one = solve("--emin", "0.01", "--emax", "0.05")
+    assert len(one["levels"]) == 1
+    assert one["diagnostics"]["min_spacing_over_step"] is None
+
+
 def test_solve_pair_closing_pair_needs_closing_distance(tmp_path, capsys):
     cfg = tmp_path / "three.cfg"
     cfg.write_text(MINIMAL)

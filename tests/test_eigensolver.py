@@ -75,13 +75,13 @@ def test_grid_zero_is_a_level_and_infinite_bracket_is_skipped(monkeypatch):
     config = SolverConfig(grid_step=0.01)
     grid = uniform_grid(0.01, 0.99, 0.01)
 
-    def fake_terms(pair, energies, constants):
+    def fake_terms(pair, window):
         # cleared form (g + 2)*1 - 2*1 = g, exactly 0 at grid[10] and -inf at
         # grid[70], whose neighbours are both positive
-        e = np.asarray(energies, dtype=float)
+        e = window.energies
         g = np.where(e == grid[10], 0.0, np.where(e == grid[70], -np.inf, np.sin(37.0 * e + 0.3)))
         one = np.ones_like(e)
-        return g + 2.0, one, 2.0 * one, one, e >= pair.shallow_floor
+        return g + 2.0, one, 2.0 * one, one
 
     monkeypatch.setattr(transcendental, "_cleared_terms", fake_terms)
     result = solve_pair(pair, config)
@@ -155,18 +155,51 @@ def test_bisect_collapses_only_the_bracket_with_an_exact_zero(pair1, monkeypatch
     assert sizes[0] == 2 and set(sizes[1:]) == {1}
 
 
-def test_batch_solve_matches_one_solve_at_a_time(pair1):
-    # a coarse distance grid around pair 1; the last window is empty (hi <= lo)
+def test_batch_solve_matches_one_solve_at_a_time(pair1, pair2):
     config = SolverConfig()
-    requests = [
+    # a coarse distance grid around pair 1, whose requests share one window;
+    # the last window is empty (hi <= lo)
+    distances = [
         (replace(pair1, distance=60.0 + 0.01 * i), config, 1.395, 1.51) for i in range(19)
     ]
-    requests.append((pair1, config, 1.51, 1.395))
-    batch = eigensolver._solve_all(requests, CODATA2018)
-    alone = [solve_pair(p, c, e_min=lo, e_max=hi) for p, c, lo, hi in requests]
-    assert batch == alone
+    distances.append((pair1, config, 1.51, 1.395))
+    # a deep-depth grid around pair 2, where every request needs its own window
+    depths = [(replace(pair2, v_deep=0.52 + 5e-4 * i), config, 0.218, 0.324) for i in range(9)]
+    # both grids interleaved, so the window is replaced at every request
+    mixed = [r for both in zip(distances, depths) for r in both] + distances[len(depths):]
+    for requests in (distances, depths, mixed):
+        batch = eigensolver._solve_all(requests, CODATA2018)
+        alone = [solve_pair(p, c, e_min=lo, e_max=hi) for p, c, lo, hi in requests]
+        assert batch == alone
     assert batch[-1].diagnostics.grid_points == 0 and batch[-1].levels == ()
     assert all(r.levels for r in batch[:-1])
+
+
+def test_distance_calibration_scans_one_window_per_batch(pair1, monkeypatch):
+    windows, solves = [], []
+
+    def recording(*args, **kwargs):
+        scan = grid_scan(*args, **kwargs)
+        windows.append(scan.window)  # kept alive, so ids stay distinct
+        return scan
+
+    def counting(*args, **kwargs):
+        solves.append(1)
+        return solve_pair(*args, **kwargs)
+
+    monkeypatch.setattr(eigensolver, "grid_scan", recording)
+    monkeypatch.setattr(eigensolver, "solve_pair", counting)
+    evaluated = []
+    for l_range, points in (((60.0, 60.5), 51), ((58.0, 63.0), 501)):
+        windows.clear()
+        solves.clear()
+        calibrate_distance(pair1, [1.445, 1.460], l_range)
+        assert len(windows) == points + len(solves)
+        evaluated.append(len({id(w) for w in windows}))
+        # one window for the whole coarse batch, one per refinement solve
+        assert evaluated[-1] == 1 + len(solves)
+    # these targets fit no distance exactly, so Newton takes three solves
+    assert evaluated[0] == evaluated[1] <= 4, evaluated
 
 
 def test_calibration_cost_follows_refinement_not_coarse_points(pair1, monkeypatch):
@@ -327,6 +360,22 @@ def test_calibrate_rejects_non_finite_targets(pair1, pair2, target):
             call()
         assert not isinstance(info.value, CalibrationError)
         assert repr(target) in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "argument, value",
+    [("misfit_tol", math.nan), ("misfit_tol", -1e-3),
+     ("search_pad", math.nan), ("search_pad", math.inf), ("search_pad", -1.0)],
+)
+def test_calibrate_rejects_arguments_that_disable_the_fit(pair1, pair2, argument, value):
+    for call in (
+        lambda: calibrate_distance(pair1, [1.0, 1.1], (60.0, 60.5), **{argument: value}),
+        lambda: calibrate_depth(pair2, "shallow", [0.268, 0.274], (0.50, 0.55),
+                                **{argument: value}),
+    ):
+        with pytest.raises(ValueError, match=argument) as info:
+            call()
+        assert not isinstance(info.value, CalibrationError)
 
 
 def test_calibration_without_levels_reports_infinite_misfit():

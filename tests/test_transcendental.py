@@ -1,10 +1,14 @@
+import dataclasses
 import math
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wellcascade.eigensolver import find_levels
+from wellcascade.potential import WellPair
 from wellcascade.quantities import CODATA2018
 from wellcascade.transcendental import Regime, classify_regime, grid_scan, wavenumbers
 
@@ -232,3 +236,44 @@ def test_grid_scan_rejects_out_of_range(pair1):
         grid_scan(pair1, np.array([0.0, 1.0]))
     with pytest.raises(ValueError):
         grid_scan(pair1, np.array([pair1.v_deep]))
+
+
+def _same_bits(x, y) -> bool:
+    """Equal bit for bit, any NaN equal to any NaN."""
+    x, y = np.asarray(x), np.asarray(y)
+    if x.dtype != y.dtype or x.shape != y.shape:
+        return False
+    if x.dtype.kind != "f":
+        return np.array_equal(x, y)
+    nan = np.isnan(x)
+    return np.array_equal(nan, np.isnan(y)) and x[~nan].tobytes() == y[~nan].tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    width=st.floats(5.0, 50.0),
+    v_deep=st.floats(0.3, 2.0),
+    shallow_share=st.floats(0.1, 0.9),
+    below=st.floats(0.01, 0.99),
+    above=st.floats(0.01, 0.99),
+    points=st.integers(2, 400),
+    barriers=st.lists(st.floats(0.5, 30.0), min_size=1, max_size=5),
+)
+def test_shared_window_scan_equals_fresh_scan(
+    width, v_deep, shallow_share, below, above, points, barriers
+):
+    # a window across the regime boundary, which is itself one of the energies
+    template = WellPair(width=width, distance=width + 1.0, v_shallow=shallow_share * v_deep,
+                        v_deep=v_deep)
+    floor = template.shallow_floor
+    lo, hi = floor * (1.0 - below), floor + (v_deep - floor) * above
+    energies = np.sort(np.append(np.linspace(lo, hi, points), floor))
+    window = grid_scan(template, energies).window
+    for barrier in barriers:
+        pair = dataclasses.replace(template, distance=width + barrier)
+        shared, fresh = grid_scan(pair, energies, window=window), grid_scan(pair, energies)
+        for field in dataclasses.fields(fresh):
+            if field.name != "window":
+                assert _same_bits(getattr(shared, field.name), getattr(fresh, field.name)), field
+        for name, ours, theirs in zip(window._fields, shared.window, fresh.window):
+            assert _same_bits(ours, theirs), name
