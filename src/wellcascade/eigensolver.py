@@ -260,17 +260,21 @@ def _levels(scanned: _Brackets, energy, residual, r_lo, r_hi) -> SolveResult:
     return SolveResult(pair=pair, config=cfg, levels=levels, diagnostics=diag)
 
 
-def _solve_all(requests, constants) -> list[SolveResult]:
+def _solve_all(requests, constants, slot=None) -> list[SolveResult]:
     """Solve ``(pair, config, e_min, e_max)`` requests, bisecting all brackets together.
 
     Each scan is reduced to its brackets before the next one runs, so only
     one grid's worth of scan arrays is alive at a time.  Consecutive requests
     that share a grid and every pair parameter but ``distance`` share one
-    window of the cleared form (a distance calibration's coarse batch).
+    window of the cleared form (a distance calibration's coarse batch).  A
+    caller-owned ``slot`` keeps that window across batches (a calibration's
+    refinement solves); without one, the window is dropped before bisection,
+    which reads none.
     """
-    slot = {}
-    found = [_scan(*request, constants, slot) for request in requests]
-    slot.clear()  # bisection reads no window
+    shared = {} if slot is None else slot
+    found = [_scan(*request, constants, shared) for request in requests]
+    if slot is None:
+        shared.clear()
     if not found:
         return []
     counts = [b.lo.size for b in found]
@@ -396,11 +400,15 @@ def _calibrate_1d(make_pair, targets, lo, hi, step, misfit_tol, cfg, pad, consta
         levels = [lv.energy for lv in solved.levels]
         return CalibrationResult(value=x, misfit=_misfit(levels, targets), levels=tuple(levels))
 
+    # one window slot for the whole calibration: a refinement solve of a
+    # distance fit has the coarse batch's key, so it pays the distance stage only
+    slot = {}
+
     def evaluate(x: float) -> CalibrationResult:
         pair = candidate(x)
         if pair is None:
             return fit(x, None)
-        return fit(x, solve_pair(pair, cfg, e_min=e_min, e_max=e_max, constants=constants))
+        return fit(x, _solve_all([(pair, cfg, e_min, e_max)], constants, slot)[0])
 
     def newton_step(at: CalibrationResult) -> float:
         """Gauss-Newton step on the nearest-level residuals; nan if it has no slope."""
@@ -423,7 +431,8 @@ def _calibrate_1d(make_pair, targets, lo, hi, step, misfit_tol, cfg, pad, consta
         grid.append(hi)
     # the whole coarse grid is one batch: its brackets are bisected together
     pairs = [candidate(x) for x in grid]
-    solved = iter(_solve_all([(p, cfg, e_min, e_max) for p in pairs if p is not None], constants))
+    requests = [(p, cfg, e_min, e_max) for p in pairs if p is not None]
+    solved = iter(_solve_all(requests, constants, slot))
     coarse = [fit(x, None if p is None else next(solved)) for x, p in zip(grid, pairs)]
     b = int(np.argmin([r.misfit for r in coarse]))
     best = coarse[b]

@@ -27,7 +27,10 @@ Numerical notes
   preserving.
 * Both sides have poles where their denominators vanish.  A point is flagged
   as a pole when the denominator magnitude drops below ``1e-12`` of the
-  numerator scale; flagged evaluations report NaN instead of a number.
+  numerator scale or the side has no finite value (``0/0`` at the exact
+  regime boundary); flagged evaluations report NaN instead of a number.  The
+  mask needs no division, and the sides themselves are divided out only
+  when read, since the solver reads the cleared form alone.
 * Deep-well-dominated eigenvalues lie exponentially close to poles of
   ``rhs`` (within ~1e-13 eV for the reference geometry), so root finding
   never uses the raw mismatch.  :func:`characteristic` evaluates the
@@ -52,6 +55,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -71,6 +75,7 @@ __all__ = [
 ]
 
 POLE_RTOL = 1e-12
+_SMALLEST = np.finfo(float).smallest_subnormal
 
 
 class Regime(str, enum.Enum):
@@ -137,20 +142,49 @@ class Window(NamedTuple):
 
 @dataclass(frozen=True)
 class GridScan:
-    """Vectorised evaluation over an energy grid (used by solver and CLI)."""
+    """Vectorised evaluation over an energy grid (used by solver and CLI).
+
+    The solver reads only ``char``, ``char_scale`` and ``pole``.  The sides
+    ``lhs`` and ``rhs`` cost a division and a pole mask each, so they are
+    formed from ``terms`` on first read (the scan CSV and tests).
+    """
 
     energies: np.ndarray
-    lhs: np.ndarray
-    rhs: np.ndarray
     regime_b: np.ndarray  # bool, True where regime B
     pole: np.ndarray  # bool, denominator below pole tolerance on either side
     char: np.ndarray  # denominator-cleared mismatch Nl*Dr - Nr*Dl
     char_scale: np.ndarray  # |Nl*Dr| + |Nr*Dl|, for relative residuals
     window: Window  # the distance-free factors, for a scan of the next distance
+    terms: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]  # Nl, Dl, Nr, Dr
+
+    @cached_property
+    def lhs(self) -> np.ndarray:
+        return _side(self.terms[0], self.terms[1], self.pole)
+
+    @cached_property
+    def rhs(self) -> np.ndarray:
+        return _side(self.terms[2], self.terms[3], self.pole)
 
     @property
     def mismatch(self) -> np.ndarray:
         return self.lhs - self.rhs
+
+
+def _poles(n: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Where ``n / d`` counts as a pole: ``|d| < POLE_RTOL * |n|`` or no finite quotient.
+
+    No division is needed: the terms are finite, so the quotient fails to be
+    finite only where ``d`` is zero (``0/0`` at the exact regime boundary; the
+    floor at the smallest subnormal catches it) or ``|d| < |n| / DBL_MAX``,
+    well inside the tolerance; a NaN fails the comparison.
+    """
+    return ~(np.abs(d) >= np.maximum(POLE_RTOL * np.abs(n), _SMALLEST))
+
+
+def _side(n: np.ndarray, d: np.ndarray, pole: np.ndarray) -> np.ndarray:
+    """One rescaled side ``n / d``, NaN at the poles of either side."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(pole, np.nan, n / d)
 
 
 def _window_terms(pair: WellPair, energies: np.ndarray, constants: PhysicalConstants) -> Window:
@@ -212,7 +246,7 @@ def grid_scan(
     constants: PhysicalConstants = CODATA2018,
     window: Window | None = None,
 ) -> GridScan:
-    """Evaluate lhs/rhs/mismatch and the cleared form over an energy grid.
+    """Evaluate the cleared form and its pole mask over an energy grid.
 
     All energies must lie in (0, v_deep).  The sides carry the common
     ``exp(-beta (L-a))`` factor (see module notes).  ``window`` is the
@@ -226,24 +260,14 @@ def grid_scan(
             raise ValueError("grid energies must lie strictly inside (0, v_deep)")
         window = _window_terms(pair, e, constants)
     nl, dl, nr, dr = _cleared_terms(pair, window)
-    pole = (np.abs(dl) < POLE_RTOL * np.abs(nl)) | (np.abs(dr) < POLE_RTOL * np.abs(nr))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lhs_vals = nl / dl
-        rhs_vals = nr / dr
-    # 0/0 at the exact regime boundary has no finite limit representation here;
-    # treat any non-finite ratio as a pole as well.
-    pole = pole | ~np.isfinite(lhs_vals) | ~np.isfinite(rhs_vals)
-    lhs_vals = np.where(pole, np.nan, lhs_vals)
-    rhs_vals = np.where(pole, np.nan, rhs_vals)
     return GridScan(
         energies=window.energies,
-        lhs=lhs_vals,
-        rhs=rhs_vals,
         regime_b=window.regime_b,
-        pole=pole,
+        pole=_poles(nl, dl) | _poles(nr, dr),
         char=nl * dr - nr * dl,
         char_scale=np.abs(nl * dr) + np.abs(nr * dl),
         window=window,
+        terms=(nl, dl, nr, dr),
     )
 
 

@@ -369,15 +369,16 @@ def test_oracle_emit_states_solves_once(reference_config_file, tmp_path, capsys,
     real, calls = scipy.linalg.eigh_tridiagonal, []
 
     def counting(*args, **kwargs):
-        calls.append(kwargs.get("eigvals_only", False))
+        calls.append((kwargs["select"], kwargs.get("eigvals_only", False)))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counting)
     rc = main(["oracle", "--config", str(reference_config_file), "--pair", "2", "--levels", "4",
                "--emit-states", "--output-dir", str(tmp_path)])
     assert rc == 0
-    # one eigensolve, with vectors, gives both the printed levels and the states
-    assert calls == [False]
+    # one count of the bound states by value, then one eigensolve by index, with
+    # vectors, gives both the printed levels and the states
+    assert calls == [("v", True), ("i", False)]
     rows = capsys.readouterr().out.splitlines()[2:6]
     assert [row.split()[2] for row in rows] == [f"{e:.9f}" for e in expected]
     header = (tmp_path / "oracle_pair2_states.csv").read_text().splitlines()[0]

@@ -176,30 +176,22 @@ def test_batch_solve_matches_one_solve_at_a_time(pair1, pair2):
 
 
 def test_distance_calibration_scans_one_window_per_batch(pair1, monkeypatch):
-    windows, solves = [], []
+    windows = []
 
     def recording(*args, **kwargs):
         scan = grid_scan(*args, **kwargs)
         windows.append(scan.window)  # kept alive, so ids stay distinct
         return scan
 
-    def counting(*args, **kwargs):
-        solves.append(1)
-        return solve_pair(*args, **kwargs)
-
     monkeypatch.setattr(eigensolver, "grid_scan", recording)
-    monkeypatch.setattr(eigensolver, "solve_pair", counting)
-    evaluated = []
     for l_range, points in (((60.0, 60.5), 51), ((58.0, 63.0), 501)):
         windows.clear()
-        solves.clear()
         calibrate_distance(pair1, [1.445, 1.460], l_range)
-        assert len(windows) == points + len(solves)
-        evaluated.append(len({id(w) for w in windows}))
-        # one window for the whole coarse batch, one per refinement solve
-        assert evaluated[-1] == 1 + len(solves)
-    # these targets fit no distance exactly, so Newton takes three solves
-    assert evaluated[0] == evaluated[1] <= 4, evaluated
+        # these targets fit no distance exactly, so Newton refines with solves
+        # of its own; they scan the coarse batch's window again
+        assert len(windows) > points
+        # one window for the whole calibration, coarse batch and refinement
+        assert len({id(w) for w in windows}) == 1
 
 
 def test_calibration_cost_follows_refinement_not_coarse_points(pair1, monkeypatch):

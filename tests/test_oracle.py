@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from wellcascade.eigensolver import find_levels
+from wellcascade import oracle
+from wellcascade.eigensolver import SolverConfig, find_levels, solve_pair
 from wellcascade.oracle import FdConfig, count_nodes, fd_solve, fd_states
 from wellcascade.potential import PotentialProfile, cascade_profile, pair_profile
 from wellcascade.quantities import CODATA2018
@@ -158,3 +159,99 @@ def test_invalid_requests(pair1):
     profile = pair_profile(pair1)
     with pytest.raises(ValueError):
         fd_solve(profile, 0)
+
+
+def _bound_count(profile, grid_points=20001):
+    _, _, diag, off = oracle._tridiagonal(profile, grid_points, 0.0, CODATA2018)
+    return oracle._bound_count(diag, off, profile.max_value())
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_bound_count_equals_solver_level_count(reference_spec, index):
+    pair = reference_spec.pair(index)
+    count = _bound_count(pair_profile(pair))
+    assert count == len(solve_pair(pair, SolverConfig(grid_step=2e-5)).levels)
+
+
+def test_requests_within_the_count_make_the_uncapped_call(pair1):
+    from scipy.linalg import eigh_tridiagonal
+
+    profile = pair_profile(pair1)
+    _, _, diag, off = oracle._tridiagonal(profile, 20001, 0.0, CODATA2018)
+    n = _bound_count(profile)
+
+    def by_index(top):
+        return eigh_tridiagonal(diag, off, select="i", select_range=(0, top - 1), eigvals_only=True)
+
+    for request in (1, n):
+        result = fd_solve(profile, request)
+        assert result.levels == tuple(by_index(request).tolist()) and not result.truncated
+    # above the count, the box artifacts are never bisected; the bound levels
+    # agree within stebz's absolute tolerance, ulp * ||T||
+    uncapped = by_index(n + 4)
+    capped = fd_solve(profile, n + 4)
+    assert capped.truncated and len(capped.levels) == n
+    assert np.all(uncapped[n:] >= profile.max_value())
+    tolerance = np.finfo(float).eps * float(np.max(diag) + 2.0 * abs(off[0]))
+    assert np.max(np.abs(np.array(capped.levels) - uncapped[:n])) <= tolerance
+
+
+def test_no_bound_state_skips_the_eigensolve(monkeypatch):
+    import scipy.linalg
+
+    real, selects = scipy.linalg.eigh_tridiagonal, []
+
+    def recording(*args, **kwargs):
+        selects.append(kwargs["select"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", recording)
+    config = FdConfig(grid_points=10001)
+    assert fd_solve(box_profile(), 3, config) == oracle.FdResult(levels=(), truncated=True)
+    x, energies, vectors = fd_states(box_profile(), 3, config)
+    assert energies.size == 0 and vectors.shape == (x.size, 0)
+    assert selects == ["v", "v"]
+
+
+def test_extrapolation_beyond_the_coarse_grid_is_truncated(pair1):
+    # more levels than the coarse grid has rows: each grid was once solved over
+    # its own index range, and the two did not broadcast
+    result = fd_solve(pair_profile(pair1), 1500, FdConfig(grid_points=1001, extrapolate=True))
+    assert result.truncated
+    assert len(result.error_estimates) == len(result.levels) > 0
+
+
+def test_extrapolation_solves_both_grids_over_the_larger_count():
+    # the third level sits just below the barrier top on the coarse grid and
+    # just above it on the fine one, so the two grids count differently
+    top = 0.505804
+    profile = PotentialProfile(
+        breakpoints=(0.0, 20.0), segment_values=(top, 0.0, top), x_min=-5.0, x_max=25.0
+    )
+    assert [_bound_count(profile, n) for n in (1001, 2003)] == [3, 2]
+    result = fd_solve(profile, 5, FdConfig(grid_points=1001, extrapolate=True))
+    assert result.truncated
+    assert len(result.error_estimates) == len(result.levels) >= 2
+
+
+def test_extrapolation_above_the_bound_count_keeps_shapes(pair1):
+    profile = pair_profile(pair1)
+    config = FdConfig(grid_points=5001, extrapolate=True)
+    n = len(fd_solve(profile, 50, FdConfig(grid_points=5001)).levels)
+    within = fd_solve(profile, n, config)
+    above = fd_solve(profile, n + 4, config)
+    assert not within.truncated and above.truncated
+    assert len(above.levels) == len(above.error_estimates) == n
+    np.testing.assert_allclose(above.levels, within.levels, rtol=0.0, atol=1e-9)
+    np.testing.assert_allclose(above.error_estimates, within.error_estimates, rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("extra", [-3, 0, 4])
+def test_states_share_the_capped_index_range(pair1, extra):
+    profile = pair_profile(pair1)
+    config = FdConfig(grid_points=10001)
+    n = _bound_count(profile, config.grid_points) + extra
+    levels = fd_solve(profile, n, config).levels
+    _, energies, vectors = fd_states(profile, n, config)
+    assert tuple(energies.tolist()) == levels  # bit for bit
+    assert vectors.shape[1] == len(levels)

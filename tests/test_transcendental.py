@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from wellcascade.eigensolver import find_levels
 from wellcascade.potential import WellPair
 from wellcascade.quantities import CODATA2018
+from wellcascade import transcendental
 from wellcascade.transcendental import Regime, classify_regime, grid_scan, wavenumbers
 
 mp.mp.dps = 50
@@ -272,8 +273,37 @@ def test_shared_window_scan_equals_fresh_scan(
     for barrier in barriers:
         pair = dataclasses.replace(template, distance=width + barrier)
         shared, fresh = grid_scan(pair, energies, window=window), grid_scan(pair, energies)
-        for field in dataclasses.fields(fresh):
-            if field.name != "window":
-                assert _same_bits(getattr(shared, field.name), getattr(fresh, field.name)), field
+        names = [f.name for f in dataclasses.fields(fresh) if f.name != "window"]
+        for name in names + ["lhs", "rhs", "mismatch"]:
+            assert _same_bits(getattr(shared, name), getattr(fresh, name)), name
         for name, ours, theirs in zip(window._fields, shared.window, fresh.window):
             assert _same_bits(ours, theirs), name
+
+
+def _quotient_poles(n, d):
+    """The pole test by division: tolerance, or no finite quotient."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return (np.abs(d) < transcendental.POLE_RTOL * np.abs(n)) | ~np.isfinite(n / d)
+
+
+def test_pole_mask_matches_the_quotient_test_at_edge_values():
+    # zeros of both signs, subnormals, overflowing quotients and NaN
+    values = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-300, 1e-12, 1.0, -2.5, 1e300, math.nan]
+    n, d = np.array([(a, b) for a in values for b in values]).T
+    assert np.array_equal(transcendental._poles(n, d), _quotient_poles(n, d))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(allow_infinity=False), st.floats(allow_infinity=False)),
+                min_size=1, max_size=20))
+def test_pole_mask_matches_the_quotient_test(terms):
+    n, d = np.array(terms).T
+    assert np.array_equal(transcendental._poles(n, d), _quotient_poles(n, d))
+
+
+def test_scan_sides_are_formed_on_first_read(pair1):
+    scan = grid_scan(pair1, np.linspace(0.01, 1.5, 300))
+    assert "lhs" not in vars(scan) and "rhs" not in vars(scan)
+    nl, dl, nr, dr = scan.terms
+    assert _same_bits(scan.lhs, np.where(scan.pole, np.nan, nl / dl))
+    assert scan.lhs is scan.lhs and scan.rhs is scan.rhs
