@@ -297,14 +297,16 @@ def solve_pair(
     e_min: float | None = None,
     e_max: float | None = None,
     constants: PhysicalConstants = CODATA2018,
+    _slot: dict | None = None,
 ) -> SolveResult:
     """Find all bound states of ``pair`` with energies in (0, v_deep).
 
     Optional ``e_min``/``e_max`` restrict the scan window (used by the
     calibration loop and the CLI).  An empty level list is a valid outcome
-    for wells too shallow or narrow to bind a state.
+    for wells too shallow or narrow to bind a state.  ``_slot`` is the
+    calibration's window slot (see :func:`_solve_all`), not part of the API.
     """
-    return _solve_all([(pair, config or SolverConfig(), e_min, e_max)], constants)[0]
+    return _solve_all([(pair, config or SolverConfig(), e_min, e_max)], constants, _slot)[0]
 
 
 def find_levels(
@@ -408,7 +410,8 @@ def _calibrate_1d(make_pair, targets, lo, hi, step, misfit_tol, cfg, pad, consta
         pair = candidate(x)
         if pair is None:
             return fit(x, None)
-        return fit(x, _solve_all([(pair, cfg, e_min, e_max)], constants, slot)[0])
+        solved = solve_pair(pair, cfg, e_min=e_min, e_max=e_max, constants=constants, _slot=slot)
+        return fit(x, solved)
 
     def newton_step(at: CalibrationResult) -> float:
         """Gauss-Newton step on the nearest-level residuals; nan if it has no slope."""

@@ -13,7 +13,11 @@ value whose absolute tolerance is as wide as the window itself: the window
 counts as converged before its first halving, so LAPACK returns after the
 Sturm counts at its two ends (about 1 ms on 20 001 rows, against ~5 ms per
 bisected eigenvalue).  A request at or below the count makes the same
-LAPACK call as one without the count, so its values are the same.
+LAPACK call as one without the count, so its values are the same.  A
+request above it stops short of that call's index range and cannot repeat
+its bisection; it converges to a quarter of ``stebz``'s default absolute
+tolerance ulp*||T|| instead, so the two differ by little more than that
+call's own error (at most 7e-11 eV on pair-crosscheck's 20 001-row grids).
 
 The potential enters as its average over each grid cell.  For a
 piecewise-constant profile the cell average is exact and the discretisation
@@ -103,6 +107,12 @@ def _tridiagonal(profile, grid_points, padding, constants):
     return x, h, diag, off
 
 
+def _gershgorin(diag, off) -> tuple[float, float]:
+    """Interval that holds every eigenvalue of the tridiagonal matrix."""
+    reach = 2.0 * float(np.max(np.abs(off)))
+    return float(np.min(diag)) - reach, float(np.max(diag)) + reach
+
+
 def _bound_count(diag, off, barrier_top: float) -> int:
     """Number of eigenvalues in (Gershgorin floor, ``barrier_top``]: one Sturm count.
 
@@ -113,9 +123,8 @@ def _bound_count(diag, off, barrier_top: float) -> int:
     """
     from scipy.linalg import eigh_tridiagonal
 
-    reach = 2.0 * float(np.max(np.abs(off)))
-    floor = float(np.min(diag)) - reach
-    floor -= diag.size * np.finfo(float).eps * (float(np.max(np.abs(diag))) + reach)
+    lo, hi = _gershgorin(diag, off)
+    floor = lo - diag.size * np.finfo(float).eps * max(abs(lo), abs(hi))
     if not barrier_top > floor:
         return 0
     width = barrier_top - floor
@@ -124,25 +133,34 @@ def _bound_count(diag, off, barrier_top: float) -> int:
     ).size
 
 
-def _index_top(n_levels, grid_points, matrices, barrier_top) -> int:
+def _index_top(n_levels, matrices, barrier_top) -> int:
     """Levels to bisect by index: the request, capped by the bound count and the grid.
 
     With several grids the cap is the largest of their counts, so every grid
     is solved over the same index range.
     """
     count = max(_bound_count(diag, off, barrier_top) for _, _, diag, off in matrices)
-    return min(n_levels, grid_points, count)
+    return min(n_levels, matrices[0][2].size, count)
 
 
-def _by_index(matrix, top, eigvals_only=True):
-    """The lowest ``top`` eigenvalues (and unit eigenvectors unless ``eigvals_only``)."""
+def _by_index(matrix, top, capped, eigvals_only=True):
+    """The lowest ``top`` eigenvalues (and unit eigenvectors unless ``eigvals_only``).
+
+    A ``capped`` range ends below the request, so ``stebz`` cannot repeat
+    the bisection of the uncapped call; it converges to a quarter of the
+    default absolute tolerance ulp*||T|| instead, so it differs from the
+    uncapped call by little more than that call's own error.
+    """
     from scipy.linalg import eigh_tridiagonal
 
     _, _, diag, off = matrix
     if top == 0:
         return np.empty(0) if eigvals_only else (np.empty(0), np.empty((diag.size, 0)))
+    tol = 0.0
+    if capped:
+        tol = np.finfo(float).eps * max(map(abs, _gershgorin(diag, off))) / 4.0
     return eigh_tridiagonal(
-        diag, off, select="i", select_range=(0, top - 1), eigvals_only=eigvals_only
+        diag, off, select="i", select_range=(0, top - 1), eigvals_only=eigvals_only, tol=tol
     )
 
 
@@ -170,11 +188,12 @@ def fd_solve(
     barrier_top = profile.max_value()
     sizes = [cfg.grid_points] + ([2 * cfg.grid_points + 1] if cfg.extrapolate else [])
     matrices = [_tridiagonal(profile, n, cfg.padding, constants) for n in sizes]
-    top = _index_top(n_levels, cfg.grid_points, matrices, barrier_top)
-    levels_all = coarse = _by_index(matrices[0], top)
+    top = _index_top(n_levels, matrices, barrier_top)
+    capped = top < n_levels
+    levels_all = coarse = _by_index(matrices[0], top, capped)
     estimates = None
     if cfg.extrapolate:
-        fine = _by_index(matrices[1], top)
+        fine = _by_index(matrices[1], top, capped)
         levels_all = (4.0 * fine - coarse) / 3.0
         estimates = np.abs(fine - coarse)
     keep = levels_all < barrier_top
@@ -211,8 +230,8 @@ def fd_states(
     barrier_top = profile.max_value()
     matrix = _tridiagonal(profile, cfg.grid_points, cfg.padding, constants)
     x, h = matrix[:2]
-    top = _index_top(n_levels, cfg.grid_points, [matrix], barrier_top)
-    energies, vectors = _by_index(matrix, top, eigvals_only=False)
+    top = _index_top(n_levels, [matrix], barrier_top)
+    energies, vectors = _by_index(matrix, top, top < n_levels, eigvals_only=False)
     keep = energies < barrier_top
     return x, energies[keep], vectors[:, keep] / math.sqrt(h)
 

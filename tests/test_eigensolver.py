@@ -176,20 +176,27 @@ def test_batch_solve_matches_one_solve_at_a_time(pair1, pair2):
 
 
 def test_distance_calibration_scans_one_window_per_batch(pair1, monkeypatch):
-    windows = []
+    windows, solves = [], []
 
     def recording(*args, **kwargs):
         scan = grid_scan(*args, **kwargs)
         windows.append(scan.window)  # kept alive, so ids stay distinct
         return scan
 
+    def counting(*args, **kwargs):
+        solves.append(1)
+        return solve_pair(*args, **kwargs)
+
     monkeypatch.setattr(eigensolver, "grid_scan", recording)
+    monkeypatch.setattr(eigensolver, "solve_pair", counting)
     for l_range, points in (((60.0, 60.5), 51), ((58.0, 63.0), 501)):
         windows.clear()
+        solves.clear()
         calibrate_distance(pair1, [1.445, 1.460], l_range)
+        assert len(windows) == points + len(solves)
         # these targets fit no distance exactly, so Newton refines with solves
         # of its own; they scan the coarse batch's window again
-        assert len(windows) > points
+        assert solves
         # one window for the whole calibration, coarse batch and refinement
         assert len({id(w) for w in windows}) == 1
 
@@ -436,17 +443,25 @@ def test_calibration_recovers_off_grid_hidden_value(pair1, pair2, role, hidden, 
 
 
 def test_calibration_refines_in_a_few_solves(pair1, monkeypatch):
-    calls = []
+    batches, calls = [], []
+    solve_all = eigensolver._solve_all
+
+    def batching(requests, *args, **kwargs):
+        batches.append(len(requests))
+        return solve_all(requests, *args, **kwargs)
 
     def counting(*args, **kwargs):
         calls.append(1)
         return solve_pair(*args, **kwargs)
 
+    monkeypatch.setattr(eigensolver, "_solve_all", batching)
     monkeypatch.setattr(eigensolver, "solve_pair", counting)
     result = calibrate_distance(pair1, [1.445, 1.460], (60.0, 60.5))
     assert f"{result.value:.6f}" == "60.188796"
-    # the coarse batch makes no solve_pair call; golden section made ~34
-    assert len(calls) <= 6
+    # one coarse batch of the 51 grid points, then refinement solves of one
+    # request each, every one through solve_pair; golden section made ~34
+    assert batches[0] == 51 and set(batches[1:]) == {1}
+    assert len(calls) == len(batches) - 1 <= 6
 
 
 def test_calibration_logs_one_debug_record(pair1, caplog, capsys):

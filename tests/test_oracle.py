@@ -180,20 +180,25 @@ def test_requests_within_the_count_make_the_uncapped_call(pair1):
     _, _, diag, off = oracle._tridiagonal(profile, 20001, 0.0, CODATA2018)
     n = _bound_count(profile)
 
-    def by_index(top):
-        return eigh_tridiagonal(diag, off, select="i", select_range=(0, top - 1), eigvals_only=True)
+    def by_index(top, tol=0.0):
+        return eigh_tridiagonal(
+            diag, off, select="i", select_range=(0, top - 1), eigvals_only=True, tol=tol
+        )
 
     for request in (1, n):
         result = fd_solve(profile, request)
         assert result.levels == tuple(by_index(request).tolist()) and not result.truncated
     # above the count, the box artifacts are never bisected; the bound levels
-    # agree within stebz's absolute tolerance, ulp * ||T||
+    # converge to a quarter of stebz's default tolerance ulp * ||T||, so they
+    # stay within 1e-10 eV of the uncapped call's
     uncapped = by_index(n + 4)
     capped = fd_solve(profile, n + 4)
     assert capped.truncated and len(capped.levels) == n
     assert np.all(uncapped[n:] >= profile.max_value())
-    tolerance = np.finfo(float).eps * float(np.max(diag) + 2.0 * abs(off[0]))
-    assert np.max(np.abs(np.array(capped.levels) - uncapped[:n])) <= tolerance
+    assert np.max(np.abs(np.array(capped.levels) - uncapped[:n])) <= 1e-10
+    tolerance = np.finfo(float).eps * (float(np.max(diag)) + 2.0 * abs(off[0]))
+    converged = by_index(n, tol=1e-3 * tolerance)
+    assert np.max(np.abs(np.array(capped.levels) - converged)) <= tolerance / 4.0
 
 
 def test_no_bound_state_skips_the_eigensolve(monkeypatch):
