@@ -124,7 +124,6 @@ _KEYWORDS = {
     },
     "oracle": {
         "grid_points": ("grid_points", _int),
-        "padding_A": ("padding", _float),
         "extrapolate": ("extrapolate", _bool),
     },
     "constants": {

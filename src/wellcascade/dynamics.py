@@ -32,6 +32,8 @@ __all__ = [
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# points of the period scan that brackets the first maximum
+_PERIOD_SAMPLES = 4001
 
 
 @dataclass(frozen=True)
@@ -148,7 +150,6 @@ def _golden_minimize(objective, lo, hi, xtol):
 def first_maximum_time(
     pair: ResonantPair,
     constants: PhysicalConstants = CODATA2018,
-    samples: int = 4001,
 ) -> float:
     """Locate the first oscillation maximum by numeric scan plus refinement.
 
@@ -159,16 +160,16 @@ def first_maximum_time(
     if not pair.resonant_mode:
         raise ValueError("first-maximum scan applies to the resonant approximation")
     period = 2.0 * math.pi * constants.hbar_eV_s / pair.splitting
-    step = period / (samples - 1)
+    step = period / (_PERIOD_SAMPLES - 1)
     best_i, best_p = 0, -1.0
-    for i in range(1, samples):
+    for i in range(1, _PERIOD_SAMPLES):
         p = rabi_probability(i * step, pair, constants)
         if p > best_p:
             best_i, best_p = i, p
         elif best_p >= 1.0 - 1e-12 and p < best_p:
             break  # already past the flat top of the first peak
     lo = max(0, best_i - 1) * step
-    hi = min(samples - 1, best_i + 1) * step
+    hi = min(_PERIOD_SAMPLES - 1, best_i + 1) * step
 
     def negative_p(t: float) -> float:
         return -rabi_probability(t, pair, constants)

@@ -74,6 +74,10 @@ __all__ = [
 _SLOPE_H = 1e-3
 # Gauss-Newton iterations per calibration; a fit needs two or three
 _NEWTON_ITERATIONS = 10
+# largest misfit (eV) of an accepted calibration
+_MISFIT_TOL = 5e-3
+# margin (eV) of a calibration's solve window beyond its lowest and highest target
+_SEARCH_PAD = 0.05
 
 
 @dataclass(frozen=True)
@@ -86,6 +90,8 @@ class SolverConfig:
     max_levels: int | None = None
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.grid_step):
+            raise ValueError(f"grid_step must be finite, got {self.grid_step}")
         if not (self.grid_step > self.refine_tol > 0.0):
             raise ValueError(
                 f"need grid_step > refine_tol > 0, got {self.grid_step} / {self.refine_tol}"
@@ -130,6 +136,8 @@ class SolveResult:
 
 def uniform_grid(lo: float, hi: float, step: float) -> np.ndarray:
     """Points ``lo + step*i`` for ``i = 0, 1, ...`` up to ``hi``."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"grid bounds must be finite, got lo={lo!r}, hi={hi!r}")
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError(f"grid step must be finite and positive, got {step!r}")
     n = int(math.floor((hi - lo) / step)) + 1
@@ -195,6 +203,10 @@ class _Brackets(NamedTuple):
 
 
 def _scan(pair, cfg, e_min, e_max, constants, slot) -> _Brackets:
+    # a NaN bound would fall out of max/min below and leave the full range
+    for name, bound in (("e_min", e_min), ("e_max", e_max)):
+        if bound is not None and math.isnan(bound):
+            raise ValueError(f"solve window bound {name} must be a number, got nan")
     step = cfg.grid_step
     lo = max(step, e_min if e_min is not None else step)
     hi = min(pair.v_deep - step, e_max if e_max is not None else pair.v_deep - step)
@@ -371,7 +383,7 @@ def _level_slopes(make_pair, x, energies, x_range, h, h_e, constants) -> np.ndar
         return -((f[1] - f[0]) / (x_hi - x_lo)) / ((f[3] - f[2]) / (e_hi - e_lo))
 
 
-def _calibrate_1d(make_pair, targets, lo, hi, step, misfit_tol, cfg, pad, constants, what):
+def _calibrate_1d(make_pair, targets, lo, hi, step, cfg, constants, what):
     targets = [float(t) for t in targets]
     if not targets:
         raise ValueError("calibration needs at least one target energy")
@@ -382,13 +394,8 @@ def _calibrate_1d(make_pair, targets, lo, hi, step, misfit_tol, cfg, pad, consta
         raise ValueError(f"{what} range must be finite, got ({lo}, {hi})")
     if hi < lo:
         raise ValueError(f"empty {what} range ({lo}, {hi})")
-    # a NaN threshold would pass every fit; a NaN or negative pad, no window
-    if not misfit_tol >= 0.0:
-        raise ValueError(f"misfit_tol must be non-negative, got {misfit_tol!r}")
-    if not (math.isfinite(pad) and pad >= 0.0):
-        raise ValueError(f"search_pad must be finite and non-negative, got {pad!r}")
 
-    e_min, e_max = min(targets) - pad, max(targets) + pad
+    e_min, e_max = min(targets) - _SEARCH_PAD, max(targets) + _SEARCH_PAD
 
     def candidate(x: float) -> WellPair | None:
         try:
@@ -469,10 +476,10 @@ def _calibrate_1d(make_pair, targets, lo, hi, step, misfit_tol, cfg, pad, consta
         if fine.misfit <= best.misfit:
             best = fine
     _log_calibration(what, coarse[b], len(grid), iterates, solves)
-    if best.misfit > misfit_tol:
+    if best.misfit > _MISFIT_TOL:
         raise CalibrationError(
             f"calibration failed: best {what} {best.value:.6g} leaves misfit "
-            f"{best.misfit:.3e} eV above threshold {misfit_tol:.3e} eV",
+            f"{best.misfit:.3e} eV above threshold {_MISFIT_TOL:.3e} eV",
             best=best,
         )
     return best
@@ -499,8 +506,6 @@ def calibrate_distance(
     *,
     config: SolverConfig | None = None,
     step: float = 0.01,
-    misfit_tol: float = 5e-3,
-    search_pad: float = 0.05,
     constants: PhysicalConstants = CODATA2018,
 ) -> CalibrationResult:
     """Find the center distance whose levels best match ``targets`` (eV).
@@ -508,7 +513,8 @@ def calibrate_distance(
     Searches ``l_range`` on a 0.01 Angstrom grid as one coarse batch, then
     refines the best cell by Newton steps on implicit level slopes.  Raises
     :class:`CalibrationError` (carrying the best candidate) if the final
-    misfit exceeds ``misfit_tol``.  Target energies must be finite.
+    misfit exceeds 5e-3 eV.  Each solve spans the targets with 0.05 eV to
+    spare on either side.  Target energies must be finite.
     """
     lo, hi = float(l_range[0]), float(l_range[1])
     if lo <= pair_template.width:
@@ -520,9 +526,7 @@ def calibrate_distance(
     def make_pair(distance: float) -> WellPair:
         return replace(pair_template, distance=distance)
 
-    return _calibrate_1d(
-        make_pair, targets, lo, hi, step, misfit_tol, cfg, search_pad, constants, "distance"
-    )
+    return _calibrate_1d(make_pair, targets, lo, hi, step, cfg, constants, "distance")
 
 
 def calibrate_depth(
@@ -533,8 +537,6 @@ def calibrate_depth(
     *,
     config: SolverConfig | None = None,
     step: float = 5e-4,
-    misfit_tol: float = 5e-3,
-    search_pad: float = 0.05,
     constants: PhysicalConstants = CODATA2018,
 ) -> CalibrationResult:
     """Search one well depth with the other held fixed.
@@ -567,6 +569,4 @@ def calibrate_depth(
         def make_pair(depth: float) -> WellPair:
             return replace(pair_template, v_shallow=depth)
 
-    return _calibrate_1d(
-        make_pair, targets, lo, hi, step, misfit_tol, cfg, search_pad, constants, "depth"
-    )
+    return _calibrate_1d(make_pair, targets, lo, hi, step, cfg, constants, "depth")

@@ -1,9 +1,11 @@
 """Independent finite-difference check of the matching-equation solver.
 
-Discretises the 1D Hamiltonian on a uniform grid with Dirichlet walls and
-central second-order differences, then extracts the lowest eigenvalues of
-the symmetric tridiagonal matrix by Sturm-sequence bisection (LAPACK
-``stebz``/``stein`` via :func:`scipy.linalg.eigh_tridiagonal`).
+Discretises the 1D Hamiltonian on a uniform grid with central second-order
+differences and Dirichlet ends at the profile's own hard walls, ``x_min``
+and ``x_max``, so the matrix is that of the given potential and no other.
+It then extracts the lowest eigenvalues of the symmetric tridiagonal matrix
+by Sturm-sequence bisection (LAPACK ``stebz``/``stein`` via
+:func:`scipy.linalg.eigh_tridiagonal`).
 
 Only eigenvalues below the barrier top are bound states; the ones above it
 are box artifacts.  So each solve first counts the eigenvalues in
@@ -48,13 +50,15 @@ __all__ = [
     "count_nodes",
 ]
 
+# entries below this fraction of the peak are noise to count_nodes
+_NODE_FLOOR = 1e-9
+
 
 @dataclass(frozen=True)
 class FdConfig:
     """Grid resolution and refinement switches for the oracle."""
 
     grid_points: int = 20001
-    padding: float = 0.0
     extrapolate: bool = False
 
     def __post_init__(self) -> None:
@@ -62,8 +66,6 @@ class FdConfig:
             raise ValueError(
                 f"grid_points must be odd and >= 1001, got {self.grid_points}"
             )
-        if not (math.isfinite(self.padding) and self.padding >= 0.0):
-            raise ValueError(f"padding must be non-negative, got {self.padding}")
 
 
 @dataclass(frozen=True)
@@ -73,15 +75,6 @@ class FdResult:
     levels: tuple[float, ...]
     truncated: bool
     error_estimates: tuple[float, ...] | None = None
-
-
-def _extended_segments(profile: PotentialProfile, padding: float):
-    edges = [profile.x_min, *profile.breakpoints, profile.x_max]
-    values = list(profile.segment_values)
-    if padding > 0.0:
-        edges = [profile.x_min - padding, *edges, profile.x_max + padding]
-        values = [values[0], *values, values[-1]]
-    return np.asarray(edges, dtype=float), np.asarray(values, dtype=float)
 
 
 def _cell_averaged_potential(edges, values, x, h):
@@ -96,8 +89,9 @@ def _cell_averaged_potential(edges, values, x, h):
     return (antiderivative(x + 0.5 * h) - antiderivative(x - 0.5 * h)) / h
 
 
-def _tridiagonal(profile, grid_points, padding, constants):
-    edges, values = _extended_segments(profile, padding)
+def _tridiagonal(profile, grid_points, constants):
+    edges = np.array([profile.x_min, *profile.breakpoints, profile.x_max], dtype=float)
+    values = np.array(profile.segment_values, dtype=float)
     span = edges[-1] - edges[0]
     h = span / (grid_points + 1)
     x = edges[0] + h * np.arange(1, grid_points + 1)
@@ -187,7 +181,7 @@ def fd_solve(
     cfg = config or FdConfig()
     barrier_top = profile.max_value()
     sizes = [cfg.grid_points] + ([2 * cfg.grid_points + 1] if cfg.extrapolate else [])
-    matrices = [_tridiagonal(profile, n, cfg.padding, constants) for n in sizes]
+    matrices = [_tridiagonal(profile, n, constants) for n in sizes]
     top = _index_top(n_levels, matrices, barrier_top)
     capped = top < n_levels
     levels_all = coarse = _by_index(matrices[0], top, capped)
@@ -228,7 +222,7 @@ def fd_states(
         raise ValueError(f"n_levels must be >= 1, got {n_levels}")
     cfg = config or FdConfig()
     barrier_top = profile.max_value()
-    matrix = _tridiagonal(profile, cfg.grid_points, cfg.padding, constants)
+    matrix = _tridiagonal(profile, cfg.grid_points, constants)
     x, h = matrix[:2]
     top = _index_top(n_levels, [matrix], barrier_top)
     energies, vectors = _by_index(matrix, top, top < n_levels, eigvals_only=False)
@@ -236,12 +230,15 @@ def fd_states(
     return x, energies[keep], vectors[:, keep] / math.sqrt(h)
 
 
-def count_nodes(values, rel_floor: float = 1e-9) -> int:
-    """Count sign changes of a sampled wavefunction, ignoring noise-level entries."""
+def count_nodes(values) -> int:
+    """Count sign changes of a sampled wavefunction, ignoring noise-level entries.
+
+    An entry counts when its magnitude exceeds 1e-9 of the peak.
+    """
     v = np.asarray(values, dtype=float)
     peak = float(np.max(np.abs(v)))
     if peak == 0.0:
         return 0
-    significant = v[np.abs(v) > rel_floor * peak]
+    significant = v[np.abs(v) > _NODE_FLOOR * peak]
     signs = np.sign(significant)
     return int(np.count_nonzero(signs[:-1] * signs[1:] < 0.0))

