@@ -13,7 +13,6 @@ The report is plain data; ``wellcascade.cli`` turns it into ``report.json``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .dynamics import ResonantPair, TransferStep, decay_time, tunneling_time
@@ -33,15 +32,10 @@ __all__ = [
     "EXPERIMENT_REFERENCE",
     "REFERENCE_TIMES_PS",
     "REFERENCE_LEVELS_EV",
-    "DEFAULT_ABSORPTION_TARGET_EV",
-    "DEFAULT_RESONANCE_WINDOW_EV",
     "solve_cascade",
     "compare_to_experiment",
     "tunneling_vs_decay",
 ]
-
-DEFAULT_ABSORPTION_TARGET_EV = 1.4267
-DEFAULT_RESONANCE_WINDOW_EV = 0.05
 
 # Published reference solution of this four-well model (for comparison output).
 REFERENCE_TIMES_PS = (0.14, 0.35, 11.0)
@@ -117,8 +111,6 @@ class Absorption:
 class CascadeReport:
     spec: CascadeSpec
     solver: SolverConfig
-    absorption_target_ev: float
-    resonance_window_ev: float
     wells: tuple[WellSummary, ...]
     pairs: tuple[PairLevels, ...]
     resonances: tuple[ResonantPair, ...]
@@ -172,16 +164,10 @@ def solve_cascade(
     spec: CascadeSpec,
     config: SolverConfig | None = None,
     *,
-    absorption_target_ev: float = DEFAULT_ABSORPTION_TARGET_EV,
-    resonance_window_ev: float = DEFAULT_RESONANCE_WINDOW_EV,
     constants: PhysicalConstants = CODATA2018,
 ) -> CascadeReport:
     """Solve the chain pairwise and assemble the full transfer schedule."""
     cfg = config or SolverConfig()
-    if not (math.isfinite(absorption_target_ev) and absorption_target_ev > 0.0):
-        raise ValueError(f"absorption target must be positive, got {absorption_target_ev!r}")
-    if not (math.isfinite(resonance_window_ev) and resonance_window_ev > 0.0):
-        raise ValueError(f"resonance window must be positive, got {resonance_window_ev!r}")
 
     pairs = tuple(
         PairLevels(
@@ -193,35 +179,33 @@ def solve_cascade(
         for i in range(len(spec.distances))
     )
 
-    p12, p23, p34 = pairs[:3]
-    ground1 = _ground_class(p12, member_is_deep=True)  # well 1 is the deepest
-    doublet1 = _select_doublet(p12, ground1 + absorption_target_ev, resonance_window_ev)
-    ground2 = _ground_class(p23, member_is_deep=spec.depths[1] > spec.depths[2])
-    doublet2 = _select_doublet(p23, ground2, resonance_window_ev)
-    ground3 = _ground_class(p34, member_is_deep=spec.depths[2] > spec.depths[3])
-    doublet3 = _select_doublet(p34, ground3, resonance_window_ev)
-    ground4 = _ground_class(p34, member_is_deep=spec.depths[3] > spec.depths[2])
+    grounds, doublets = [], []
+    for i, pair_levels in enumerate(pairs[:3]):
+        deep = spec.depths[i] > spec.depths[i + 1]
+        grounds.append(_ground_class(pair_levels, member_is_deep=deep))
+        incoming = grounds[0] + spec.absorption_target_ev if i == 0 else grounds[i]
+        doublets.append(_select_doublet(pair_levels, incoming, spec.resonance_window_ev))
+    grounds.append(_ground_class(pairs[2], member_is_deep=spec.depths[3] > spec.depths[2]))
 
-    delta = doublet1.e_minus - ground1
+    delta = doublets[0].e_minus - grounds[0]
     if delta <= 0.0:
         raise ResonanceNotFoundError(
             f"absorption energy must be positive, got {delta:.6f} eV"
         )
     absorption = Absorption(
-        from_ev=ground1,
-        to_ev=doublet1.e_minus,
+        from_ev=grounds[0],
+        to_ev=doublets[0].e_minus,
         delta_ev=delta,
         wavelength_nm=photon_wavelength_nm(delta, constants),
     )
 
-    decay_targets = (ground2, ground3, ground4)
     steps = []
-    for i, doublet in enumerate((doublet1, doublet2, doublet3)):
-        gap = doublet.e_plus - decay_targets[i]
+    for i, doublet in enumerate(doublets):
+        gap = doublet.e_plus - grounds[i + 1]
         if gap <= 0.0:
             raise ResonanceNotFoundError(
                 f"step {i + 1}: decay gap is not positive "
-                f"({doublet.e_plus:.6f} -> {decay_targets[i]:.6f} eV)"
+                f"({doublet.e_plus:.6f} -> {grounds[i + 1]:.6f} eV)"
             )
         steps.append(
             TransferStep(
@@ -235,7 +219,6 @@ def solve_cascade(
         )
 
     floors = spec.floors()
-    grounds = (ground1, ground2, ground3, ground4)
     wells = tuple(
         WellSummary(
             label=spec.labels[i],
@@ -247,7 +230,7 @@ def solve_cascade(
         for i in range(4)
     )
 
-    ratios = [s.tunneling_time_s / s.decay_time_s for s in steps]
+    ratios = [s.tunneling_vs_decay_ratio for s in steps]
     notes = (
         "tunneling dominates every step: tunneling/decay time ratios are "
         + ", ".join(f"{r:.1f}" for r in ratios),
@@ -260,11 +243,9 @@ def solve_cascade(
     return CascadeReport(
         spec=spec,
         solver=cfg,
-        absorption_target_ev=absorption_target_ev,
-        resonance_window_ev=resonance_window_ev,
         wells=wells,
         pairs=pairs,
-        resonances=(doublet1, doublet2, doublet3),
+        resonances=tuple(doublets),
         absorption=absorption,
         steps=tuple(steps),
         notes=notes,
@@ -323,5 +304,5 @@ def compare_to_experiment(
 
 def tunneling_vs_decay(report: CascadeReport) -> list[float]:
     """Per-step ratio tunneling_time / decay_time."""
-    return [s.tunneling_time_s / s.decay_time_s for s in report.steps]
+    return [s.tunneling_vs_decay_ratio for s in report.steps]
 

@@ -7,7 +7,8 @@ resonance search that comes up empty), 2 configuration or usage error.
 The configuration file is flat INI text with sections [wells], [solver],
 [oracle], [output] and optionally [constants].  Keys are case sensitive and
 unknown keys are rejected rather than ignored; the [solver], [oracle] and
-[constants] keys are named once, in ``_KEYWORDS``.
+[constants] keys and the two schedule keys of [wells] are named once, in
+``_KEYWORDS``.
 
 This module writes every output file: JSON through ``_write_json`` (the
 report and solve-pair dictionaries are built here) and every CSV through
@@ -22,7 +23,6 @@ import argparse
 import configparser
 import dataclasses
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -67,8 +67,6 @@ class RunConfig:
     output_dir: str
     formats: tuple[str, ...]
     constants: PhysicalConstants
-    absorption_target_ev: float
-    resonance_window_ev: float
 
 
 def _floats(section: str, key: str, raw: str) -> list[float]:
@@ -116,6 +114,10 @@ def _int_or_none(section: str, key: str, raw: str) -> int | None:
 
 # [section] key -> (keyword of the object the section builds, parser of the value)
 _KEYWORDS = {
+    "wells": {
+        "absorption_target_eV": ("absorption_target_ev", _float),
+        "resonance_window_eV": ("resonance_window_ev", _float),
+    },
     "solver": {
         "grid_step_eV": ("grid_step", _float),
         "refine_tol_eV": ("refine_tol", _float),
@@ -132,17 +134,11 @@ _KEYWORDS = {
 }
 
 _KNOWN_KEYS = {
+    **_KEYWORDS,
     "wells": {
-        "labels",
-        "widths_A",
-        "depths_eV",
-        "distances_A",
-        "closing_distance_A",
-        "absorption_target_eV",
-        "resonance_window_eV",
+        "labels", "closing_distance_A", *(key for _, key in _REQUIRED_KEYS), *_KEYWORDS["wells"]
     },
     "output": {"directory", "formats"},
-    **_KEYWORDS,
 }
 
 
@@ -209,27 +205,11 @@ def parse_config(text: str) -> RunConfig:
         if len(raw_labels) != 4:
             raise ConfigError(f"[wells] labels: expected 4 labels, got {len(raw_labels)}")
         labels = raw_labels
-    absorption_target = cascade_mod.DEFAULT_ABSORPTION_TARGET_EV
-    if parser.has_option("wells", "absorption_target_eV"):
-        absorption_target = _float("wells", "absorption_target_eV", wells["absorption_target_eV"])
-    resonance_window = cascade_mod.DEFAULT_RESONANCE_WINDOW_EV
-    if parser.has_option("wells", "resonance_window_eV"):
-        resonance_window = _float("wells", "resonance_window_eV", wells["resonance_window_eV"])
-    if not (math.isfinite(absorption_target) and absorption_target > 0.0):
-        raise ConfigError("[wells] absorption_target_eV: must be positive")
-    if not (math.isfinite(resonance_window) and resonance_window > 0.0):
-        raise ConfigError("[wells] resonance_window_eV: must be positive")
 
-    try:
-        spec = CascadeSpec(
-            widths=tuple(widths),
-            distances=tuple(distances),
-            depths=tuple(depths),
-            labels=labels,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[wells] invalid geometry: {exc}") from exc
+    def build_spec(**schedule) -> CascadeSpec:
+        return CascadeSpec(tuple(widths), tuple(distances), tuple(depths), labels, **schedule)
 
+    spec = _build(parser, "wells", build_spec, "invalid geometry or schedule")
     solver = _build(parser, "solver", SolverConfig, "invalid configuration")
     oracle = _build(parser, "oracle", FdConfig, "invalid configuration")
 
@@ -260,8 +240,6 @@ def parse_config(text: str) -> RunConfig:
         output_dir=output_dir,
         formats=formats,
         constants=constants,
-        absorption_target_ev=absorption_target,
-        resonance_window_ev=resonance_window,
     )
 
 
@@ -370,8 +348,8 @@ def report_to_dict(report: cascade_mod.CascadeReport) -> dict:
             "widths_A": [_sig9(w) for w in spec.widths],
             "depths_eV": [_sig9(v) for v in spec.depths],
             "distances_A": [_sig9(x) for x in spec.distances],
-            "absorption_target_eV": _sig9(report.absorption_target_ev),
-            "resonance_window_eV": _sig9(report.resonance_window_ev),
+            "absorption_target_eV": _sig9(spec.absorption_target_ev),
+            "resonance_window_eV": _sig9(spec.resonance_window_ev),
         },
         "solver": _solver_dict(report.solver),
         "wells": [
@@ -424,7 +402,7 @@ def report_to_dict(report: cascade_mod.CascadeReport) -> dict:
                 "decay_gap_eV": _sig9(s.decay_gap_ev),
                 "decay_time_s": _sig9(s.decay_time_s),
                 "decay_time_ps": _sig9(s.decay_time_s * 1e12),
-                "tunneling_vs_decay_ratio": _sig9(s.tunneling_time_s / s.decay_time_s),
+                "tunneling_vs_decay_ratio": _sig9(s.tunneling_vs_decay_ratio),
             }
             for i, s in enumerate(report.steps)
         ],
@@ -486,6 +464,8 @@ def _write_scan_csv(path: Path, scan: GridScan) -> None:
 def _cmd_solve_pair(args) -> int:
     config = load_config(args.config)
     pair, offset, name = _resolve_pair(config, args.pair)
+    if args.emin is not None and args.emax is not None and args.emin >= args.emax:
+        raise ValueError(f"empty energy window: --emin {args.emin} is not below --emax {args.emax}")
     result = solve_pair(
         pair, config.solver, e_min=args.emin, e_max=args.emax, constants=config.constants
     )
@@ -601,13 +581,7 @@ def _cmd_times(args) -> int:
 
 def _cmd_cascade(args) -> int:
     config = load_config(args.config)
-    report = cascade_mod.solve_cascade(
-        config.spec,
-        config.solver,
-        absorption_target_ev=config.absorption_target_ev,
-        resonance_window_ev=config.resonance_window_ev,
-        constants=config.constants,
-    )
+    report = cascade_mod.solve_cascade(config.spec, config.solver, constants=config.constants)
     out_dir = _output_dir(config, args.output_dir)
     if "table" in config.formats:
         _print_cascade_table(report)
@@ -623,7 +597,7 @@ def _cmd_cascade(args) -> int:
     if args.emit_scan:
         for i, resonance in enumerate(report.resonances):
             pair, offset, _ = _resolve_pair(config, i + 1)
-            pad = config.resonance_window_ev
+            pad = config.spec.resonance_window_ev
             e_lo = max(resonance.e_minus - offset - pad, config.solver.grid_step)
             e_hi = min(resonance.e_plus - offset + pad, pair.v_deep - config.solver.grid_step)
             energies = uniform_grid(e_lo, e_hi, 0.5 * config.solver.grid_step)
@@ -648,7 +622,7 @@ def _print_cascade_table(report) -> None:
         r = s.resonance
         print(f"{i + 1:>4} {s.from_site + '->' + s.to_site:>7} {r.e_minus:>10.5f} {r.e_plus:>10.5f} "
               f"{r.splitting:>10.3e} {s.tunneling_time_s * 1e12:>9.4f} {s.decay_gap_ev:>8.4f} "
-              f"{s.decay_time_s * 1e12:>10.5f} {s.tunneling_time_s / s.decay_time_s:>8.1f}")
+              f"{s.decay_time_s * 1e12:>10.5f} {s.tunneling_vs_decay_ratio:>8.1f}")
     print("\ncomparison with the measured reaction-center steps:")
     print(f"{'step':>4} {'model_ps':>10} {'exp_ps':>8} {'ratio':>9} {'same_order':>10}")
     for row in cascade_mod.compare_to_experiment(report):

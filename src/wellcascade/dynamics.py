@@ -91,6 +91,11 @@ class TransferStep:
         if not self.decay_time_s > 0.0:
             raise ValueError(f"decay time must be positive, got {self.decay_time_s}")
 
+    @property
+    def tunneling_vs_decay_ratio(self) -> float:
+        """tunneling_time / decay_time of this step."""
+        return self.tunneling_time_s / self.decay_time_s
+
 
 def rabi_probability(
     t_s: float,

@@ -78,6 +78,8 @@ _NEWTON_ITERATIONS = 10
 _MISFIT_TOL = 5e-3
 # margin (eV) of a calibration's solve window beyond its lowest and highest target
 _SEARCH_PAD = 0.05
+# most points of one energy grid: 125x the 79k of a full-range solve at 2e-5 eV
+_MAX_GRID_POINTS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -135,13 +137,18 @@ class SolveResult:
 
 
 def uniform_grid(lo: float, hi: float, step: float) -> np.ndarray:
-    """Points ``lo + step*i`` for ``i = 0, 1, ...`` up to ``hi``."""
+    """Points ``lo + step*i`` for ``i = 0, 1, ...`` up to ``hi``; at most ``_MAX_GRID_POINTS``."""
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"grid bounds must be finite, got lo={lo!r}, hi={hi!r}")
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError(f"grid step must be finite and positive, got {step!r}")
-    n = int(math.floor((hi - lo) / step)) + 1
-    return lo + step * np.arange(n)
+    span = (hi - lo) / step
+    if span >= _MAX_GRID_POINTS:
+        raise ValueError(
+            f"grid step {step!r} over [{lo!r}, {hi!r}] needs {span + 1:.4g} points, "
+            f"more than {_MAX_GRID_POINTS}"
+        )
+    return lo + step * np.arange(int(math.floor(span)) + 1)
 
 
 class _Geometry(NamedTuple):

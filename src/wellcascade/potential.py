@@ -7,10 +7,11 @@ Energies are measured from the bottom of the deeper well, so the barrier top
 sits at ``v_deep`` and the shallow well floor at ``v_deep - v_shallow``.
 
 :class:`CascadeSpec` chains four such wells into a ring of pairs, indexed
-0..3 with the closing pair last; :func:`cascade_profile` places every well
-floor at ``max(depths) - depth`` above the global zero (the bottom of the
-deepest well), which puts all barrier tops at the same height.  Writing a
-profile to a file is the command line's job (``wellcascade.cli``).
+0..3 with the closing pair last, and carries the two inputs of the transfer
+schedule (absorption target and resonance window).  :func:`cascade_profile`
+places every well floor at ``max(depths) - depth`` above the global zero (the
+bottom of the deepest well), which puts all barrier tops at the same height.
+Writing a profile to a file is the command line's job (``wellcascade.cli``).
 """
 
 from __future__ import annotations
@@ -72,13 +73,17 @@ class CascadeSpec:
     center distance ``distances[i]``.  The three active pairs are required;
     a fourth distance adds the closing pair 3 (last well back to the first).
     The first well must be the deepest one, and the pairwise solver requires
-    all well widths to be equal.
+    all well widths to be equal.  The photon lifts the electron
+    ``absorption_target_ev`` above the first well's ground state, and each
+    doublet is searched within ``resonance_window_ev`` of its incoming energy.
     """
 
     widths: tuple[float, float, float, float]
     distances: tuple[float, ...]
     depths: tuple[float, float, float, float]
     labels: tuple[str, str, str, str] = ("P", "B", "H", "Q")
+    absorption_target_ev: float = 1.4267
+    resonance_window_ev: float = 0.05
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "widths", tuple(float(w) for w in self.widths))
@@ -93,6 +98,9 @@ class CascadeSpec:
             "cascade needs 3 inter-well distances (closing distance optional 4th)",
         )
         _require(len(set(self.labels)) == 4, "site labels must be unique")
+        for name in ("absorption_target_ev", "resonance_window_ev"):
+            value = getattr(self, name)
+            _require(math.isfinite(value) and value > 0.0, f"{name} must be positive, got {value!r}")
         _require(
             all(math.isclose(w, self.widths[0], rel_tol=1e-12) for w in self.widths),
             "the pairwise matching equations assume equal well widths; "

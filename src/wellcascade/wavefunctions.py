@@ -8,18 +8,22 @@ Region layout (centered coordinates, shallow well on the left):
     IV   deep        x2 .. x3   d1, d2   (trig basis)
     V    wall        x > x3
 
-Coefficients are obtained by propagating the left-wall zero through the two
-interior matching conditions (2x2 steps), which makes interior continuity
-exact by construction; the right-wall zero then only holds when the energy
-is a true eigenvalue, and its relative violation is reported as the matching
-residual; a level whose residual exceeds 1e-8 is rejected.  Propagating
-left to right follows the growing barrier solution, which is the numerically
-stable direction for deep-well dominated states.  The region wavenumbers
-come from :func:`~wellcascade.transcendental.wavenumbers`, the routine the
-matching function itself uses.
+Each region holds ``c1*f + c2*g`` in the exp basis (e^{kx}, e^{-kx}) or the
+trig basis (sin kx, cos kx).  One set of helpers, elementwise over arrays,
+serves every region: value and slope, coefficients from a value and slope,
+and the closed-form squared integral.  :func:`build_wavefunction` is one loop
+over regions II-IV from (psi, psi') = (0, k1) at the left wall, which makes
+the first lobe positive; matching value and slope at each left edge makes
+interior continuity exact by construction.  The right-wall zero then only
+holds when the energy is a true eigenvalue, and its relative violation is
+reported as the matching residual; a level whose residual exceeds 1e-8 is
+rejected.  Propagating left to right follows the growing barrier solution,
+the numerically stable direction for deep-well dominated states.  Region
+wavenumbers come from :func:`~wellcascade.transcendental.wavenumbers`, the
+routine the matching function uses, and region bounds from
+:func:`~wellcascade.potential.pair_profile`.
 
-The overall sign convention fixes the first interior lobe from the left to
-be positive, and the closed-form L2 norm over the whole domain is one.
+The closed-form L2 norm over the whole domain is one.
 :func:`sample_wavefunction` tabulates a state; the ``wavefunction`` command
 of ``wellcascade.cli`` writes that table as CSV.
 """
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigensolver import Level
-from .potential import WellPair
+from .potential import WellPair, pair_profile
 from .quantities import CODATA2018, PhysicalConstants
 from .transcendental import Regime, classify_regime, wavenumbers
 
@@ -44,6 +48,47 @@ __all__ = [
 
 # largest right-wall residual of an eigenvalue (relative to the deep-well amplitude)
 _WALL_TOL = 1e-8
+
+
+def _value_slope(trig: bool, c1, c2, k, x):
+    """Value and slope of ``c1*f + c2*g`` at ``x`` in the exp or trig basis."""
+    if trig:
+        s, c = np.sin(k * x), np.cos(k * x)
+        return c1 * s + c2 * c, k * (c1 * c - c2 * s)
+    grow, fall = np.exp(k * x), np.exp(-k * x)
+    return c1 * grow + c2 * fall, k * (c1 * grow - c2 * fall)
+
+
+def _coefficients(trig: bool, k, x, value, slope):
+    """Coefficients ``(c1, c2)`` whose combination has ``value`` and ``slope`` at ``x``."""
+    if trig:
+        s, c = np.sin(k * x), np.cos(k * x)
+        return value * s + (slope / k) * c, value * c - (slope / k) * s
+    # keep (k*v + s)/(2k): the barrier match cancels, and 0.5*(v + s/k) rounds it differently
+    return (
+        np.exp(-k * x) * (k * value + slope) / (2.0 * k),
+        np.exp(k * x) * (k * value - slope) / (2.0 * k),
+    )
+
+
+def _sq_integral(trig: bool, c1, c2, k, x_lo, x_hi):
+    """Integral of ``(c1*f + c2*g)**2`` over ``[x_lo, x_hi]`` in the exp or trig basis."""
+    if trig:
+
+        def antiderivative(x):
+            s2, c2x = np.sin(2.0 * k * x), np.cos(2.0 * k * x)
+            return (
+                c1 * c1 * (0.5 * x - s2 / (4.0 * k))
+                + c2 * c2 * (0.5 * x + s2 / (4.0 * k))
+                - c1 * c2 * c2x / (2.0 * k)
+            )
+
+        return antiderivative(x_hi) - antiderivative(x_lo)
+    return (
+        c1 * c1 * (np.exp(2.0 * k * x_hi) - np.exp(2.0 * k * x_lo)) / (2.0 * k)
+        + 2.0 * c1 * c2 * (x_hi - x_lo)
+        + c2 * c2 * (np.exp(-2.0 * k * x_lo) - np.exp(-2.0 * k * x_hi)) / (2.0 * k)
+    )
 
 
 @dataclass(frozen=True)
@@ -65,43 +110,23 @@ class PiecewiseWavefunction:
     k2: float
     wall_residual: float
 
+    def _region(self, region: int):
+        """Basis, coefficients and wavenumber of region 2, 3 or 4."""
+        if region == 2:
+            return self.regime is Regime.B, self.a1, self.a2, self.k1
+        if region == 3:
+            return False, self.b, self.c, self.beta
+        if region == 4:
+            return True, self.d1, self.d2, self.k2
+        raise ValueError(f"region must be 2, 3 or 4, got {region}")
+
     def region_value(self, region: int, x):
         """Evaluate the analytic form of region 2, 3 or 4 (no domain guard)."""
-        xa = np.asarray(x, dtype=float)
-        if region == 2:
-            if self.regime is Regime.A:
-                out = self.a1 * np.exp(self.k1 * xa) + self.a2 * np.exp(-self.k1 * xa)
-            else:
-                out = self.a1 * np.sin(self.k1 * xa) + self.a2 * np.cos(self.k1 * xa)
-        elif region == 3:
-            out = self.b * np.exp(self.beta * xa) + self.c * np.exp(-self.beta * xa)
-        elif region == 4:
-            out = self.d1 * np.sin(self.k2 * xa) + self.d2 * np.cos(self.k2 * xa)
-        else:
-            raise ValueError(f"region must be 2, 3 or 4, got {region}")
+        out = _value_slope(*self._region(region), np.asarray(x, dtype=float))[0]
         return float(out) if np.isscalar(x) else out
 
     def region_derivative(self, region: int, x):
-        xa = np.asarray(x, dtype=float)
-        if region == 2:
-            if self.regime is Regime.A:
-                out = self.k1 * (
-                    self.a1 * np.exp(self.k1 * xa) - self.a2 * np.exp(-self.k1 * xa)
-                )
-            else:
-                out = self.k1 * (
-                    self.a1 * np.cos(self.k1 * xa) - self.a2 * np.sin(self.k1 * xa)
-                )
-        elif region == 3:
-            out = self.beta * (
-                self.b * np.exp(self.beta * xa) - self.c * np.exp(-self.beta * xa)
-            )
-        elif region == 4:
-            out = self.k2 * (
-                self.d1 * np.cos(self.k2 * xa) - self.d2 * np.sin(self.k2 * xa)
-            )
-        else:
-            raise ValueError(f"region must be 2, 3 or 4, got {region}")
+        out = _value_slope(*self._region(region), np.asarray(x, dtype=float))[1]
         return float(out) if np.isscalar(x) else out
 
     def __call__(self, x):
@@ -110,42 +135,14 @@ class PiecewiseWavefunction:
         x0, x1, x2, x3 = self.region_bounds
         out = np.zeros_like(xa)
         inside = (xa >= x0) & (xa <= x3)
-        in2 = inside & (xa < x1)
-        in3 = inside & (xa >= x1) & (xa < x2)
-        in4 = inside & (xa >= x2)
-        if np.any(in2):
-            out[in2] = self.region_value(2, xa[in2])
-        if np.any(in3):
-            out[in3] = self.region_value(3, xa[in3])
-        if np.any(in4):
-            out[in4] = self.region_value(4, xa[in4])
+        region = 2 + np.searchsorted((x1, x2), xa, side="right")
+        for r in (2, 3, 4):
+            mask = inside & (region == r)
+            out[mask] = self.region_value(r, xa[mask])
         # walls pin the ends to exactly zero
         out[xa == x0] = 0.0
         out[xa == x3] = 0.0
         return float(out[0]) if np.isscalar(x) else out
-
-
-def _exp_sq_integral(c1, c2, k, x_lo, x_hi):
-    """Integral of (c1*exp(kx) + c2*exp(-kx))**2 over [x_lo, x_hi]."""
-    return (
-        c1 * c1 * (math.exp(2.0 * k * x_hi) - math.exp(2.0 * k * x_lo)) / (2.0 * k)
-        + 2.0 * c1 * c2 * (x_hi - x_lo)
-        + c2 * c2 * (math.exp(-2.0 * k * x_lo) - math.exp(-2.0 * k * x_hi)) / (2.0 * k)
-    )
-
-
-def _trig_sq_integral(c1, c2, k, x_lo, x_hi):
-    """Integral of (c1*sin(kx) + c2*cos(kx))**2 over [x_lo, x_hi]."""
-
-    def antiderivative(x):
-        s2, c2x = math.sin(2.0 * k * x), math.cos(2.0 * k * x)
-        return (
-            c1 * c1 * (0.5 * x - s2 / (4.0 * k))
-            + c2 * c2 * (0.5 * x + s2 / (4.0 * k))
-            - c1 * c2 * c2x / (2.0 * k)
-        )
-
-    return antiderivative(x_hi) - antiderivative(x_lo)
 
 
 def build_wavefunction(
@@ -163,64 +160,43 @@ def build_wavefunction(
     k1, beta, k2 = (float(k) for k in wavenumbers(pair, energy, constants))
     if k1 == 0.0:
         raise ValueError("level sits exactly on the regime boundary; wavefunction undefined")
-    half_outer = 0.5 * (pair.distance + pair.width)
-    half_inner = 0.5 * (pair.distance - pair.width)
-    x0, x1, x2, x3 = -half_outer, -half_inner, half_inner, half_outer
+    profile = pair_profile(pair)
+    bounds = (profile.x_min, *profile.breakpoints, profile.x_max)
 
-    # region II from the left-wall zero, first lobe positive
-    if regime is Regime.A:
-        a1 = 0.5 * math.exp(-k1 * x0)
-        a2 = -0.5 * math.exp(k1 * x0)
-        v1 = a1 * math.exp(k1 * x1) + a2 * math.exp(-k1 * x1)
-        s1 = k1 * (a1 * math.exp(k1 * x1) - a2 * math.exp(-k1 * x1))
-    else:
-        a1 = math.cos(k1 * x0)
-        a2 = -math.sin(k1 * x0)
-        v1 = a1 * math.sin(k1 * x1) + a2 * math.cos(k1 * x1)
-        s1 = k1 * (a1 * math.cos(k1 * x1) - a2 * math.sin(k1 * x1))
+    # regions II-IV: (trig basis?, wavenumber), matched at each left edge
+    value, slope = 0.0, k1
+    coefficients = []
+    norm_sq = 0.0
+    for i, (trig, k) in enumerate(((regime is Regime.B, k1), (False, beta), (True, k2))):
+        c1, c2 = _coefficients(trig, k, bounds[i], value, slope)
+        value, slope = _value_slope(trig, c1, c2, k, bounds[i + 1])
+        norm_sq += _sq_integral(trig, c1, c2, k, bounds[i], bounds[i + 1])
+        coefficients += [c1, c2]
+    if not math.isfinite(norm_sq):  # a NaN coefficient passes the wall check
+        raise ValueError(f"wavefunction at energy {energy!r} overflows double precision")
 
-    # region III from value/slope continuity at x1
-    b = math.exp(-beta * x1) * (beta * v1 + s1) / (2.0 * beta)
-    c = math.exp(beta * x1) * (beta * v1 - s1) / (2.0 * beta)
-    v2 = b * math.exp(beta * x2) + c * math.exp(-beta * x2)
-    s2 = beta * (b * math.exp(beta * x2) - c * math.exp(-beta * x2))
-
-    # region IV from continuity at x2
-    d1 = v2 * math.sin(k2 * x2) + (s2 / k2) * math.cos(k2 * x2)
-    d2 = v2 * math.cos(k2 * x2) - (s2 / k2) * math.sin(k2 * x2)
-
-    amplitude = math.hypot(d1, d2)
+    amplitude = math.hypot(*coefficients[4:])
     if amplitude == 0.0:
         raise ValueError("degenerate wavefunction: zero amplitude in the deep well")
-    residual = abs(d1 * math.sin(k2 * x3) + d2 * math.cos(k2 * x3)) / amplitude
+    residual = float(abs(value)) / amplitude
     if residual > _WALL_TOL:
         raise ValueError(
             f"energy {energy!r} is not an eigenvalue of this pair: "
             f"right-wall residual {residual:.3e} exceeds {_WALL_TOL:.1e}"
         )
-
-    if regime is Regime.A:
-        norm_sq_2 = _exp_sq_integral(a1, a2, k1, x0, x1)
-    else:
-        norm_sq_2 = _trig_sq_integral(a1, a2, k1, x0, x1)
-    norm_sq = (
-        norm_sq_2
-        + _exp_sq_integral(b, c, beta, x1, x2)
-        + _trig_sq_integral(d1, d2, k2, x2, x3)
-    )
     scale = 1.0 / math.sqrt(norm_sq)
-
+    a1, a2, b, c, d1, d2 = (float(coef * scale) for coef in coefficients)
     return PiecewiseWavefunction(
         pair=pair,
         energy=energy,
         regime=regime,
-        a1=a1 * scale,
-        a2=a2 * scale,
-        b=b * scale,
-        c=c * scale,
-        d1=d1 * scale,
-        d2=d2 * scale,
-        region_bounds=(x0, x1, x2, x3),
+        a1=a1,
+        a2=a2,
+        b=b,
+        c=c,
+        d1=d1,
+        d2=d2,
+        region_bounds=bounds,
         k1=k1,
         beta=beta,
         k2=k2,
@@ -235,4 +211,3 @@ def sample_wavefunction(wf: PiecewiseWavefunction, n_points: int):
     x0, _, _, x3 = wf.region_bounds
     x = np.linspace(x0, x3, n_points)
     return x, wf(x)
-

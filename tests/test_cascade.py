@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -133,7 +134,7 @@ def test_closing_pair_informational(reference_spec, report):
 
 def test_resonance_not_found_names_the_pair(reference_spec):
     with pytest.raises(ResonanceNotFoundError) as info:
-        solve_cascade(reference_spec, absorption_target_ev=0.5)
+        solve_cascade(dataclasses.replace(reference_spec, absorption_target_ev=0.5))
     assert "pair 1" in str(info.value)
 
 
@@ -155,6 +156,6 @@ def test_report_dict_shape(report):
 
 def test_invalid_parameters_rejected(reference_spec):
     with pytest.raises(ValueError):
-        solve_cascade(reference_spec, absorption_target_ev=-1.0)
+        solve_cascade(dataclasses.replace(reference_spec, absorption_target_ev=-1.0))
     with pytest.raises(ValueError):
-        solve_cascade(reference_spec, resonance_window_ev=0.0)
+        solve_cascade(dataclasses.replace(reference_spec, resonance_window_ev=0.0))

@@ -34,7 +34,8 @@ def test_minimal_config_defaults():
     cfg = parse_config(MINIMAL)
     assert cfg.spec.widths == (43.85,) * 4
     assert len(cfg.spec.distances) == 3
-    assert cfg.absorption_target_ev == 1.4267
+    assert cfg.spec.absorption_target_ev == 1.4267
+    assert cfg.spec.resonance_window_ev == 0.05
     assert cfg.output_dir == "out"
 
 
@@ -63,6 +64,17 @@ def test_geometry_validation_at_parse_time():
     with pytest.raises(ConfigError) as info:
         parse_config(bad)
     assert "geometry" in str(info.value)
+
+
+@pytest.mark.parametrize("key", ["absorption_target_eV", "resonance_window_eV"])
+@pytest.mark.parametrize("value", ["0", "-0.1", "nan", "inf"])
+def test_schedule_input_must_be_positive(tmp_path, capsys, key, value):
+    cfg = tmp_path / "schedule.cfg"
+    cfg.write_text(MINIMAL + f"{key} = {value}\n")
+    assert main(["cascade", "--config", str(cfg), "--output-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [wells] ") and key.lower() in err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_bad_number_reports_field():
@@ -244,7 +256,7 @@ def test_scan_pair_brackets_the_resonances(tmp_path, reference_config_file):
         assert any(lo - 5e-5 <= root <= hi + 5e-5 for lo, hi in intervals)
 
 
-@pytest.mark.parametrize("step", ["0", "-1e-3", "nan"])
+@pytest.mark.parametrize("step", ["0", "-1e-3", "nan", "1e-16"])
 def test_scan_pair_rejects_bad_step(tmp_path, reference_config_file, capsys, step):
     rc = main(
         [
@@ -287,6 +299,17 @@ def test_scan_pair_names_a_nan_bound(tmp_path, reference_config_file, capsys, fl
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: grid bounds must be finite") and name in err
+
+
+@pytest.mark.parametrize("emin, emax", [("1.5", "1.3"), ("1.4", "1.4")])
+def test_solve_pair_rejects_empty_window(tmp_path, reference_config_file, capsys, emin, emax):
+    rc = main(["solve-pair", "--config", str(reference_config_file), "--output-dir",
+               str(tmp_path), "--pair", "1", "--emin", emin, "--emax", emax])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: empty energy window")
+    assert not (tmp_path / "solve_pair1.json").exists()
 
 
 def test_solve_pair_writes_json(tmp_path, reference_config_file):

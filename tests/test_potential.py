@@ -110,6 +110,11 @@ def test_cascade_spec_validation():
         CascadeSpec(**{**good, "labels": ("P", "P", "H", "Q")})
     with pytest.raises(ValueError):  # distance shorter than width
         CascadeSpec(**{**good, "distances": (40.0, 60.0, 60.0)})
+    for key in ("absorption_target_ev", "resonance_window_ev"):
+        assert getattr(CascadeSpec(**good), key) > 0.0
+        for bad in (0.0, -0.05, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=key):
+                CascadeSpec(**{**good, key: bad})
 
 
 def test_pair_offsets(reference_spec):

@@ -4,7 +4,7 @@ import pytest
 from wellcascade.cli import main
 from wellcascade.eigensolver import Level, find_levels
 from wellcascade.oracle import FdConfig, count_nodes, fd_states
-from wellcascade.potential import pair_profile
+from wellcascade.potential import WellPair, pair_profile
 from wellcascade.transcendental import Regime
 from wellcascade.wavefunctions import build_wavefunction, sample_wavefunction
 
@@ -116,6 +116,22 @@ def test_non_eigenvalue_rejected(pair1, pair1_levels):
     )
     with pytest.raises(ValueError):
         build_wavefunction(pair1, fake)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow it checks
+@pytest.mark.parametrize("distance", [600.0, 1200.0])
+def test_overflowing_barrier_is_rejected_not_returned(distance):
+    # a wide barrier overflows the barrier coefficients or their squared integral
+    pair = WellPair(width=43.85, distance=distance, v_shallow=0.272, v_deep=1.585)
+    rejected = 0
+    for level in find_levels(pair):
+        try:
+            wf = build_wavefunction(pair, level)
+        except ValueError:
+            rejected += 1
+            continue
+        assert all(np.isfinite([wf.a1, wf.a2, wf.b, wf.c, wf.d1, wf.d2, wf.wall_residual]))
+    assert rejected > 0
 
 
 def test_sampling_validation(pair1, pair1_levels):
