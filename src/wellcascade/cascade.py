@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dynamics import ResonantPair, TransferStep, decay_time, tunneling_time
-from .eigensolver import SolveResult, SolverConfig, solve_pair
+from .eigensolver import SolveResult, SolverConfig, _solve_all
 from .potential import CascadeSpec
 from .quantities import CODATA2018, PhysicalConstants, photon_wavelength_nm
 from .transcendental import Regime
@@ -169,14 +169,18 @@ def solve_cascade(
     """Solve the chain pairwise and assemble the full transfer schedule."""
     cfg = config or SolverConfig()
 
+    # one solve batch: every level of the four pairs is located in lockstep
+    results = _solve_all(
+        [(spec.pair(i), cfg, None, None) for i in range(len(spec.distances))], constants
+    )
     pairs = tuple(
         PairLevels(
             index=i + 1,
             labels=spec.pair_labels(i),
             offset_ev=spec.pair_offset(i),
-            result=solve_pair(spec.pair(i), cfg, constants=constants),
+            result=result,
         )
-        for i in range(len(spec.distances))
+        for i, result in enumerate(results)
     )
 
     grounds, doublets = [], []

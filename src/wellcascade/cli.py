@@ -301,8 +301,8 @@ def _level_dict(lv: Level, offset_ev: float) -> dict:
 def _min_spacing_over_step(result: SolveResult) -> float | None:
     """Smallest gap between adjacent levels in grid steps; None below two levels.
 
-    Near 1 or below, a doublet is about to fall inside one grid cell, where its
-    two sign changes cancel and the scan misses both levels.
+    Below 1, a doublet shares one grid cell; the oscillation count still finds
+    both levels, and each one's residual is scaled at that shared cell.
     """
     energies = [lv.energy for lv in result.levels]
     if len(energies) < 2:
@@ -325,7 +325,6 @@ def _solve_result_dict(result: SolveResult, offset: float) -> dict:
         "diagnostics": {
             "grid_points": result.diagnostics.grid_points,
             "sign_changes": result.diagnostics.sign_changes,
-            "pole_points": result.diagnostics.pole_points,
             "skipped_intervals": [list(map(_sig9, iv)) for iv in result.diagnostics.skipped_intervals],
             "discarded_candidates": [_sig9(e) for e in result.diagnostics.discarded_candidates],
             "min_spacing_over_step": _min_spacing_over_step(result),

@@ -1,34 +1,40 @@
 """Bound-state search and geometry calibration for well pairs.
 
-Roots are located by scanning the denominator-cleared matching function on a
-uniform energy grid and refining every sign change by bisection.  All
-brackets are halved in lockstep, with one array evaluation of the cleared
-form per step; each bracket carries its own pair's geometry and still sees
-its own midpoint sequence, so the roots are those of bisecting one bracket
-at a time.  The lockstep spans every solve of a batch: a single
-:func:`solve_pair` is a batch of one, and calibration sends its whole coarse
-grid of candidates through one batch, so numpy's per-call overhead is paid
-once per halving rather than once per halving and candidate.  Bisection is
+Every level is addressed by its index.  The Sturm oscillation count
+:func:`~wellcascade.transcendental.count_below` gives the number N(E) of
+levels below any energy, so the levels inside a solve window are numbered
+by N at its two ends, and each one is placed on the uniform energy grid
+``lo + step*i`` by narrowing an index bracket on N until it is one grid cell.
+The grid is never built: N is evaluated only at the bracket points, about a
+thousand energies for a full-range pair where a full scan took 79 000.  A cell where N
+rises by two or more holds a doublet narrower than the step; it is halved on
+N in continuous energy until each level has a bracket of its own, so the
+step sets how each residual is scaled, not which levels are found.
+
+The cleared matching function (see :mod:`.transcendental`) is then evaluated
+at every bracket end in one call, and every bracket is refined on it by
+bisection.  All brackets are halved in lockstep, with one array evaluation
+of the cleared form per step; each bracket carries its own pair's geometry
+and still sees its own midpoint sequence, so the roots are those of
+bisecting one bracket at a time.  The lockstep spans every solve of a
+batch: a single :func:`solve_pair` is a batch of one, the cascade solves its
+four pairs as one batch, and calibration sends its whole coarse grid of
+candidates through one batch, so numpy's per-call overhead is paid once per
+round rather than once per round and candidate.  Bisection is
 unconditionally safe here because the cleared form is continuous and free
 of poles; it always runs down to machine resolution, so the configured
 ``refine_tol`` acts as a guaranteed upper bound on the reported bracket
-width rather than a stopping knob.
-
-The scans of a batch share one slot: the window stage of the last scan,
-which is every factor of the cleared form but the distance's
-``exp(-2 beta (L-a))`` (see :mod:`.transcendental`), keyed by its grid
-(lo, hi, step), ``width``, ``v_deep`` and ``shallow_floor``.  A run of
-requests with the same key, such as a distance calibration's coarse grid,
-evaluates that window once and pays only the distance stage per candidate;
-a new key drops the slot before its own window is computed, so at most one
-window is alive.
+width rather than a stopping knob.  A one-level cell is the bracket that
+scanning the whole grid for sign changes finds (see :func:`_solve_all` for a
+level within rounding of a grid point), so the energies and residuals are
+the scan's bit for bit.
 
 A level's ``residual`` is the magnitude of the cleared matching function at
-the refined energy divided by its magnitude at the isolating grid bracket
-(a positive rescaling, so the root set is untouched).  True roots collapse
-this ratio to near machine epsilon; a sign change produced by anything that
-is not a root cannot shrink it, which is what the ``residual_tol`` filter
-screens for.  Raw-mismatch residuals would be meaningless here: deep-well
+the refined energy divided by its larger magnitude at the two ends of the
+level's grid cell (a positive rescaling, so the root set is untouched).
+True roots collapse this ratio to near machine epsilon; a sign change
+produced by anything that is not a root cannot shrink it, which is what the
+``residual_tol`` filter screens for.  Raw-mismatch residuals would be meaningless here: deep-well
 levels sit within ~1e-13 eV of poles of the deep-side matching function,
 where the raw mismatch is ill-conditioned beyond double precision.
 
@@ -51,9 +57,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .potential import WellPair
+from .potential import WellPair, pair_profile
 from .quantities import CODATA2018, PhysicalConstants
-from .transcendental import Regime, characteristic, classify_regime, grid_scan
+from .transcendental import Regime, characteristic, classify_regime, count_below, grid_scan
 
 __all__ = [
     "SolverConfig",
@@ -80,6 +86,11 @@ _MISFIT_TOL = 5e-3
 _SEARCH_PAD = 0.05
 # most points of one energy grid: 125x the 79k of a full-range solve at 2e-5 eV
 _MAX_GRID_POINTS = 10_000_000
+# count points per multisection round of a solve batch, and most sections of one
+# bracket: a count call costs about as much as ~300 energies, so a few brackets
+# are cut in many sections and a large batch is bisected
+_COUNT_POINTS = 512
+_SECTIONS = 64
 
 
 @dataclass(frozen=True)
@@ -123,7 +134,6 @@ class Level:
 class SolveDiagnostics:
     grid_points: int
     sign_changes: int
-    pole_points: int
     skipped_intervals: tuple[tuple[float, float], ...]
     discarded_candidates: tuple[float, ...]
 
@@ -136,8 +146,8 @@ class SolveResult:
     diagnostics: SolveDiagnostics
 
 
-def uniform_grid(lo: float, hi: float, step: float) -> np.ndarray:
-    """Points ``lo + step*i`` for ``i = 0, 1, ...`` up to ``hi``; at most ``_MAX_GRID_POINTS``."""
+def _grid_size(lo: float, hi: float, step: float) -> int:
+    """Number of points ``lo + step*i`` for ``i = 0, 1, ...`` up to ``hi``; at most ``_MAX_GRID_POINTS``."""
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"grid bounds must be finite, got lo={lo!r}, hi={hi!r}")
     if not (math.isfinite(step) and step > 0.0):
@@ -148,7 +158,12 @@ def uniform_grid(lo: float, hi: float, step: float) -> np.ndarray:
             f"grid step {step!r} over [{lo!r}, {hi!r}] needs {span + 1:.4g} points, "
             f"more than {_MAX_GRID_POINTS}"
         )
-    return lo + step * np.arange(int(math.floor(span)) + 1)
+    return int(math.floor(span)) + 1
+
+
+def uniform_grid(lo: float, hi: float, step: float) -> np.ndarray:
+    """Points ``lo + step*i`` for ``i = 0, 1, ...`` up to ``hi``; at most ``_MAX_GRID_POINTS``."""
+    return lo + step * np.arange(_grid_size(lo, hi, step))
 
 
 class _Geometry(NamedTuple):
@@ -194,22 +209,8 @@ def _bisect(geometry, lo, hi, f_lo, constants):
     return lo, hi
 
 
-class _Brackets(NamedTuple):
-    """One solve's grid scan, reduced to its brackets and diagnostics."""
-
-    pair: WellPair
-    config: SolverConfig
-    lo: np.ndarray
-    hi: np.ndarray
-    f_lo: np.ndarray
-    scale: np.ndarray  # residual scale of each bracket
-    grid_points: int = 0
-    sign_changes: int = 0
-    pole_points: int = 0
-    skipped_intervals: tuple[tuple[float, float], ...] = ()
-
-
-def _scan(pair, cfg, e_min, e_max, constants, slot) -> _Brackets:
+def _grid(pair, cfg, e_min, e_max) -> tuple[float, int]:
+    """First point and size of one solve's grid: the window inside (step, v_deep - step)."""
     # a NaN bound would fall out of max/min below and leave the full range
     for name, bound in (("e_min", e_min), ("e_max", e_max)):
         if bound is not None and math.isnan(bound):
@@ -217,96 +218,216 @@ def _scan(pair, cfg, e_min, e_max, constants, slot) -> _Brackets:
     step = cfg.grid_step
     lo = max(step, e_min if e_min is not None else step)
     hi = min(pair.v_deep - step, e_max if e_max is not None else pair.v_deep - step)
-    if hi <= lo:
-        none = np.empty(0)
-        return _Brackets(pair, cfg, none, none, none, none)
+    return lo, (_grid_size(lo, hi, step) if hi > lo else 0)
 
-    # ``slot`` holds the window of the last scan, keyed by what it reads; any
-    # other window is dropped before this scan computes its own
-    key = (lo, hi, step, pair.width, pair.v_deep, pair.shallow_floor)
-    window = slot.pop(key, None)
-    slot.clear()
-    energies = uniform_grid(lo, hi, step) if window is None else window.energies
-    scan = grid_scan(pair, energies, constants, window)
-    slot[key] = scan.window
 
-    char = scan.char
-    valid = np.isfinite(char) & ~((char == 0.0) & (scan.char_scale == 0.0))
-    change = char[:-1] * char[1:] < 0.0
-    isolated = change & valid[:-1] & valid[1:]
-    skipped = np.flatnonzero(change & ~isolated)
-    # an exact zero on the grid is a bracket of zero width, already a root; no
-    # bracket touches it, so brackets in grid order yield ascending roots
-    exact = valid & (char == 0.0)
-    left = np.flatnonzero(exact | np.append(isolated, False))
-    right = np.where(exact[left], left, left + 1)
-    # convergence measure: cleared mismatch at the root relative to its size at
-    # the isolating grid bracket (at a grid zero, its own term scale); a pole
-    # artifact cannot shrink it
-    scale = np.where(
-        exact[left], scan.char_scale[left], np.maximum(np.abs(char[left]), np.abs(char[right]))
+def _sign_change(f_lo, f_hi):
+    """Where the cleared form changes sign across a bracket: both ends finite and nonzero."""
+    return np.isfinite(f_lo) & np.isfinite(f_hi) & (np.sign(f_lo) * np.sign(f_hi) < 0.0)
+
+
+def _cells(count, grid, size):
+    """Number every level inside each request's grid and find its grid cell.
+
+    Returns per level its request, its index ``k`` among all levels of its
+    pair, the cell ``[a, a + 1]`` that holds it (``N(grid(a)) <= k <
+    N(grid(a + 1))``), and ``N`` at both cell ends.  The first round cuts
+    each whole grid, its ends included, and the counts at the ends number the
+    levels; then the index brackets ``[a, b]`` shrink by multisection, every
+    level of every request together.  Brackets of two levels are the same or
+    disjoint, so levels in one bracket (adjacent in the arrays) share its
+    count points.  A round spends about ``_COUNT_POINTS`` points: a few
+    brackets get many sections each, a large batch is bisected.
+    """
+    cells = np.flatnonzero(size >= 2)
+    last = size[cells] - 1
+    sections = max(1, min(_SECTIONS, _COUNT_POINTS // max(cells.size, 1), int(last.max(initial=1))))
+    points = last[:, None] * np.arange(sections + 1) // sections
+    at = np.repeat(cells, sections + 1)
+    counts = count(at, grid(at, points.ravel())).reshape(points.shape)
+    per = counts[:, -1] - counts[:, 0]
+    req = np.repeat(cells, per)
+    k = np.arange(per.sum()) - np.repeat(np.cumsum(per) - per - counts[:, 0], per)
+    row = np.repeat(np.arange(cells.size), per)
+    t = np.count_nonzero(counts[row] <= k[:, None], axis=1)
+    a, b = points[row, t - 1], points[row, t]
+    n_a, n_b = counts[row, t - 1], counts[row, t]
+    while True:
+        live = np.flatnonzero(b - a > 1)
+        if not live.size:
+            return req, k, a, n_a, n_b
+        new = np.ones(live.size, dtype=bool)
+        new[1:] = (req[live[1:]] != req[live[:-1]]) | (a[live[1:]] != a[live[:-1]])
+        head, which = live[new], np.cumsum(new) - 1
+        width = b[head] - a[head]
+        sections = max(2, min(_SECTIONS, _COUNT_POINTS // head.size, int(width.max())))
+        points = a[head, None] + width[:, None] * np.arange(1, sections) // sections
+        at = np.repeat(req[head], sections - 1)
+        counts = count(at, grid(at, points.ravel())).reshape(points.shape)
+        points, counts = points[which], counts[which]
+        # t: how many of a level's count points lie at or below it
+        t = np.count_nonzero(counts <= k[live, None], axis=1)
+        row, up, down = np.arange(live.size), t > 0, t < sections - 1
+        left, right = np.maximum(t - 1, 0), np.minimum(t, sections - 2)
+        a[live] = np.where(up, points[row, left], a[live])
+        n_a[live] = np.where(up, counts[row, left], n_a[live])
+        b[live] = np.where(down, points[row, right], b[live])
+        n_b[live] = np.where(down, counts[row, right], n_b[live])
+
+
+def _isolate(count, req, k, lo, hi, n_a, n_b):
+    """Halve the bracket of every level that shares it, on the count, in place.
+
+    A bracket holds level ``k`` alone once ``N(lo) == k`` and ``N(hi) == k + 1``;
+    returns where that holds.  Brackets narrower than two doubles stay shared.
+    """
+    for _ in range(200):
+        live = np.flatnonzero((n_a != k) | (n_b != k + 1))
+        mid = 0.5 * (lo[live] + hi[live])
+        inside = (lo[live] < mid) & (mid < hi[live])
+        live, mid = live[inside], mid[inside]
+        if not live.size:
+            break
+        n_mid = count(req[live], mid)
+        above = n_mid > k[live]
+        hi[live[above]], n_b[live[above]] = mid[above], n_mid[above]
+        lo[live[~above]], n_a[live[~above]] = mid[~above], n_mid[~above]
+    return (n_a == k) & (n_b == k + 1)
+
+
+def _neighbour_cells(scan, grid, size, req, a, stray, lo, hi, f_lo, f_hi):
+    """Move stray one-level brackets to the neighbour cell that changes sign, in place.
+
+    A level within rounding of a grid point lies on either side of it for the
+    count and for the cleared form alike, so the cell the count gives can show
+    no sign change while the next one does; scanning the whole grid finds the
+    level there.  The neighbour ``[a-1, a]`` or ``[a+1, a+2]`` is taken when it
+    lies inside the grid, no other level's count places it there and the
+    cleared form changes sign across it; with both, the side whose shared end
+    is nearer zero.  Returns the levels moved.
+    """
+    r, i = req[stray], a[stray]
+    before, after = np.maximum(stray - 1, 0), np.minimum(stray + 1, a.size - 1)
+    taken_left = (before != stray) & (req[before] == r) & (a[before] == i - 1)
+    taken_right = (after != stray) & (req[after] == r) & (a[after] == i + 1)
+    both = np.tile(r, 2)
+    outer, _ = scan(both, grid(both, np.concatenate([np.maximum(i - 1, 0),
+                                                    np.minimum(i + 2, size[r] - 1)])))
+    f_left, f_right = np.split(outer, 2)
+    left = (i >= 1) & ~taken_left & _sign_change(f_left, f_lo[stray])
+    right = (i + 2 < size[r]) & ~taken_right & _sign_change(f_hi[stray], f_right)
+    right &= ~left | (np.abs(f_hi[stray]) <= np.abs(f_lo[stray]))
+    left &= ~right
+    go = stray[right]
+    lo[go], hi[go] = hi[go], grid(req[go], a[go] + 2)
+    f_lo[go], f_hi[go] = f_hi[go], f_right[right]
+    go = stray[left]
+    lo[go], hi[go] = grid(req[go], a[go] - 1), lo[go]
+    f_lo[go], f_hi[go] = f_left[left], f_lo[go]
+    return stray[left | right]
+
+
+def _solve_all(requests, constants) -> list[SolveResult]:
+    """Solve ``(pair, config, e_min, e_max)`` requests together, every level by its index.
+
+    The grid of a request is ``lo + step*i`` over its window (as
+    :func:`uniform_grid`), but it is never built.  The oscillation count
+    :func:`count_below` at the two grid ends numbers the levels inside, and
+    each level's cell follows by multisection of the count over the grid
+    index (:func:`_cells`).  A cell that holds two or more levels is halved
+    on the count in continuous energy until each has a bracket of its own
+    (:func:`_isolate`).  One :func:`grid_scan` call evaluates the cleared form
+    at every bracket end, and every bracket with a sign change goes to
+    :func:`_bisect`, all together.  A one-level cell is the bracket the
+    full-grid scan would find, so its level is the scan's bit for bit.  A
+    level within rounding of a grid point may show its sign change in the
+    next cell instead, as on the full grid: that cell is taken when no other
+    level's count places it there.  Every other bracket without a sign change
+    of the cleared form is reported in ``skipped_intervals``.
+    """
+    if not requests:
+        return []
+    pairs = [pair for pair, *_ in requests]
+    firsts, sizes = zip(*(_grid(*request) for request in requests))
+    first, size = np.array(firsts), np.array(sizes)
+    step = np.array([cfg.grid_step for _, cfg, *_ in requests])
+    geometry = _Geometry.of(pairs)
+    profiles = np.array([pair_profile(pair).segments() for pair in pairs])
+
+    def count(req, energies):
+        return count_below(tuple(profiles[req].transpose(1, 2, 0)), energies, constants)
+
+    def grid(req, index):
+        return first[req] + step[req] * index
+
+    def scan(req, energies):
+        scanned = grid_scan(geometry.take(req), energies, constants)
+        return scanned.char, scanned.char_scale
+
+    req, k, a, n_a, n_b = _cells(count, grid, size)
+    cell_lo, cell_hi = grid(req, a), grid(req, a + 1)
+    lo, hi = cell_lo.copy(), cell_hi.copy()
+    isolated = _isolate(count, req, k, lo, hi, n_a, n_b)
+    split = np.flatnonzero((lo != cell_lo) | (hi != cell_hi))
+
+    # the cleared form at every bracket end, and at the cell ends of split cells
+    char, char_scale = scan(
+        np.concatenate([req, req, req[split], req[split]]),
+        np.concatenate([lo, hi, cell_lo[split], cell_hi[split]]),
     )
-    return _Brackets(
-        pair,
-        cfg,
-        energies[left],
-        energies[right],
-        char[left],
-        scale,
-        grid_points=energies.size,
-        sign_changes=int(np.count_nonzero(isolated)),
-        pole_points=int(np.count_nonzero(scan.pole)),
-        skipped_intervals=tuple(zip(energies[skipped].tolist(), energies[skipped + 1].tolist())),
+    f_lo, f_hi, f_cell = np.split(char, [k.size, 2 * k.size])
+    s_lo, s_hi = np.split(char_scale[: 2 * k.size], 2)
+    # a sign change is bisected; a zero at a bracket end is a level already
+    change = isolated & _sign_change(f_lo, f_hi)
+    zero_hi = isolated & ~change & (f_hi == 0.0) & (s_hi != 0.0)
+    zero_lo = isolated & ~change & ~zero_hi & (f_lo == 0.0) & (s_lo != 0.0)
+
+    stray = np.flatnonzero(isolated & ~(change | zero_hi | zero_lo))
+    stray = stray[~np.isin(stray, split)]
+    if stray.size:
+        change[_neighbour_cells(scan, grid, size, req, a, stray, lo, hi, f_lo, f_hi)] = True
+
+    # residual scale: the cleared form's size at the ends of the level's grid cell
+    scale = np.maximum(np.abs(f_lo), np.abs(f_hi))
+    scale[split] = np.maximum(*np.abs(np.split(f_cell, 2)))
+    scale[zero_hi], scale[zero_lo] = s_hi[zero_hi], s_lo[zero_lo]
+    r_lo, r_hi = np.where(zero_hi, hi, lo), np.where(zero_lo, lo, hi)
+    r_lo[change], r_hi[change] = _bisect(
+        geometry.take(req[change]), lo[change], hi[change], f_lo[change], constants
+    )
+    found = change | zero_hi | zero_lo
+    energy = 0.5 * (r_lo + r_hi)
+    residual = np.full(k.size, np.nan)
+    residual[found] = (
+        np.abs(characteristic(geometry.take(req[found]), energy[found], constants)) / scale[found]
     )
 
+    bounds = np.searchsorted(req, np.arange(len(requests) + 1))
+    results = []
+    for r, (pair, cfg, *_) in enumerate(requests):
+        own = slice(bounds[r], bounds[r + 1])
+        results.append(
+            _levels(pair, cfg, int(size[r]), found[own], change[own], energy[own], residual[own],
+                    r_lo[own], r_hi[own], lo[own], hi[own])
+        )
+    return results
 
-def _levels(scanned: _Brackets, energy, residual, r_lo, r_hi) -> SolveResult:
-    pair, cfg = scanned.pair, scanned.config
-    discard = residual > cfg.residual_tol
-    kept = np.flatnonzero(~discard)[: cfg.max_levels]
+
+def _levels(pair, cfg, points, found, change, energy, residual, r_lo, r_hi, lo, hi) -> SolveResult:
+    discard = found & (residual > cfg.residual_tol)
+    kept = np.flatnonzero(found & ~discard)[: cfg.max_levels]
     rows = zip(*(a[kept].tolist() for a in (energy, residual, r_lo, r_hi)))
     levels = tuple(
         Level(energy=e, regime=classify_regime(pair, e), residual=res, bracket=(b0, b1), index=i)
         for i, (e, res, b0, b1) in enumerate(rows)
     )
     diag = SolveDiagnostics(
-        grid_points=scanned.grid_points,
-        sign_changes=scanned.sign_changes,
-        pole_points=scanned.pole_points,
-        skipped_intervals=scanned.skipped_intervals,
+        grid_points=points,
+        sign_changes=int(np.count_nonzero(change)),
+        skipped_intervals=tuple(zip(lo[~found].tolist(), hi[~found].tolist())),
         discarded_candidates=tuple(energy[discard].tolist()),
     )
     return SolveResult(pair=pair, config=cfg, levels=levels, diagnostics=diag)
-
-
-def _solve_all(requests, constants, slot=None) -> list[SolveResult]:
-    """Solve ``(pair, config, e_min, e_max)`` requests, bisecting all brackets together.
-
-    Each scan is reduced to its brackets before the next one runs, so only
-    one grid's worth of scan arrays is alive at a time.  Consecutive requests
-    that share a grid and every pair parameter but ``distance`` share one
-    window of the cleared form (a distance calibration's coarse batch).  A
-    caller-owned ``slot`` keeps that window across batches (a calibration's
-    refinement solves); without one, the window is dropped before bisection,
-    which reads none.
-    """
-    shared = {} if slot is None else slot
-    found = [_scan(*request, constants, shared) for request in requests]
-    if slot is None:
-        shared.clear()
-    if not found:
-        return []
-    counts = [b.lo.size for b in found]
-    geometry = _Geometry.of([b.pair for b in found]).take(np.repeat(np.arange(len(found)), counts))
-    lo, hi, f_lo, scale = (
-        np.concatenate([getattr(b, name) for b in found]) for name in ("lo", "hi", "f_lo", "scale")
-    )
-    r_lo, r_hi = _bisect(geometry, lo, hi, f_lo, constants)
-    energy = 0.5 * (r_lo + r_hi)
-    residual = np.abs(characteristic(geometry, energy, constants)) / scale
-    ends = np.cumsum(counts)[:-1]
-    parts = (np.split(a, ends) for a in (energy, residual, r_lo, r_hi))
-    return [_levels(scanned, *arrays) for scanned, *arrays in zip(found, *parts)]
 
 
 def solve_pair(
@@ -316,16 +437,14 @@ def solve_pair(
     e_min: float | None = None,
     e_max: float | None = None,
     constants: PhysicalConstants = CODATA2018,
-    _slot: dict | None = None,
 ) -> SolveResult:
     """Find all bound states of ``pair`` with energies in (0, v_deep).
 
-    Optional ``e_min``/``e_max`` restrict the scan window (used by the
+    Optional ``e_min``/``e_max`` restrict the search window (used by the
     calibration loop and the CLI).  An empty level list is a valid outcome
-    for wells too shallow or narrow to bind a state.  ``_slot`` is the
-    calibration's window slot (see :func:`_solve_all`), not part of the API.
+    for wells too shallow or narrow to bind a state.
     """
-    return _solve_all([(pair, config or SolverConfig(), e_min, e_max)], constants, _slot)[0]
+    return _solve_all([(pair, config or SolverConfig(), e_min, e_max)], constants)[0]
 
 
 def find_levels(
@@ -416,16 +535,11 @@ def _calibrate_1d(make_pair, targets, lo, hi, step, cfg, constants, what):
         levels = [lv.energy for lv in solved.levels]
         return CalibrationResult(value=x, misfit=_misfit(levels, targets), levels=tuple(levels))
 
-    # one window slot for the whole calibration: a refinement solve of a
-    # distance fit has the coarse batch's key, so it pays the distance stage only
-    slot = {}
-
     def evaluate(x: float) -> CalibrationResult:
         pair = candidate(x)
         if pair is None:
             return fit(x, None)
-        solved = solve_pair(pair, cfg, e_min=e_min, e_max=e_max, constants=constants, _slot=slot)
-        return fit(x, solved)
+        return fit(x, solve_pair(pair, cfg, e_min=e_min, e_max=e_max, constants=constants))
 
     def newton_step(at: CalibrationResult) -> float:
         """Gauss-Newton step on the nearest-level residuals; nan if it has no slope."""
@@ -449,7 +563,7 @@ def _calibrate_1d(make_pair, targets, lo, hi, step, cfg, constants, what):
     # the whole coarse grid is one batch: its brackets are bisected together
     pairs = [candidate(x) for x in grid]
     requests = [(p, cfg, e_min, e_max) for p in pairs if p is not None]
-    solved = iter(_solve_all(requests, constants, slot))
+    solved = iter(_solve_all(requests, constants))
     coarse = [fit(x, None if p is None else next(solved)) for x, p in zip(grid, pairs)]
     b = int(np.argmin([r.misfit for r in coarse]))
     best = coarse[b]

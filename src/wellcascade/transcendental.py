@@ -37,18 +37,24 @@ Numerical notes
   denominator-cleared form ``Nl*Dr - Nr*Dl`` over an array of energies (the
   values of :attr:`GridScan.char`); it has the same roots, no poles, and a
   well-conditioned sign everywhere.
-* The cleared form is evaluated in two stages, and :func:`characteristic`
-  and :func:`grid_scan` both compose them, so the formula has one
-  implementation.  The window stage (``_window_terms``) computes everything
-  that does not read the center distance: the wavenumbers
-  (:func:`wavenumbers`, three square roots), the regime mask, ``Nl``,
-  ``Dl``, ``beta*s2 - k2*c2`` and ``Dr``, with one exponential and two
-  sine-cosine pairs per energy.  The distance stage (``_cleared_terms``)
-  adds ``decay = exp(-2 beta (L-a))`` and ``Nr = decay * (beta*s2 - k2*c2)``.
-  A scan returns its :class:`Window`, and a scan of the same energies for a
-  pair that differs only in ``distance`` may pass it back to pay for the
-  distance stage alone; every value is the same bit for bit, since each
-  expression keeps its operation order.
+* :func:`characteristic` and :func:`grid_scan` both read the terms from
+  ``_cleared_terms``, so the formula has one implementation.  Its parameters
+  may be per-energy arrays, so one call evaluates many pairs, every value
+  bit for bit the one a call for its own pair gives.
+
+Level count
+-----------
+The cleared form locates a level once it is bracketed; :func:`count_below`
+says where to bracket.  With hard walls and a piecewise-constant potential,
+the number of levels below E equals the number of zeros inside the domain
+of the solution that starts at the left wall with ``psi = 0``,
+``psi' = 1`` (the Sturm oscillation theorem).  The count propagates that
+solution region by region in closed form: in a region below E it adds the
+multiples of pi that the Prüfer phase ``atan2(k psi, psi')`` crosses
+(Prüfer, 1926), in a region above E it adds one zero if psi changes sign,
+and the state is rescaled at every edge, so no barrier overflows.  It reads
+only the ``(x_start, x_end, value)`` segments of a profile, so it counts the
+levels of a pair and of the four-well chain alike.
 """
 
 from __future__ import annotations
@@ -57,7 +63,6 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -66,15 +71,18 @@ from .quantities import CODATA2018, PhysicalConstants
 
 __all__ = [
     "Regime",
-    "Window",
     "GridScan",
     "classify_regime",
     "wavenumbers",
     "characteristic",
     "grid_scan",
+    "count_below",
 ]
 
 POLE_RTOL = 1e-12
+# floor of a decay rate f*sqrt(V - E): it is exceeded for V - E > 4e-24 eV,
+# below the rounding of every energy above 1e-7 eV, so it acts only at E = V
+_KAPPA_FLOOR = 1e-12
 _SMALLEST = np.finfo(float).smallest_subnormal
 
 
@@ -106,7 +114,7 @@ def wavenumbers(
 
     ``k1 = f*sqrt(|E - shallow_floor|)`` serves both regimes: it is the decay
     rate of the shallow region in regime A and its wavenumber in regime B.
-    ``pair`` may carry its parameters as arrays (see :func:`_window_terms`).
+    ``pair`` may carry its parameters as arrays (see :func:`_cleared_terms`).
     The energies are not checked; callers keep them inside (0, v_deep).
     """
     e = np.asarray(energies, dtype=float)
@@ -117,28 +125,11 @@ def wavenumbers(
     return k1, beta, k2
 
 
-class Window(NamedTuple):
-    """The distance-free factors of the cleared form on one array of energies.
-
-    Only ``decay = exp(-2 beta (L-a))`` reads the center distance, so pairs
-    that differ in nothing but ``distance`` share one window on a shared grid
-    (see module notes).  ``tr`` is ``Nr`` without its decay.
-    """
-
-    energies: np.ndarray
-    beta: np.ndarray
-    regime_b: np.ndarray
-    nl: np.ndarray
-    dl: np.ndarray
-    tr: np.ndarray
-    dr: np.ndarray
-
-
 @dataclass(frozen=True)
 class GridScan:
-    """Vectorised evaluation over an energy grid (used by solver and CLI).
+    """Vectorised evaluation over an array of energies (used by solver and CLI).
 
-    The solver reads only ``char``, ``char_scale`` and ``pole``.  The sides
+    The solver reads only ``char`` and ``char_scale``.  The sides
     ``lhs`` and ``rhs`` cost a division and a pole mask each, so they are
     formed from ``terms`` on first read (the scan CSV and tests).
     """
@@ -148,7 +139,6 @@ class GridScan:
     pole: np.ndarray  # bool, denominator below pole tolerance on either side
     char: np.ndarray  # denominator-cleared mismatch Nl*Dr - Nr*Dl
     char_scale: np.ndarray  # |Nl*Dr| + |Nr*Dl|, for relative residuals
-    window: Window  # the distance-free factors, for a scan of the next distance
     terms: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]  # Nl, Dl, Nr, Dr
 
     @cached_property
@@ -181,81 +171,68 @@ def _side(n: np.ndarray, d: np.ndarray, pole: np.ndarray) -> np.ndarray:
         return np.where(pole, np.nan, n / d)
 
 
-def _window_terms(pair: WellPair, energies: np.ndarray, constants: PhysicalConstants) -> Window:
-    """Window stage of the cleared form: every factor that does not read ``distance``.
+def _cleared_terms(pair: WellPair, energies, constants: PhysicalConstants):
+    """Numerators and denominators ``(Nl, Dl, Nr, Dr)`` of the rescaled sides, free of poles.
 
-    ``pair`` may carry its ``width``, ``v_deep`` and ``shallow_floor`` as
-    arrays that broadcast against ``energies`` (one geometry per energy); the
-    formula is the same elementwise.
+    ``pair`` may carry its parameters as arrays that broadcast against
+    ``energies`` (one geometry per energy); the formula is the same
+    elementwise.
 
     Regime A lhs uses ``q = exp(-2 k1 a)`` so that
     ``Nl = beta*(1-q) + k1*(1+q)`` is ``(beta + k1*coth(k1 a)) * (1 - q)``
     up to the common positive factor; trigonometric parts are multiplied
     through by the relevant ``sin`` so ``cot`` poles become ordinary zeros.
+    ``Nr`` absorbs the full ``exp(-2 beta (L-a))`` of the rescaled rhs.
     """
     e = np.asarray(energies, dtype=float)
     a = pair.width
     k1, beta, k2 = wavenumbers(pair, e, constants)
     reg_b = e >= pair.shallow_floor
 
-    # both branches read the one k1; each is kept only where its regime holds
-    q = np.exp(-2.0 * k1 * a)
-    nl_a = beta * (1.0 - q) + k1 * (1.0 + q)
-    dl_a = beta * (1.0 - q) - k1 * (1.0 + q)
-
-    s1, c1 = np.sin(k1 * a), np.cos(k1 * a)
-    nl_b = beta * s1 + k1 * c1
-    dl_b = beta * s1 - k1 * c1
+    # both branches read the one k1; each is kept only where its regime holds,
+    # and skipped when no energy is in it (a narrow window lies in one regime)
+    nl_a = dl_a = nl_b = dl_b = np.zeros(e.shape)
+    if not reg_b.all():
+        q = np.exp(-2.0 * k1 * a)
+        nl_a = beta * (1.0 - q) + k1 * (1.0 + q)
+        dl_a = beta * (1.0 - q) - k1 * (1.0 + q)
+    if reg_b.any():
+        s1, c1 = np.sin(k1 * a), np.cos(k1 * a)
+        nl_b = beta * s1 + k1 * c1
+        dl_b = beta * s1 - k1 * c1
 
     s2, c2 = np.sin(k2 * a), np.cos(k2 * a)
-    return Window(
-        energies=e,
-        beta=beta,
-        regime_b=reg_b,
-        nl=np.where(reg_b, nl_b, nl_a),
-        dl=np.where(reg_b, dl_b, dl_a),
-        tr=beta * s2 - k2 * c2,
-        dr=beta * s2 + k2 * c2,
+    decay = np.exp(-2.0 * beta * (pair.distance - pair.width))
+    return (
+        np.where(reg_b, nl_b, nl_a),
+        np.where(reg_b, dl_b, dl_a),
+        decay * (beta * s2 - k2 * c2),
+        beta * s2 + k2 * c2,
     )
-
-
-def _cleared_terms(pair: WellPair, window: Window):
-    """Distance stage: numerators/denominators of the rescaled sides, free of poles.
-
-    ``Nr`` absorbs the full ``exp(-2 beta (L-a))`` of the rescaled rhs; it is
-    the only term that reads ``pair.distance``.
-    """
-    decay = np.exp(-2.0 * window.beta * (pair.distance - pair.width))
-    return window.nl, window.dl, decay * window.tr, window.dr
 
 
 def grid_scan(
     pair: WellPair,
     energies: np.ndarray,
     constants: PhysicalConstants = CODATA2018,
-    window: Window | None = None,
 ) -> GridScan:
-    """Evaluate the cleared form and its pole mask over an energy grid.
+    """Evaluate the cleared form and its pole mask over an array of energies.
 
     All energies must lie in (0, v_deep).  The sides carry the common
-    ``exp(-beta (L-a))`` factor (see module notes).  ``window`` is the
-    :attr:`GridScan.window` of an earlier scan of the same ``energies`` and the
-    same ``width``, ``v_deep`` and ``shallow_floor``; given one, the scan
-    evaluates only the distance stage.
+    ``exp(-beta (L-a))`` factor (see module notes).  ``pair`` is a
+    :class:`WellPair` or per-energy arrays of its parameters, as in
+    :func:`characteristic`.
     """
-    if window is None:
-        e = np.asarray(energies, dtype=float)
-        if e.size and not (np.all(e > 0.0) and np.all(e < pair.v_deep)):
-            raise ValueError("grid energies must lie strictly inside (0, v_deep)")
-        window = _window_terms(pair, e, constants)
-    nl, dl, nr, dr = _cleared_terms(pair, window)
+    e = np.asarray(energies, dtype=float)
+    if e.size and not (np.all(e > 0.0) and np.all(e < pair.v_deep)):
+        raise ValueError("grid energies must lie strictly inside (0, v_deep)")
+    nl, dl, nr, dr = _cleared_terms(pair, e, constants)
     return GridScan(
-        energies=window.energies,
-        regime_b=window.regime_b,
+        energies=e,
+        regime_b=e >= pair.shallow_floor,
         pole=_poles(nl, dl) | _poles(nr, dr),
         char=nl * dr - nr * dl,
         char_scale=np.abs(nl * dr) + np.abs(nr * dl),
-        window=window,
         terms=(nl, dl, nr, dr),
     )
 
@@ -269,9 +246,79 @@ def characteristic(
 
     Vanishes exactly at the bound-state energies and equals :attr:`GridScan.char`
     at the same points.  ``pair`` is a :class:`WellPair` or per-energy arrays
-    of its parameters (see :func:`_window_terms`), so one call can evaluate
+    of its parameters (see :func:`_cleared_terms`), so one call can evaluate
     brackets of several pairs.  The energies are not checked: callers pass
-    points inside a grid that :func:`grid_scan` has already validated.
+    points inside a grid whose ends :func:`grid_scan` has already validated.
     """
-    nl, dl, nr, dr = _cleared_terms(pair, _window_terms(pair, energies, constants))
+    nl, dl, nr, dr = _cleared_terms(pair, energies, constants)
     return nl * dr - nr * dl
+
+
+def _oscillate(k, length, psi, slope):
+    """Zeros across an oscillatory region and the state at its far edge.
+
+    The Prüfer phase ``theta = atan2(k psi, psi')``, taken in [0, pi], grows
+    by ``k * length``; a zero lies wherever it crosses a multiple of pi.  The
+    state leaves with ``(psi, psi'/k)`` at unit length.
+    """
+    theta = np.arctan2(k * psi, slope)
+    theta = np.where(theta < 0.0, theta + np.pi, theta)
+    end = theta + k * length
+    zeros = np.floor(end / np.pi) - np.floor(theta / np.pi)
+    return zeros, np.sin(end), k * np.cos(end)
+
+
+def _decay(kappa, length, psi, slope):
+    """Zeros across an evanescent region and the state at its far edge.
+
+    With ``w = psi'/kappa`` and ``q = exp(-2 kappa length)``, the far edge
+    holds ``(psi (1+q) + w (1-q), psi (1-q) + w (1+q))`` times
+    ``exp(kappa length) / 2``; that factor is dropped and ``(psi, w)`` leaves
+    at unit length, so no barrier overflows.  The region holds one zero when
+    psi changes sign across it, else none.  A floor on ``kappa``, below any
+    wavenumber a nonzero double ``E - V`` gives, makes the same formulas the
+    linear solution at ``E = V``.
+    """
+    kappa = np.maximum(kappa, _KAPPA_FLOOR)
+    x = -2.0 * kappa * length
+    q, rest = np.exp(x), -np.expm1(x)  # q and 1 - q
+    w = slope / kappa
+    end = psi * (1.0 + q) + w * rest
+    end_w = psi * rest + w * (1.0 + q)
+    norm = np.hypot(end, end_w)
+    return psi * end < 0.0, end / norm, kappa * end_w / norm
+
+
+def count_below(segments, energies, constants: PhysicalConstants = CODATA2018) -> np.ndarray:
+    """Number of bound states below each energy: the Sturm oscillation count.
+
+    ``segments`` are the ``(x_start, x_end, value)`` triples of a
+    piecewise-constant profile between hard walls, as
+    :meth:`~wellcascade.potential.PotentialProfile.segments` returns them;
+    each entry may be an array that broadcasts against ``energies`` (one
+    profile per energy), so one call serves many pairs.  The count is the
+    number of zeros inside the domain of the solution that starts at the left
+    wall with ``psi = 0``, ``psi' = 1``, propagated region by region (see
+    :func:`_oscillate` and :func:`_decay`).  A branch is evaluated only when
+    some energy needs it.  An energy exactly at a level may count it or not.
+    """
+    e = np.asarray(energies, dtype=float)
+    f = constants.wavenumber_factor
+    psi, slope = np.zeros(e.shape), np.ones(e.shape)
+    count = np.zeros(e.shape)
+    for x_start, x_end, value in segments:
+        length = np.subtract(x_end, x_start)
+        above = e > value
+        k = f * np.sqrt(np.abs(e - value))
+        if above.all():
+            zeros, psi, slope = _oscillate(k, length, psi, slope)
+        elif not above.any():
+            zeros, psi, slope = _decay(k, length, psi, slope)
+        else:
+            zeros, length = np.empty(e.shape), np.broadcast_to(length, e.shape)
+            for branch, where in ((_oscillate, above), (_decay, ~above)):
+                zeros[where], psi[where], slope[where] = branch(
+                    k[where], length[where], psi[where], slope[where]
+                )
+        count += zeros
+    return count.astype(np.int64)

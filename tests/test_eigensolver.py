@@ -75,22 +75,30 @@ def test_grid_zero_is_a_level_and_infinite_bracket_is_skipped(monkeypatch):
     config = SolverConfig(grid_step=0.01)
     grid = uniform_grid(0.01, 0.99, 0.01)
 
-    def fake_terms(pair, window):
+    def fake_terms(pair, energies, constants):
         # cleared form (g + 2)*1 - 2*1 = g, exactly 0 at grid[10] and -inf at
-        # grid[70], whose neighbours are both positive
-        e = window.energies
+        # grid[70]; elsewhere g = sin(37 e + 0.3)
+        e = np.asarray(energies)
         g = np.where(e == grid[10], 0.0, np.where(e == grid[70], -np.inf, np.sin(37.0 * e + 0.3)))
         one = np.ones_like(e)
         return g + 2.0, one, 2.0 * one, one
 
+    def fake_count(segments, energies, constants):
+        # the roots of the sine, a level at grid[10], and one in (grid[69], grid[70])
+        e = np.asarray(energies)
+        sine = np.floor((37.0 * e + 0.3) / np.pi)
+        return (sine + (e >= grid[10]) + (e > 0.5 * (grid[69] + grid[70]))).astype(np.int64)
+
     monkeypatch.setattr(transcendental, "_cleared_terms", fake_terms)
+    monkeypatch.setattr(eigensolver, "count_below", fake_count)
     result = solve_pair(pair, config)
     energies = [lv.energy for lv in result.levels]
     assert energies == sorted(set(energies))
     zero = [lv for lv in result.levels if lv.energy == grid[10]]
     assert len(zero) == 1 and zero[0].residual == 0.0 and zero[0].bracket == (grid[10], grid[10])
-    assert result.diagnostics.skipped_intervals == ((grid[69], grid[70]), (grid[70], grid[71]))
-    assert result.diagnostics.sign_changes == len(result.levels) - 1
+    # the count's level at an infinite cell end is reported, not dropped
+    assert result.diagnostics.skipped_intervals == ((grid[69], grid[70]),)
+    assert result.diagnostics.sign_changes == len(result.levels) - 1 == 11
 
 
 def _bisect_one(pair, lo, hi, f_lo):
@@ -109,11 +117,38 @@ def _bisect_one(pair, lo, hi, f_lo):
     return lo, hi
 
 
-def _sign_changes(pair):
-    energies = uniform_grid(2e-5, pair.v_deep - 2e-5, 2e-5)
+def _sign_changes(pair, lo=2e-5, hi=None, step=2e-5):
+    """Every sign change of the cleared form on the full grid: the scan's brackets."""
+    energies = uniform_grid(lo, pair.v_deep - step if hi is None else hi, step)
     char = grid_scan(pair, energies).char
     i = np.flatnonzero(char[:-1] * char[1:] < 0.0)
     return [(pair, energies[j], energies[j + 1], char[j]) for j in i]
+
+
+def test_levels_on_grid_points_keep_the_scan_brackets(reference_spec, monkeypatch):
+    # a calibration's window starts 0.05 eV below a level, so the level sits
+    # within rounding of a grid point, where the count and the cleared form
+    # can place it in adjacent cells; the solve must take the scan's cell
+    pairs = [reference_spec.pair(i) for i in range(4)]
+    levels = [find_levels(pair) for pair in pairs]
+    scans = []
+
+    def recording(*args, **kwargs):
+        scans.append(1)
+        return grid_scan(*args, **kwargs)
+
+    monkeypatch.setattr(eigensolver, "grid_scan", recording)
+    solves = 0
+    for pair, found in zip(pairs, levels):
+        for level in found:
+            lo, hi = level.energy - 0.05, level.energy + 0.05
+            result = solve_pair(pair, e_min=lo, e_max=hi)
+            solves += 1
+            assert result.diagnostics.skipped_intervals == ()
+            scanned = _sign_changes(pair, max(lo, 2e-5), min(hi, pair.v_deep - 2e-5))
+            assert [lv.bracket for lv in result.levels] == [_bisect_one(*b) for b in scanned]
+    # some of those levels took the neighbour cell, at the cost of a second scan
+    assert len(scans) > solves
 
 
 def test_lockstep_bisection_matches_one_bracket_at_a_time(pair1, pair3):
@@ -175,13 +210,12 @@ def test_batch_solve_matches_one_solve_at_a_time(pair1, pair2):
     assert all(r.levels for r in batch[:-1])
 
 
-def test_distance_calibration_scans_one_window_per_batch(pair1, monkeypatch):
-    windows, solves = [], []
+def test_calibration_coarse_batch_scans_cell_ends_once(pair1, monkeypatch):
+    scans, solves = [], []
 
     def recording(*args, **kwargs):
-        scan = grid_scan(*args, **kwargs)
-        windows.append(scan.window)  # kept alive, so ids stay distinct
-        return scan
+        scans.append(np.array(args[1]))
+        return grid_scan(*args, **kwargs)
 
     def counting(*args, **kwargs):
         solves.append(1)
@@ -189,16 +223,19 @@ def test_distance_calibration_scans_one_window_per_batch(pair1, monkeypatch):
 
     monkeypatch.setattr(eigensolver, "grid_scan", recording)
     monkeypatch.setattr(eigensolver, "solve_pair", counting)
+    step = SolverConfig().grid_step
     for l_range, points in (((60.0, 60.5), 51), ((58.0, 63.0), 501)):
-        windows.clear()
+        scans.clear()
         solves.clear()
         calibrate_distance(pair1, [1.445, 1.460], l_range)
-        assert len(windows) == points + len(solves)
-        # these targets fit no distance exactly, so Newton refines with solves
-        # of its own; they scan the coarse batch's window again
-        assert solves
-        # one window for the whole calibration, coarse batch and refinement
-        assert len({id(w) for w in windows}) == 1
+        # one scan for the coarse batch and one for each refinement solve
+        assert solves and len(scans) == 1 + len(solves)
+        # on grid points only: two cell ends per level in the window, which
+        # holds the doublet at every coarse distance (its grid has 5 750 points)
+        coarse = scans[0]
+        index = (coarse - 1.395) / step
+        assert np.array_equal(coarse, 1.395 + step * np.round(index))
+        assert coarse.size == 2 * 2 * points
 
 
 def test_calibration_cost_follows_refinement_not_coarse_points(pair1, monkeypatch):
@@ -490,6 +527,23 @@ def test_empty_window_is_valid(pair1):
 def test_diagnostics_populated(pair1):
     result = solve_pair(pair1)
     diag = result.diagnostics
-    assert diag.grid_points > 0
-    assert diag.sign_changes >= len(result.levels)
-    assert math.isfinite(float(diag.pole_points))
+    # the size of the grid the levels are placed on, though it is never built
+    assert diag.grid_points == uniform_grid(2e-5, pair1.v_deep - 2e-5, 2e-5).size
+    assert diag.sign_changes == len(result.levels) == 13
+    assert diag.skipped_intervals == () and diag.discarded_candidates == ()
+
+
+@pytest.mark.parametrize("index, count", [(2, 12), (3, 16)])
+def test_doublet_inside_one_grid_cell_is_found(reference_spec, index, count):
+    # at 5e-4 eV one grid cell holds a whole doublet of pair 3 (H-Q) and of
+    # the closing pair 4 (Q-P), whose sign changes cancel on the grid
+    pair = reference_spec.pair(index)
+    coarse = solve_pair(pair, SolverConfig(grid_step=5e-4))
+    fine = solve_pair(pair, SolverConfig(grid_step=2e-5))
+    assert len(coarse.levels) == len(fine.levels) == count
+    assert coarse.diagnostics.skipped_intervals == () == coarse.diagnostics.discarded_candidates
+    for mine, ref in zip(coarse.levels, fine.levels):
+        assert mine.energy == pytest.approx(ref.energy, abs=1e-12)
+        assert mine.residual <= coarse.config.residual_tol
+        lo, hi = mine.bracket
+        assert lo == hi or np.nextafter(lo, math.inf) == hi

@@ -3,11 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 from wellcascade import oracle
 from wellcascade.eigensolver import SolverConfig, find_levels, solve_pair
 from wellcascade.oracle import FdConfig, count_nodes, fd_solve, fd_states
-from wellcascade.potential import PotentialProfile, cascade_profile, pair_profile
+from wellcascade.potential import PotentialProfile, WellPair, cascade_profile, pair_profile
 from wellcascade.quantities import CODATA2018
+from wellcascade.transcendental import count_below
 
 
 def box_profile(width=43.85):
@@ -170,6 +174,42 @@ def test_bound_count_equals_solver_level_count(reference_spec, index):
     pair = reference_spec.pair(index)
     count = _bound_count(pair_profile(pair))
     assert count == len(solve_pair(pair, SolverConfig(grid_step=2e-5)).levels)
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_count_below_is_exact_beside_every_oracle_level(reference_spec, index):
+    segments = pair_profile(reference_spec.pair(index)).segments()
+    levels = np.array(fd_solve(pair_profile(reference_spec.pair(index)), 20).levels)
+    n = np.arange(levels.size)
+    assert np.array_equal(count_below(segments, levels - 1e-5), n)
+    assert np.array_equal(count_below(segments, levels + 1e-5), n + 1)
+
+
+def test_count_below_counts_the_chain_like_the_oracle(reference_spec):
+    profile = cascade_profile(reference_spec)
+    top = np.nextafter(profile.max_value(), 0.0)
+    assert count_below(profile.segments(), [top]).tolist() == [_bound_count(profile)] == [26]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    width=st.floats(5.0, 50.0),
+    barrier=st.floats(0.5, 20.0),
+    v_deep=st.floats(0.3, 2.0),
+    share=st.floats(0.1, 0.9),
+)
+def test_count_solver_and_oracle_agree_on_random_pairs(width, barrier, v_deep, share):
+    pair = WellPair(width=width, distance=width + barrier, v_shallow=share * v_deep, v_deep=v_deep)
+    step = SolverConfig().grid_step
+    segments = pair_profile(pair).segments()
+    below_step, below_top, below_margin = count_below(
+        segments, [step, pair.v_deep - step, pair.v_deep - 1e-4]
+    )
+    # a level within the oracle's discretisation error of the barrier top may
+    # fall on either side of it there
+    assume(below_margin == below_top)
+    count = below_top - below_step
+    assert count == len(solve_pair(pair).levels) == _bound_count(pair_profile(pair))
 
 
 def test_requests_within_the_count_make_the_uncapped_call(pair1):

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import mpmath as mp
@@ -7,11 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wellcascade import eigensolver
 from wellcascade.eigensolver import find_levels
 from wellcascade.potential import WellPair
 from wellcascade.quantities import CODATA2018
 from wellcascade import transcendental
-from wellcascade.transcendental import Regime, classify_regime, grid_scan, wavenumbers
+from wellcascade.transcendental import (
+    Regime,
+    characteristic,
+    classify_regime,
+    grid_scan,
+    wavenumbers,
+)
 
 mp.mp.dps = 50
 
@@ -253,32 +259,31 @@ def _same_bits(x, y) -> bool:
 
 @settings(max_examples=40, deadline=None)
 @given(
-    width=st.floats(5.0, 50.0),
-    v_deep=st.floats(0.3, 2.0),
-    shallow_share=st.floats(0.1, 0.9),
-    below=st.floats(0.01, 0.99),
-    above=st.floats(0.01, 0.99),
-    points=st.integers(2, 400),
-    barriers=st.lists(st.floats(0.5, 30.0), min_size=1, max_size=5),
+    geometries=st.lists(
+        st.tuples(st.floats(5.0, 50.0), st.floats(0.5, 30.0), st.floats(0.3, 2.0),
+                  st.floats(0.1, 0.9)),
+        min_size=1, max_size=5,
+    ),
+    fractions=st.lists(st.floats(0.001, 0.999), min_size=1, max_size=60),
 )
-def test_shared_window_scan_equals_fresh_scan(
-    width, v_deep, shallow_share, below, above, points, barriers
-):
-    # a window across the regime boundary, which is itself one of the energies
-    template = WellPair(width=width, distance=width + 1.0, v_shallow=shallow_share * v_deep,
-                        v_deep=v_deep)
-    floor = template.shallow_floor
-    lo, hi = floor * (1.0 - below), floor + (v_deep - floor) * above
-    energies = np.sort(np.append(np.linspace(lo, hi, points), floor))
-    window = grid_scan(template, energies).window
-    for barrier in barriers:
-        pair = dataclasses.replace(template, distance=width + barrier)
-        shared, fresh = grid_scan(pair, energies, window=window), grid_scan(pair, energies)
-        names = [f.name for f in dataclasses.fields(fresh) if f.name != "window"]
-        for name in names + ["lhs", "rhs", "mismatch"]:
-            assert _same_bits(getattr(shared, name), getattr(fresh, name)), name
-        for name, ours, theirs in zip(window._fields, shared.window, fresh.window):
-            assert _same_bits(ours, theirs), name
+def test_batched_scan_equals_scan_of_each_pair(geometries, fractions):
+    # the solver evaluates the cleared form of many pairs in one call, one
+    # geometry per energy; every value must be the pair's own scan, bit for bit
+    pairs = [WellPair(width=a, distance=a + barrier, v_shallow=share * v_deep, v_deep=v_deep)
+             for a, barrier, v_deep, share in geometries]
+    which = np.arange(len(fractions)) % len(pairs)
+    # the regime boundary of every pair is one of its energies
+    energies = np.array([f * pairs[i].v_deep for i, f in zip(which, fractions)]
+                        + [p.shallow_floor for p in pairs])
+    which = np.append(which, np.arange(len(pairs)))
+    geometry = eigensolver._Geometry.of(pairs).take(which)
+    batched = grid_scan(geometry, energies)
+    for i, pair in enumerate(pairs):
+        own = which == i
+        alone = grid_scan(pair, energies[own])
+        for name in ("energies", "regime_b", "pole", "char", "char_scale", "lhs", "rhs"):
+            assert _same_bits(getattr(batched, name)[own], getattr(alone, name)), name
+        assert _same_bits(characteristic(geometry, energies)[own], alone.char)
 
 
 def _quotient_poles(n, d):
