@@ -13,21 +13,23 @@ step sets how each residual is scaled, not which levels are found.
 
 The cleared matching function (see :mod:`.transcendental`) is then evaluated
 at every bracket end in one call, and every bracket is refined on it by
-bisection.  All brackets are halved in lockstep, with one array evaluation
-of the cleared form per step; each bracket carries its own pair's geometry
-and still sees its own midpoint sequence, so the roots are those of
-bisecting one bracket at a time.  The lockstep spans every solve of a
-batch: a single :func:`solve_pair` is a batch of one, the cascade solves its
-four pairs as one batch, and calibration sends its whole coarse grid of
-candidates through one batch, so numpy's per-call overhead is paid once per
-round rather than once per round and candidate.  Bisection is
-unconditionally safe here because the cleared form is continuous and free
-of poles; it always runs down to machine resolution, so the configured
-``refine_tol`` acts as a guaranteed upper bound on the reported bracket
-width rather than a stopping knob.  A one-level cell is the bracket that
-scanning the whole grid for sign changes finds (see :func:`_solve_all` for a
-level within rounding of a grid point), so the energies and residuals are
-the scan's bit for bit.
+bisection.  All brackets are bisected in lockstep, several halvings per
+round: a round evaluates the cleared form once, at every midpoint of
+bisection's own tree a few levels below each open bracket (six levels for a
+few brackets, one for a few hundred), and each bracket descends its tree by
+the signs.  Each bracket carries its own pair's geometry and still sees its
+own midpoint sequence, so the roots are those of bisecting one bracket at a
+time.  The lockstep spans every solve of a batch: a single
+:func:`solve_pair` is a batch of one, the cascade solves its four pairs as
+one batch, and calibration sends its whole coarse grid of candidates through
+one batch, so numpy's per-call overhead is paid once per round rather than
+once per round and candidate.  Bisection is unconditionally safe here
+because the cleared form is continuous and free of poles; it always runs
+down to machine resolution, so the configured ``refine_tol`` acts as a
+guaranteed upper bound on the reported bracket width rather than a stopping
+knob.  A one-level cell is the bracket that scanning the whole grid for sign
+changes finds (see :func:`_solve_batch` for a level within rounding of a
+grid point), so the energies and residuals are the scan's bit for bit.
 
 A level's ``residual`` is the magnitude of the cleared matching function at
 the refined energy divided by its larger magnitude at the two ends of the
@@ -40,9 +42,10 @@ where the raw mismatch is ill-conditioned beyond double precision.
 
 Calibration searches one geometry parameter (center distance or one depth)
 so that the pair's levels best match a set of target energies: a
-deterministic coarse batch (the whole grid solved as one batch), then Newton
-refinement on implicit level slopes inside the best cell.  Each target is
-matched to its nearest level; the slope of a level follows from the cleared
+deterministic coarse batch (the whole grid solved as one batch, every misfit
+read from its level arrays at once), then Newton refinement on implicit
+level slopes inside the best cell.  Each target is matched to its nearest
+level; the slope of a level follows from the cleared
 form F(x, E) = 0 as dE/dx = -F_x/F_E, both partials by differences of one
 :func:`characteristic` call, and a Gauss-Newton step (halved until the
 misfit drops) costs one windowed solve, so a fit takes about two solves.
@@ -86,10 +89,10 @@ _MISFIT_TOL = 5e-3
 _SEARCH_PAD = 0.05
 # most points of one energy grid: 125x the 79k of a full-range solve at 2e-5 eV
 _MAX_GRID_POINTS = 10_000_000
-# count points per multisection round of a solve batch, and most sections of one
-# bracket: a count call costs about as much as ~300 energies, so a few brackets
-# are cut in many sections and a large batch is bisected
-_COUNT_POINTS = 512
+# points per multisection round of a solve batch (count or cleared form), and most
+# sections of one bracket: a call costs about as much as ~300 energies, so a few
+# brackets are cut in many sections and a large batch is bisected
+_ROUND_POINTS = 512
 _SECTIONS = 64
 
 
@@ -186,26 +189,59 @@ def _bisect(geometry, lo, hi, f_lo, constants):
     """Shrink verified sign-change brackets down to machine resolution, together.
 
     ``geometry`` holds each bracket's pair parameters, so the brackets may
-    come from different pairs.  Every iteration evaluates
-    :func:`characteristic` once, on the midpoints of the brackets still open,
-    so each bracket sees the midpoint sequence it would see alone.  A bracket
-    closes when its midpoint is no longer strictly inside it, after 200
-    halvings, or at an exact zero, which collapses it to ``(mid, mid)``.
+    come from different pairs.  A round descends ``depth`` levels of
+    bisection's own midpoint tree with one :func:`characteristic` call, on
+    the midpoints ``0.5*(a + b)`` of every node down to that depth of every
+    bracket still open; ``depth`` is as large as ``_ROUND_POINTS`` and
+    ``_SECTIONS`` allow (one level for a few hundred brackets, six for a
+    few).  Each bracket then walks its tree by the sign of f at each node, so
+    it sees the midpoint sequence it would see alone.  A bracket closes when
+    its midpoint is no longer strictly inside it, after 200 halvings, or at
+    an exact zero, which collapses it to ``(mid, mid)``.
     """
-    lo, hi, f_lo = lo.copy(), hi.copy(), f_lo.copy()
-    live = np.arange(lo.size)
-    for _ in range(200):
-        mid = 0.5 * (lo[live] + hi[live])
-        inside = (lo[live] < mid) & (mid < hi[live])
-        live, mid = live[inside], mid[inside]
+    lo, hi = lo.copy(), hi.copy()
+    # f > 0 at lo: a halving keeps lo on its side of the root, so this never changes
+    live, a, b, up, geo = np.arange(lo.size), lo, hi, f_lo > 0.0, geometry
+    halvings = 0
+    while halvings < 200:
+        root = 0.5 * (a + b)
+        keep = (a < root) & (root < b)
+        if not keep.all():
+            live, a, b, root, up = (x[keep] for x in (live, a, b, root, up))
+            geo = geo.take(keep)
         if not live.size:
             break
-        f_mid = characteristic(geometry.take(live), mid, constants)
-        zero = f_mid == 0.0
-        same = ~zero & ((f_mid > 0.0) == (f_lo[live] > 0.0))
-        lo[live[same | zero]] = mid[same | zero]
-        hi[live[~same]] = mid[~same]
-        f_lo[live[same]] = f_mid[same]
+        n, depth = live.size, 1
+        while 2 ** (depth + 1) <= min(_SECTIONS, _ROUND_POINTS // n + 1):
+            depth += 1
+        depth = min(depth, 200 - halvings)
+        halvings += depth
+        # the tree in order: ends[m] is the midpoint of node m, which spans
+        # ends[m - h] to ends[m + h] with h = 2**(depth - 1 - level); its children
+        # are m - h/2 and m + h/2
+        width = 2**depth
+        ends = np.empty((n, width + 1))
+        ends[:, 0], ends[:, width // 2], ends[:, width] = a, root, b
+        for span in (width >> level for level in range(1, depth)):
+            ends[:, span // 2 :: span] = 0.5 * (ends[:, :-1:span] + ends[:, span::span])
+        f = characteristic(_Geometry(*(x[:, None] for x in geo)), ends[:, 1:-1], constants)
+        # the move at each node: to the right child where f has lo's sign, else to
+        # the left one, none at an exact zero.  A midpoint not strictly inside its
+        # node is one of its ends, where f has that end's sign: the walk keeps the
+        # bracket below it, and the next round closes it.
+        move = np.where((f > 0.0) == up[:, None], 1, -1)
+        move[f == 0.0] = 0
+        # each bracket walks down from its root; ``at`` indexes the flattened nodes
+        rows = np.arange(n)
+        at = rows * (width - 1) + (width // 2 - 1)
+        for level in range(1, depth):
+            at += (width >> (level + 1)) * move.ravel()[at]
+        # the leaf on the side of the last move, or (mid, mid) at a zero; ``at``
+        # now indexes the node's midpoint in the flattened ends
+        last = move.ravel()[at]
+        at += 2 * rows + 1
+        a, b = ends.ravel()[at - (last < 0)], ends.ravel()[at + (last > 0)]
+        lo[live], hi[live] = a, b
     return lo, hi
 
 
@@ -236,12 +272,12 @@ def _cells(count, grid, size):
     levels; then the index brackets ``[a, b]`` shrink by multisection, every
     level of every request together.  Brackets of two levels are the same or
     disjoint, so levels in one bracket (adjacent in the arrays) share its
-    count points.  A round spends about ``_COUNT_POINTS`` points: a few
+    count points.  A round spends about ``_ROUND_POINTS`` points: a few
     brackets get many sections each, a large batch is bisected.
     """
     cells = np.flatnonzero(size >= 2)
     last = size[cells] - 1
-    sections = max(1, min(_SECTIONS, _COUNT_POINTS // max(cells.size, 1), int(last.max(initial=1))))
+    sections = max(1, min(_SECTIONS, _ROUND_POINTS // max(cells.size, 1), int(last.max(initial=1))))
     points = last[:, None] * np.arange(sections + 1) // sections
     at = np.repeat(cells, sections + 1)
     counts = count(at, grid(at, points.ravel())).reshape(points.shape)
@@ -260,7 +296,7 @@ def _cells(count, grid, size):
         new[1:] = (req[live[1:]] != req[live[:-1]]) | (a[live[1:]] != a[live[:-1]])
         head, which = live[new], np.cumsum(new) - 1
         width = b[head] - a[head]
-        sections = max(2, min(_SECTIONS, _COUNT_POINTS // head.size, int(width.max())))
+        sections = max(2, min(_SECTIONS, _ROUND_POINTS // head.size, int(width.max())))
         points = a[head, None] + width[:, None] * np.arange(1, sections) // sections
         at = np.repeat(req[head], sections - 1)
         counts = count(at, grid(at, points.ravel())).reshape(points.shape)
@@ -327,7 +363,24 @@ def _neighbour_cells(scan, grid, size, req, a, stray, lo, hi, f_lo, f_hi):
     return stray[left | right]
 
 
-def _solve_all(requests, constants) -> list[SolveResult]:
+class _Batch(NamedTuple):
+    """Per-level arrays of a solve batch, grouped by request in request order."""
+
+    req: np.ndarray  # the request of each level
+    size: np.ndarray  # grid points of each request
+    found: np.ndarray  # a root was bisected, or lies at a bracket end
+    change: np.ndarray  # the cleared form changes sign across the bracket
+    kept: np.ndarray  # found, within residual_tol and within max_levels: reported
+    discarded: np.ndarray  # found but beyond residual_tol
+    energy: np.ndarray
+    residual: np.ndarray
+    r_lo: np.ndarray  # the refined bracket
+    r_hi: np.ndarray
+    lo: np.ndarray  # the bracket before refinement
+    hi: np.ndarray
+
+
+def _solve_batch(requests, constants) -> _Batch:
     """Solve ``(pair, config, e_min, e_max)`` requests together, every level by its index.
 
     The grid of a request is ``lo + step*i`` over its window (as
@@ -338,19 +391,21 @@ def _solve_all(requests, constants) -> list[SolveResult]:
     on the count in continuous energy until each has a bracket of its own
     (:func:`_isolate`).  One :func:`grid_scan` call evaluates the cleared form
     at every bracket end, and every bracket with a sign change goes to
-    :func:`_bisect`, all together.  A one-level cell is the bracket the
-    full-grid scan would find, so its level is the scan's bit for bit.  A
-    level within rounding of a grid point may show its sign change in the
-    next cell instead, as on the full grid: that cell is taken when no other
-    level's count places it there.  Every other bracket without a sign change
-    of the cleared form is reported in ``skipped_intervals``.
+    :func:`_bisect`, all together, several halvings per call.  A one-level
+    cell is the bracket the full-grid scan would find, so its level is the
+    scan's bit for bit.  A level within rounding of a grid point may show its
+    sign change in the next cell instead, as on the full grid: that cell is
+    taken when no other level's count places it there.  Every other bracket
+    without a sign change of the cleared form is reported in
+    ``skipped_intervals``.  Returns per-level arrays, which
+    :func:`_solve_all` assembles into one :class:`SolveResult` per request
+    and calibration reads directly.
     """
-    if not requests:
-        return []
     pairs = [pair for pair, *_ in requests]
+    configs = [cfg for _, cfg, *_ in requests]
     firsts, sizes = zip(*(_grid(*request) for request in requests))
     first, size = np.array(firsts), np.array(sizes)
-    step = np.array([cfg.grid_step for _, cfg, *_ in requests])
+    step = np.array([cfg.grid_step for cfg in configs])
     geometry = _Geometry.of(pairs)
     profiles = np.array([pair_profile(pair).segments() for pair in pairs])
 
@@ -402,30 +457,40 @@ def _solve_all(requests, constants) -> list[SolveResult]:
         np.abs(characteristic(geometry.take(req[found]), energy[found], constants)) / scale[found]
     )
 
-    bounds = np.searchsorted(req, np.arange(len(requests) + 1))
-    results = []
-    for r, (pair, cfg, *_) in enumerate(requests):
-        own = slice(bounds[r], bounds[r + 1])
-        results.append(
-            _levels(pair, cfg, int(size[r]), found[own], change[own], energy[own], residual[own],
-                    r_lo[own], r_hi[own], lo[own], hi[own])
-        )
-    return results
+    # reported: found, within residual_tol, and among the first max_levels of its request
+    discarded = found & (residual > np.array([cfg.residual_tol for cfg in configs])[req])
+    within = found & ~discarded
+    before = np.concatenate([[0], np.cumsum(within)])
+    rank = before[:-1] - before[np.searchsorted(req, req)]
+    limit = np.array([k.size if cfg.max_levels is None else cfg.max_levels for cfg in configs])
+    kept = within & (rank < limit[req])
+    return _Batch(req, size, found, change, kept, discarded, energy, residual, r_lo, r_hi, lo, hi)
 
 
-def _levels(pair, cfg, points, found, change, energy, residual, r_lo, r_hi, lo, hi) -> SolveResult:
-    discard = found & (residual > cfg.residual_tol)
-    kept = np.flatnonzero(found & ~discard)[: cfg.max_levels]
-    rows = zip(*(a[kept].tolist() for a in (energy, residual, r_lo, r_hi)))
+def _solve_all(requests, constants) -> list[SolveResult]:
+    """One :class:`SolveResult` per request of a batch solved by :func:`_solve_batch`."""
+    batch = _solve_batch(requests, constants)
+    bounds = np.searchsorted(batch.req, np.arange(len(requests) + 1))
+    return [
+        _levels(pair, cfg, batch, slice(bounds[r], bounds[r + 1]), int(batch.size[r]))
+        for r, (pair, cfg, *_) in enumerate(requests)
+    ]
+
+
+def _levels(pair, cfg, batch, own, points) -> SolveResult:
+    kept, skipped = batch.kept[own], ~batch.found[own]
+    rows = zip(*(x[own][kept].tolist() for x in (batch.energy, batch.residual, batch.r_lo,
+                                                  batch.r_hi)))
     levels = tuple(
         Level(energy=e, regime=classify_regime(pair, e), residual=res, bracket=(b0, b1), index=i)
         for i, (e, res, b0, b1) in enumerate(rows)
     )
     diag = SolveDiagnostics(
         grid_points=points,
-        sign_changes=int(np.count_nonzero(change)),
-        skipped_intervals=tuple(zip(lo[~found].tolist(), hi[~found].tolist())),
-        discarded_candidates=tuple(energy[discard].tolist()),
+        sign_changes=int(np.count_nonzero(batch.change[own])),
+        skipped_intervals=tuple(zip(batch.lo[own][skipped].tolist(),
+                                    batch.hi[own][skipped].tolist())),
+        discarded_candidates=tuple(batch.energy[own][batch.discarded[own]].tolist()),
     )
     return SolveResult(pair=pair, config=cfg, levels=levels, diagnostics=diag)
 
@@ -480,10 +545,22 @@ def _nearest(levels: Sequence[float], targets: list[float]) -> list[float]:
     return [min(levels, key=lambda e: abs(t - e)) for t in targets]
 
 
-def _misfit(levels: list[float], targets: list[float]) -> float:
-    if not levels:
-        return math.inf
-    return math.sqrt(sum((t - e) ** 2 for t, e in zip(targets, _nearest(levels, targets))))
+def _misfits(energies: np.ndarray, counts: np.ndarray, targets: list[float]) -> np.ndarray:
+    """Misfit of each candidate: ``energies`` holds ``counts[i]`` levels of candidate ``i`` in turn.
+
+    The root of the summed squares, in target order, of each target's distance
+    to its nearest level; inf for a candidate without levels.  ``float_power``
+    squares with the C library's ``pow``, as Python's ``** 2`` does: ``d * d``
+    rounds exact ties differently, and a near match leaves few bits in ``d``.
+    """
+    has = counts > 0
+    starts = (np.cumsum(counts) - counts)[has]
+    total = np.zeros(starts.size)
+    for t in targets:
+        total += np.float_power(np.minimum.reduceat(np.abs(t - energies), starts), 2)
+    misfit = np.full(counts.size, math.inf)
+    misfit[has] = np.sqrt(total)
+    return misfit
 
 
 def _level_slopes(make_pair, x, energies, x_range, h, h_e, constants) -> np.ndarray:
@@ -523,50 +600,38 @@ def _calibrate_1d(make_pair, targets, lo, hi, step, cfg, constants, what):
 
     e_min, e_max = min(targets) - _SEARCH_PAD, max(targets) + _SEARCH_PAD
 
-    def candidate(x: float) -> WellPair | None:
-        try:
-            return make_pair(x)
-        except ValueError:
-            return None
-
-    def fit(x: float, solved: SolveResult | None) -> CalibrationResult:
-        if solved is None:
-            return CalibrationResult(value=x, misfit=math.inf, levels=())
-        levels = [lv.energy for lv in solved.levels]
-        return CalibrationResult(value=x, misfit=_misfit(levels, targets), levels=tuple(levels))
+    def fit(x: float, energies: np.ndarray) -> CalibrationResult:
+        misfit = _misfits(energies, np.array([energies.size]), targets)[0]
+        return CalibrationResult(value=x, misfit=float(misfit), levels=tuple(energies.tolist()))
 
     def evaluate(x: float) -> CalibrationResult:
-        pair = candidate(x)
-        if pair is None:
-            return fit(x, None)
-        return fit(x, solve_pair(pair, cfg, e_min=e_min, e_max=e_max, constants=constants))
+        solved = solve_pair(make_pair(x), cfg, e_min=e_min, e_max=e_max, constants=constants)
+        return fit(x, np.array([lv.energy for lv in solved.levels]))
 
     def newton_step(at: CalibrationResult) -> float:
         """Gauss-Newton step on the nearest-level residuals; nan if it has no slope."""
         matched = _nearest(at.levels, targets)
-        try:
-            slope = _level_slopes(
-                make_pair, at.value, matched, (lo, hi), _SLOPE_H * step, _SLOPE_H * cfg.grid_step,
-                constants,
-            )
-        except ValueError:
-            return math.nan
+        slope = _level_slopes(
+            make_pair, at.value, matched, (lo, hi), _SLOPE_H * step, _SLOPE_H * cfg.grid_step,
+            constants,
+        )
         gain = float(slope @ slope)
         if not (math.isfinite(gain) and gain > 0.0):
             return math.nan
         return -float(slope @ (np.array(matched) - targets)) / gain
 
-    # a one-point range is a one-point grid, after the same step check
+    # a one-point range is a one-point grid, after the same step check; the public
+    # functions admit only ranges in which make_pair succeeds
     grid = uniform_grid(lo, hi, step).tolist()
     if grid[-1] < hi - 1e-12 * max(1.0, abs(hi)):
         grid.append(hi)
-    # the whole coarse grid is one batch: its brackets are bisected together
-    pairs = [candidate(x) for x in grid]
-    requests = [(p, cfg, e_min, e_max) for p in pairs if p is not None]
-    solved = iter(_solve_all(requests, constants))
-    coarse = [fit(x, None if p is None else next(solved)) for x, p in zip(grid, pairs)]
-    b = int(np.argmin([r.misfit for r in coarse]))
-    best = coarse[b]
+    # the whole coarse grid is one batch, its misfits taken from the level arrays
+    batch = _solve_batch([(make_pair(x), cfg, e_min, e_max) for x in grid], constants)
+    energies = batch.energy[batch.kept]
+    counts = np.bincount(batch.req[batch.kept], minlength=len(grid))
+    b = int(np.argmin(_misfits(energies, counts, targets)))
+    first = int(counts[:b].sum())
+    best = coarse_best = fit(grid[b], energies[first : first + counts[b]])
     iterates, solves = [], 0
     if 1e-12 < best.misfit < math.inf and len(grid) > 1:
         # Gauss-Newton from the best coarse point, kept inside its grid cell; a
@@ -596,7 +661,7 @@ def _calibrate_1d(make_pair, targets, lo, hi, step, cfg, constants, what):
             fine = trial
         if fine.misfit <= best.misfit:
             best = fine
-    _log_calibration(what, coarse[b], len(grid), iterates, solves)
+    _log_calibration(what, coarse_best, len(grid), iterates, solves)
     if best.misfit > _MISFIT_TOL:
         raise CalibrationError(
             f"calibration failed: best {what} {best.value:.6g} leaves misfit "

@@ -189,17 +189,13 @@ def _cleared_terms(pair: WellPair, energies, constants: PhysicalConstants):
     k1, beta, k2 = wavenumbers(pair, e, constants)
     reg_b = e >= pair.shallow_floor
 
-    # both branches read the one k1; each is kept only where its regime holds,
-    # and skipped when no energy is in it (a narrow window lies in one regime)
-    nl_a = dl_a = nl_b = dl_b = np.zeros(e.shape)
-    if not reg_b.all():
-        q = np.exp(-2.0 * k1 * a)
-        nl_a = beta * (1.0 - q) + k1 * (1.0 + q)
-        dl_a = beta * (1.0 - q) - k1 * (1.0 + q)
-    if reg_b.any():
-        s1, c1 = np.sin(k1 * a), np.cos(k1 * a)
-        nl_b = beta * s1 + k1 * c1
-        dl_b = beta * s1 - k1 * c1
+    # both regimes' terms from the one k1, each kept below where its regime holds
+    q = np.exp(-2.0 * k1 * a)
+    nl_a = beta * (1.0 - q) + k1 * (1.0 + q)
+    dl_a = beta * (1.0 - q) - k1 * (1.0 + q)
+    s1, c1 = np.sin(k1 * a), np.cos(k1 * a)
+    nl_b = beta * s1 + k1 * c1
+    dl_b = beta * s1 - k1 * c1
 
     s2, c2 = np.sin(k2 * a), np.cos(k2 * a)
     decay = np.exp(-2.0 * beta * (pair.distance - pair.width))

@@ -1,9 +1,12 @@
 import logging
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from wellcascade import eigensolver, transcendental
 from wellcascade.eigensolver import (
@@ -167,27 +170,70 @@ def test_lockstep_bisection_matches_one_bracket_at_a_time(pair1, pair3):
 
 
 def test_bisect_collapses_only_the_bracket_with_an_exact_zero(pair1, monkeypatch):
-    sizes = []
+    shapes = []
 
     def fake(geometry, energies, constants):
-        # zero at 0.5, the first midpoint of the first bracket; a jump with no
-        # zero at 1.3 inside the second one
-        assert geometry.width.shape == energies.shape
-        sizes.append(energies.size)
-        return np.where(energies < 1.0, energies - 0.5, np.where(energies < 1.3, -1.0, 1.0))
+        # a zero at 0.5, the first midpoint of the first bracket; a jump with no
+        # zero at 1.3 inside the second one; a zero at 2.375 inside the third,
+        # the third node on its path (2.5, 2.25, 2.375)
+        assert np.broadcast_shapes(geometry.width.shape, energies.shape) == energies.shape
+        shapes.append(energies.shape)
+        return np.where(
+            energies < 1.0,
+            energies - 0.5,
+            np.where(energies < 2.0, np.where(energies < 1.3, -1.0, 1.0), energies - 2.375),
+        )
 
     monkeypatch.setattr(eigensolver, "characteristic", fake)
     lo, hi = eigensolver._bisect(
-        eigensolver._Geometry.of([pair1, pair1]),
-        np.array([0.0, 1.0]),
-        np.array([1.0, 2.0]),
-        np.array([-0.5, -1.0]),
+        eigensolver._Geometry.of([pair1, pair1, pair1]),
+        np.array([0.0, 1.0, 2.0]),
+        np.array([1.0, 2.0, 3.0]),
+        np.array([-0.5, -1.0, -0.375]),
         CODATA2018,
     )
     assert (lo[0], hi[0]) == (0.5, 0.5)
     assert lo[1] < 1.3 <= hi[1] and np.nextafter(lo[1], math.inf) == hi[1]
-    # one call per halving, on the midpoints of the brackets still open
-    assert sizes[0] == 2 and set(sizes[1:]) == {1}
+    assert (lo[2], hi[2]) == (2.375, 2.375)
+    # each call evaluates a tree of 2**6 - 1 midpoints per open bracket: all
+    # three in the first round, then only the second, whose 52 halvings down
+    # to adjacent doubles take 9 rounds
+    assert shapes == [(3, 63)] + [(1, 63)] * 8
+
+
+# open brackets -> depth of the first round: both sides of every step of the rule
+_DEPTHS = {1: 6, 8: 6, 9: 5, 16: 5, 17: 4, 34: 4, 35: 3, 73: 3, 74: 2, 170: 2, 171: 1, 513: 1}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    width=st.floats(5.0, 50.0),
+    barrier=st.floats(0.5, 20.0),
+    v_deep=st.floats(0.3, 2.0),
+    share=st.floats(0.1, 0.9),
+    step=st.sampled_from([1e-4, 1e-3]),
+    size=st.sampled_from(sorted(_DEPTHS)),
+)
+def test_multisection_equals_one_bracket_at_a_time(width, barrier, v_deep, share, step, size):
+    pair = WellPair(width=width, distance=width + barrier, v_shallow=share * v_deep, v_deep=v_deep)
+    brackets = _sign_changes(pair, lo=step, step=step)[:12]
+    assume(brackets)
+    expected = [_bisect_one(*b) for b in brackets]
+    # ``size`` open brackets set the depth; the refined brackets, already at
+    # adjacent doubles, must come back as they are
+    which = np.arange(size) % len(brackets)
+    done = [(pair, r_lo, r_hi, characteristic(pair, np.array([r_lo]))[0])
+            for r_lo, r_hi in expected if r_lo < r_hi]
+    batch = [brackets[i] for i in which] + done
+    pairs, lo, hi, f_lo = zip(*batch)
+    with mock.patch.object(eigensolver, "characteristic", wraps=characteristic) as spy:
+        r_lo, r_hi = eigensolver._bisect(
+            eigensolver._Geometry.of(pairs), np.array(lo), np.array(hi), np.array(f_lo), CODATA2018
+        )
+    assert list(zip(r_lo.tolist(), r_hi.tolist())) == (
+        [expected[i] for i in which] + [(b[1], b[2]) for b in done]
+    )
+    assert spy.call_args_list[0].args[1].shape == (size, 2 ** _DEPTHS[size] - 1)
 
 
 def test_batch_solve_matches_one_solve_at_a_time(pair1, pair2):
@@ -239,21 +285,35 @@ def test_calibration_coarse_batch_scans_cell_ends_once(pair1, monkeypatch):
 
 
 def test_calibration_cost_follows_refinement_not_coarse_points(pair1, monkeypatch):
-    calls = []
+    calls, batches = [], []
+    solve_batch = eigensolver._solve_batch
 
     def counting(*args):
         calls.append(1)
         return characteristic(*args)
 
+    def batching(requests, constants):
+        before = len(calls)
+        result = solve_batch(requests, constants)
+        batches.append(len(calls) - before)
+        return result
+
     monkeypatch.setattr(eigensolver, "characteristic", counting)
-    counts = []
+    monkeypatch.setattr(eigensolver, "_solve_batch", batching)
+    # one plain lockstep bisection, one halving per call, takes 37 calls from a
+    # 2e-5 eV grid cell in the 1.395-1.51 eV window down to adjacent doubles,
+    # and one more call evaluates the residuals
+    halvings = math.ceil(math.log2(SolverConfig().grid_step / math.ulp(1.5)))
+    plain = halvings + 1
     for l_range in ((60.0, 60.5), (58.0, 63.0)):  # 51 and 501 coarse points
-        calls.clear()
+        batches.clear()
         result = calibrate_distance(pair1, [1.445, 1.460], l_range)
         assert result.value == pytest.approx(60.1888, abs=1e-3)
-        counts.append(len(calls))
-    # one coarse point solved on its own costs ~39 calls
-    assert abs(counts[1] - counts[0]) <= 5, counts
+        coarse, *refinement = batches
+        # the coarse batch costs no more than one plain bisection, whatever its
+        # size; a refinement solve bisects its two brackets six halvings per call
+        assert coarse <= plain, batches
+        assert refinement and max(refinement) <= math.ceil(halvings / 6) + 1, batches
 
 
 def test_oracle_equivalence_on_random_pairs():
@@ -422,6 +482,33 @@ def test_calibration_without_levels_reports_infinite_misfit():
     assert info.value.best.misfit == math.inf
 
 
+def _misfit_one(levels, targets):
+    """The misfit of one candidate, target by target: the reference for the array form."""
+    if not levels:
+        return math.inf
+    nearest = [min(levels, key=lambda e: abs(t - e)) for t in targets]
+    return math.sqrt(sum((t - e) ** 2 for t, e in zip(targets, nearest)))
+
+
+# two targets nearest one level; 94906297 * 2**-52 squared is halfway between
+# two doubles, which pow and d * d round apart, and the root keeps the difference
+@example(candidates=[[1.0], []], targets=[1.0 + 94906297 * 2.0**-52, 1.0 + 2.0**-52], near=[])
+@settings(max_examples=100, deadline=None)
+@given(
+    candidates=st.lists(st.lists(st.floats(0.0, 2.0), max_size=6), min_size=1, max_size=8),
+    targets=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=3),
+    near=st.lists(st.integers(1, 2**27), max_size=3),
+)
+def test_array_misfit_equals_the_one_candidate_form(candidates, targets, near):
+    levels = [e for c in candidates for e in c]
+    # targets within 2**-25 of one level, all nearest it: t - e keeps at most 27
+    # significant bits, so its square can be an exact tie
+    targets = targets + [levels[0] + m * 2.0**-52 for m in near if levels]
+    counts = np.array([len(c) for c in candidates])
+    misfits = eigensolver._misfits(np.array(levels), counts, targets)
+    assert misfits.tolist() == [_misfit_one(c, targets) for c in candidates]
+
+
 # role -> (pair index, parameter value, search range, level window, coarse step):
 # the searched parameter of each mode on pairs 1 and 2, and the window whose
 # levels the slopes are taken of
@@ -482,17 +569,17 @@ def test_calibration_recovers_off_grid_hidden_value(pair1, pair2, role, hidden, 
 
 def test_calibration_refines_in_a_few_solves(pair1, monkeypatch):
     batches, calls = [], []
-    solve_all = eigensolver._solve_all
+    solve_batch = eigensolver._solve_batch
 
     def batching(requests, *args, **kwargs):
         batches.append(len(requests))
-        return solve_all(requests, *args, **kwargs)
+        return solve_batch(requests, *args, **kwargs)
 
     def counting(*args, **kwargs):
         calls.append(1)
         return solve_pair(*args, **kwargs)
 
-    monkeypatch.setattr(eigensolver, "_solve_all", batching)
+    monkeypatch.setattr(eigensolver, "_solve_batch", batching)
     monkeypatch.setattr(eigensolver, "solve_pair", counting)
     result = calibrate_distance(pair1, [1.445, 1.460], (60.0, 60.5))
     assert f"{result.value:.6f}" == "60.188796"
