@@ -171,7 +171,7 @@ def solve_cascade(
 
     # one solve batch: every level of the four pairs is located in lockstep
     results = _solve_all(
-        [(spec.pair(i), cfg, None, None) for i in range(len(spec.distances))], constants
+        [spec.pair(i) for i in range(len(spec.distances))], cfg, None, None, constants
     )
     pairs = tuple(
         PairLevels(

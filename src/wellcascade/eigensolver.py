@@ -19,15 +19,17 @@ bisection's own tree a few levels below each open bracket (six levels for a
 few brackets, one for a few hundred), and each bracket descends its tree by
 the signs.  Each bracket carries its own pair's geometry and still sees its
 own midpoint sequence, so the roots are those of bisecting one bracket at a
-time.  The lockstep spans every solve of a batch: a single
-:func:`solve_pair` is a batch of one, the cascade solves its four pairs as
-one batch, and calibration sends its whole coarse grid of candidates through
-one batch, so numpy's per-call overhead is paid once per round rather than
-once per round and candidate.  Bisection is unconditionally safe here
-because the cleared form is continuous and free of poles; it always runs
-down to machine resolution, so the configured ``refine_tol`` acts as a
-guaranteed upper bound on the reported bracket width rather than a stopping
-knob.  A one-level cell is the bracket that scanning the whole grid for sign
+time.  The lockstep spans every solve of a batch.  A batch is one geometry
+of parameter arrays (one pair per element) solved with one
+:class:`SolverConfig` over one energy window: a single :func:`solve_pair`
+is a batch of one, the cascade solves its four pairs as one batch, and
+calibration solves its whole coarse grid as one batch, the template's
+geometry with the searched parameter set to an array.  So numpy's per-call
+overhead is paid once per round rather than once per round and candidate.
+Bisection is unconditionally safe here because the cleared form is
+continuous and free of poles; it always runs down to machine resolution, so
+the configured ``refine_tol`` acts as a guaranteed upper bound on the
+reported bracket width rather than a stopping knob.  A one-level cell is the bracket that scanning the whole grid for sign
 changes finds (see :func:`_solve_batch` for a level within rounding of a
 grid point), so the energies and residuals are the scan's bit for bit.
 
@@ -43,10 +45,10 @@ where the raw mismatch is ill-conditioned beyond double precision.
 Calibration searches one geometry parameter (center distance or one depth)
 so that the pair's levels best match a set of target energies: a
 deterministic coarse batch (the whole grid solved as one batch, every misfit
-read from its level arrays at once), then Newton refinement on implicit
-level slopes inside the best cell.  Each target is matched to its nearest
-level; the slope of a level follows from the cleared
-form F(x, E) = 0 as dE/dx = -F_x/F_E, both partials by differences of one
+read from its level arrays at once; no pair object is built per candidate),
+then Newton refinement on implicit level slopes inside the best cell.  Each
+target is matched to its nearest level; the slope of a level follows from
+the cleared form F(x, E) = 0 as dE/dx = -F_x/F_E, both partials by differences of one
 :func:`characteristic` call, and a Gauss-Newton step (halved until the
 misfit drops) costs one windowed solve, so a fit takes about two solves.
 """
@@ -60,7 +62,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .potential import WellPair, pair_profile
+from .potential import WellPair, pair_segments
 from .quantities import CODATA2018, PhysicalConstants
 from .transcendental import Regime, characteristic, classify_regime, count_below, grid_scan
 
@@ -87,7 +89,8 @@ _NEWTON_ITERATIONS = 10
 _MISFIT_TOL = 5e-3
 # margin (eV) of a calibration's solve window beyond its lowest and highest target
 _SEARCH_PAD = 0.05
-# most points of one energy grid: 125x the 79k of a full-range solve at 2e-5 eV
+# most points of one grid: 125x the 79k energies of a full-range solve at 2e-5 eV; it
+# also bounds the oracle's rows and a sampled wavefunction's points
 _MAX_GRID_POINTS = 10_000_000
 # points per multisection round of a solve batch (count or cleared form), and most
 # sections of one bracket: a call costs about as much as ~300 energies, so a few
@@ -170,16 +173,24 @@ def uniform_grid(lo: float, hi: float, step: float) -> np.ndarray:
 
 
 class _Geometry(NamedTuple):
-    """Pair parameters per bracket: the attributes :func:`characteristic` reads."""
+    """The parameters of many pairs as arrays, one pair per element."""
 
     width: np.ndarray
     distance: np.ndarray
+    v_shallow: np.ndarray
     v_deep: np.ndarray
-    shallow_floor: np.ndarray
+    shallow_floor = WellPair.shallow_floor
 
     @classmethod
     def of(cls, pairs) -> _Geometry:
         return cls(*(np.array([getattr(p, name) for p in pairs]) for name in cls._fields))
+
+    @classmethod
+    def varied(cls, template: WellPair, field: str, values) -> _Geometry:
+        """``template`` once per entry of ``values``, with ``field`` set to that entry."""
+        values = np.asarray(values, dtype=float)
+        return cls(*(values if name == field else np.full(values.shape, getattr(template, name))
+                     for name in cls._fields))
 
     def take(self, index) -> _Geometry:
         return _Geometry(*(a[index] for a in self))
@@ -245,16 +256,16 @@ def _bisect(geometry, lo, hi, f_lo, constants):
     return lo, hi
 
 
-def _grid(pair, cfg, e_min, e_max) -> tuple[float, int]:
-    """First point and size of one solve's grid: the window inside (step, v_deep - step)."""
+def _grids(geometry, step, e_min, e_max) -> tuple[float, np.ndarray]:
+    """First point and size of each pair's grid: the window inside (step, v_deep - step)."""
     # a NaN bound would fall out of max/min below and leave the full range
     for name, bound in (("e_min", e_min), ("e_max", e_max)):
         if bound is not None and math.isnan(bound):
             raise ValueError(f"solve window bound {name} must be a number, got nan")
-    step = cfg.grid_step
     lo = max(step, e_min if e_min is not None else step)
-    hi = min(pair.v_deep - step, e_max if e_max is not None else pair.v_deep - step)
-    return lo, (_grid_size(lo, hi, step) if hi > lo else 0)
+    top = geometry.v_deep - step
+    hi = top if e_max is None else np.minimum(top, e_max)
+    return lo, np.array([_grid_size(lo, h, step) if h > lo else 0 for h in hi.tolist()], dtype=int)
 
 
 def _sign_change(f_lo, f_hi):
@@ -263,14 +274,14 @@ def _sign_change(f_lo, f_hi):
 
 
 def _cells(count, grid, size):
-    """Number every level inside each request's grid and find its grid cell.
+    """Number every level inside each pair's grid and find its grid cell.
 
-    Returns per level its request, its index ``k`` among all levels of its
+    Returns per level its pair, its index ``k`` among all levels of that
     pair, the cell ``[a, a + 1]`` that holds it (``N(grid(a)) <= k <
     N(grid(a + 1))``), and ``N`` at both cell ends.  The first round cuts
     each whole grid, its ends included, and the counts at the ends number the
     levels; then the index brackets ``[a, b]`` shrink by multisection, every
-    level of every request together.  Brackets of two levels are the same or
+    level of every pair together.  Brackets of two levels are the same or
     disjoint, so levels in one bracket (adjacent in the arrays) share its
     count points.  A round spends about ``_ROUND_POINTS`` points: a few
     brackets get many sections each, a large batch is bisected.
@@ -280,9 +291,9 @@ def _cells(count, grid, size):
     sections = max(1, min(_SECTIONS, _ROUND_POINTS // max(cells.size, 1), int(last.max(initial=1))))
     points = last[:, None] * np.arange(sections + 1) // sections
     at = np.repeat(cells, sections + 1)
-    counts = count(at, grid(at, points.ravel())).reshape(points.shape)
+    counts = count(at, grid(points.ravel())).reshape(points.shape)
     per = counts[:, -1] - counts[:, 0]
-    req = np.repeat(cells, per)
+    owner = np.repeat(cells, per)
     k = np.arange(per.sum()) - np.repeat(np.cumsum(per) - per - counts[:, 0], per)
     row = np.repeat(np.arange(cells.size), per)
     t = np.count_nonzero(counts[row] <= k[:, None], axis=1)
@@ -291,15 +302,15 @@ def _cells(count, grid, size):
     while True:
         live = np.flatnonzero(b - a > 1)
         if not live.size:
-            return req, k, a, n_a, n_b
+            return owner, k, a, n_a, n_b
         new = np.ones(live.size, dtype=bool)
-        new[1:] = (req[live[1:]] != req[live[:-1]]) | (a[live[1:]] != a[live[:-1]])
+        new[1:] = (owner[live[1:]] != owner[live[:-1]]) | (a[live[1:]] != a[live[:-1]])
         head, which = live[new], np.cumsum(new) - 1
         width = b[head] - a[head]
         sections = max(2, min(_SECTIONS, _ROUND_POINTS // head.size, int(width.max())))
         points = a[head, None] + width[:, None] * np.arange(1, sections) // sections
-        at = np.repeat(req[head], sections - 1)
-        counts = count(at, grid(at, points.ravel())).reshape(points.shape)
+        at = np.repeat(owner[head], sections - 1)
+        counts = count(at, grid(points.ravel())).reshape(points.shape)
         points, counts = points[which], counts[which]
         # t: how many of a level's count points lie at or below it
         t = np.count_nonzero(counts <= k[live, None], axis=1)
@@ -311,7 +322,7 @@ def _cells(count, grid, size):
         n_b[live] = np.where(down, counts[row, right], n_b[live])
 
 
-def _isolate(count, req, k, lo, hi, n_a, n_b):
+def _isolate(count, owner, k, lo, hi, n_a, n_b):
     """Halve the bracket of every level that shares it, on the count, in place.
 
     A bracket holds level ``k`` alone once ``N(lo) == k`` and ``N(hi) == k + 1``;
@@ -324,14 +335,14 @@ def _isolate(count, req, k, lo, hi, n_a, n_b):
         live, mid = live[inside], mid[inside]
         if not live.size:
             break
-        n_mid = count(req[live], mid)
+        n_mid = count(owner[live], mid)
         above = n_mid > k[live]
         hi[live[above]], n_b[live[above]] = mid[above], n_mid[above]
         lo[live[~above]], n_a[live[~above]] = mid[~above], n_mid[~above]
     return (n_a == k) & (n_b == k + 1)
 
 
-def _neighbour_cells(scan, grid, size, req, a, stray, lo, hi, f_lo, f_hi):
+def _neighbour_cells(scan, grid, size, owner, a, stray, lo, hi, f_lo, f_hi):
     """Move stray one-level brackets to the neighbour cell that changes sign, in place.
 
     A level within rounding of a grid point lies on either side of it for the
@@ -342,32 +353,32 @@ def _neighbour_cells(scan, grid, size, req, a, stray, lo, hi, f_lo, f_hi):
     cleared form changes sign across it; with both, the side whose shared end
     is nearer zero.  Returns the levels moved.
     """
-    r, i = req[stray], a[stray]
+    r, i = owner[stray], a[stray]
     before, after = np.maximum(stray - 1, 0), np.minimum(stray + 1, a.size - 1)
-    taken_left = (before != stray) & (req[before] == r) & (a[before] == i - 1)
-    taken_right = (after != stray) & (req[after] == r) & (a[after] == i + 1)
+    taken_left = (before != stray) & (owner[before] == r) & (a[before] == i - 1)
+    taken_right = (after != stray) & (owner[after] == r) & (a[after] == i + 1)
     both = np.tile(r, 2)
-    outer, _ = scan(both, grid(both, np.concatenate([np.maximum(i - 1, 0),
-                                                    np.minimum(i + 2, size[r] - 1)])))
+    outer, _ = scan(both, grid(np.concatenate([np.maximum(i - 1, 0),
+                                               np.minimum(i + 2, size[r] - 1)])))
     f_left, f_right = np.split(outer, 2)
     left = (i >= 1) & ~taken_left & _sign_change(f_left, f_lo[stray])
     right = (i + 2 < size[r]) & ~taken_right & _sign_change(f_hi[stray], f_right)
     right &= ~left | (np.abs(f_hi[stray]) <= np.abs(f_lo[stray]))
     left &= ~right
     go = stray[right]
-    lo[go], hi[go] = hi[go], grid(req[go], a[go] + 2)
+    lo[go], hi[go] = hi[go], grid(a[go] + 2)
     f_lo[go], f_hi[go] = f_hi[go], f_right[right]
     go = stray[left]
-    lo[go], hi[go] = grid(req[go], a[go] - 1), lo[go]
+    lo[go], hi[go] = grid(a[go] - 1), lo[go]
     f_lo[go], f_hi[go] = f_left[left], f_lo[go]
     return stray[left | right]
 
 
 class _Batch(NamedTuple):
-    """Per-level arrays of a solve batch, grouped by request in request order."""
+    """Per-level arrays of a solve batch, grouped by pair in batch order."""
 
-    req: np.ndarray  # the request of each level
-    size: np.ndarray  # grid points of each request
+    owner: np.ndarray  # the pair of each level, as its place in the batch
+    size: np.ndarray  # grid points of each pair
     found: np.ndarray  # a root was bisected, or lies at a bracket end
     change: np.ndarray  # the cleared form changes sign across the bracket
     kept: np.ndarray  # found, within residual_tol and within max_levels: reported
@@ -380,11 +391,12 @@ class _Batch(NamedTuple):
     hi: np.ndarray
 
 
-def _solve_batch(requests, constants) -> _Batch:
-    """Solve ``(pair, config, e_min, e_max)`` requests together, every level by its index.
+def _solve_batch(geometry: _Geometry, cfg: SolverConfig, e_min, e_max, constants) -> _Batch:
+    """Solve every pair of ``geometry`` with one config and one window, every level by its index.
 
-    The grid of a request is ``lo + step*i`` over its window (as
-    :func:`uniform_grid`), but it is never built.  The oscillation count
+    ``geometry`` holds the pairs' parameters as arrays.  The grid of a pair
+    is ``lo + step*i`` over the window (as :func:`uniform_grid`), cut to its
+    own barrier top, but it is never built.  The oscillation count
     :func:`count_below` at the two grid ends numbers the levels inside, and
     each level's cell follows by multisection of the count over the grid
     index (:func:`_cells`).  A cell that holds two or more levels is halved
@@ -398,36 +410,31 @@ def _solve_batch(requests, constants) -> _Batch:
     taken when no other level's count places it there.  Every other bracket
     without a sign change of the cleared form is reported in
     ``skipped_intervals``.  Returns per-level arrays, which
-    :func:`_solve_all` assembles into one :class:`SolveResult` per request
-    and calibration reads directly.
+    :func:`_solve_all` assembles into one :class:`SolveResult` per pair and
+    calibration reads directly.
     """
-    pairs = [pair for pair, *_ in requests]
-    configs = [cfg for _, cfg, *_ in requests]
-    firsts, sizes = zip(*(_grid(*request) for request in requests))
-    first, size = np.array(firsts), np.array(sizes)
-    step = np.array([cfg.grid_step for cfg in configs])
-    geometry = _Geometry.of(pairs)
-    profiles = np.array([pair_profile(pair).segments() for pair in pairs])
+    step = cfg.grid_step
+    first, size = _grids(geometry, step, e_min, e_max)
 
-    def count(req, energies):
-        return count_below(tuple(profiles[req].transpose(1, 2, 0)), energies, constants)
+    def count(owner, energies):
+        return count_below(pair_segments(geometry.take(owner)), energies, constants)
 
-    def grid(req, index):
-        return first[req] + step[req] * index
+    def grid(index):
+        return first + step * index
 
-    def scan(req, energies):
-        scanned = grid_scan(geometry.take(req), energies, constants)
+    def scan(owner, energies):
+        scanned = grid_scan(geometry.take(owner), energies, constants)
         return scanned.char, scanned.char_scale
 
-    req, k, a, n_a, n_b = _cells(count, grid, size)
-    cell_lo, cell_hi = grid(req, a), grid(req, a + 1)
+    owner, k, a, n_a, n_b = _cells(count, grid, size)
+    cell_lo, cell_hi = grid(a), grid(a + 1)
     lo, hi = cell_lo.copy(), cell_hi.copy()
-    isolated = _isolate(count, req, k, lo, hi, n_a, n_b)
+    isolated = _isolate(count, owner, k, lo, hi, n_a, n_b)
     split = np.flatnonzero((lo != cell_lo) | (hi != cell_hi))
 
     # the cleared form at every bracket end, and at the cell ends of split cells
     char, char_scale = scan(
-        np.concatenate([req, req, req[split], req[split]]),
+        np.concatenate([owner, owner, owner[split], owner[split]]),
         np.concatenate([lo, hi, cell_lo[split], cell_hi[split]]),
     )
     f_lo, f_hi, f_cell = np.split(char, [k.size, 2 * k.size])
@@ -440,7 +447,7 @@ def _solve_batch(requests, constants) -> _Batch:
     stray = np.flatnonzero(isolated & ~(change | zero_hi | zero_lo))
     stray = stray[~np.isin(stray, split)]
     if stray.size:
-        change[_neighbour_cells(scan, grid, size, req, a, stray, lo, hi, f_lo, f_hi)] = True
+        change[_neighbour_cells(scan, grid, size, owner, a, stray, lo, hi, f_lo, f_hi)] = True
 
     # residual scale: the cleared form's size at the ends of the level's grid cell
     scale = np.maximum(np.abs(f_lo), np.abs(f_hi))
@@ -448,32 +455,32 @@ def _solve_batch(requests, constants) -> _Batch:
     scale[zero_hi], scale[zero_lo] = s_hi[zero_hi], s_lo[zero_lo]
     r_lo, r_hi = np.where(zero_hi, hi, lo), np.where(zero_lo, lo, hi)
     r_lo[change], r_hi[change] = _bisect(
-        geometry.take(req[change]), lo[change], hi[change], f_lo[change], constants
+        geometry.take(owner[change]), lo[change], hi[change], f_lo[change], constants
     )
     found = change | zero_hi | zero_lo
     energy = 0.5 * (r_lo + r_hi)
     residual = np.full(k.size, np.nan)
     residual[found] = (
-        np.abs(characteristic(geometry.take(req[found]), energy[found], constants)) / scale[found]
+        np.abs(characteristic(geometry.take(owner[found]), energy[found], constants)) / scale[found]
     )
 
-    # reported: found, within residual_tol, and among the first max_levels of its request
-    discarded = found & (residual > np.array([cfg.residual_tol for cfg in configs])[req])
-    within = found & ~discarded
-    before = np.concatenate([[0], np.cumsum(within)])
-    rank = before[:-1] - before[np.searchsorted(req, req)]
-    limit = np.array([k.size if cfg.max_levels is None else cfg.max_levels for cfg in configs])
-    kept = within & (rank < limit[req])
-    return _Batch(req, size, found, change, kept, discarded, energy, residual, r_lo, r_hi, lo, hi)
+    # reported: found, within residual_tol, and among the first max_levels of its pair
+    discarded = found & (residual > cfg.residual_tol)
+    kept = found & ~discarded
+    if cfg.max_levels is not None:
+        before = np.concatenate([[0], np.cumsum(kept)])
+        kept &= before[:-1] - before[np.searchsorted(owner, owner)] < cfg.max_levels
+    return _Batch(owner, size, found, change, kept, discarded, energy, residual, r_lo, r_hi, lo, hi)
 
 
-def _solve_all(requests, constants) -> list[SolveResult]:
-    """One :class:`SolveResult` per request of a batch solved by :func:`_solve_batch`."""
-    batch = _solve_batch(requests, constants)
-    bounds = np.searchsorted(batch.req, np.arange(len(requests) + 1))
+def _solve_all(pairs, cfg, e_min, e_max, constants) -> list[SolveResult]:
+    """One :class:`SolveResult` per pair, all solved with ``cfg`` over the window
+    ``(e_min, e_max)`` as one :func:`_solve_batch`."""
+    batch = _solve_batch(_Geometry.of(pairs), cfg, e_min, e_max, constants)
+    bounds = np.searchsorted(batch.owner, np.arange(len(pairs) + 1))
     return [
         _levels(pair, cfg, batch, slice(bounds[r], bounds[r + 1]), int(batch.size[r]))
-        for r, (pair, cfg, *_) in enumerate(requests)
+        for r, pair in enumerate(pairs)
     ]
 
 
@@ -509,7 +516,7 @@ def solve_pair(
     calibration loop and the CLI).  An empty level list is a valid outcome
     for wells too shallow or narrow to bind a state.
     """
-    return _solve_all([(pair, config or SolverConfig(), e_min, e_max)], constants)[0]
+    return _solve_all([pair], config or SolverConfig(), e_min, e_max, constants)[0]
 
 
 def find_levels(
@@ -563,30 +570,34 @@ def _misfits(energies: np.ndarray, counts: np.ndarray, targets: list[float]) -> 
     return misfit
 
 
-def _level_slopes(make_pair, x, energies, x_range, h, h_e, constants) -> np.ndarray:
-    """dE/dx of each level in ``energies`` (roots at parameter ``x``), implicitly.
+def _level_slopes(template, field, x, energies, x_range, h, h_e, constants) -> np.ndarray:
+    """dE/dx of each level in ``energies`` (roots at ``field = x`` of ``template``), implicitly.
 
     On the cleared form F(x, E) = 0 the implicit-function theorem gives
     dE/dx = -F_x / F_E.  Both partials are difference quotients from one
-    :func:`characteristic` call: F_x from the pairs at ``x - h`` and ``x + h``,
-    cut to ``x_range`` (so one-sided at its ends, where ``make_pair`` is valid),
-    and F_E from the pair at ``x`` at ``E - h_e`` and ``E + h_e``.  A zero F_E
-    gives a non-finite slope; ``make_pair`` errors propagate.
+    :func:`characteristic` call on the template's geometry with ``field``
+    set per energy: F_x from the pairs at ``x - h`` and ``x + h``, cut to
+    ``x_range`` (so one-sided at its ends; the caller keeps every pair in it
+    valid), and F_E from the pair at ``x`` at ``E - h_e`` and ``E + h_e``.  A
+    zero F_E gives a non-finite slope.
     """
     e = np.asarray(energies, dtype=float)
     x_lo, x_hi = max(x - h, x_range[0]), min(x + h, x_range[1])
     e_lo, e_hi = e - h_e, e + h_e
-    geometry = _Geometry.of([make_pair(x_lo), make_pair(x_hi), make_pair(x)])
     with np.errstate(divide="ignore", invalid="ignore"):
         f = characteristic(
-            geometry.take(np.repeat([0, 1, 2, 2], e.size)),
+            _Geometry.varied(template, field, np.repeat([x_lo, x_hi, x, x], e.size)),
             np.concatenate([e, e, e_lo, e_hi]),
             constants,
         ).reshape(4, e.size)
         return -((f[1] - f[0]) / (x_hi - x_lo)) / ((f[3] - f[2]) / (e_hi - e_lo))
 
 
-def _calibrate_1d(make_pair, targets, lo, hi, step, cfg, constants, what):
+def _calibrate_1d(template, field, targets, lo, hi, step, cfg, constants, what):
+    """Fit ``template``'s parameter ``field`` over ``[lo, hi]`` to the target energies.
+
+    The callers' range checks keep every pair in the range valid, so only the
+    Newton trials build a :class:`WellPair`."""
     targets = [float(t) for t in targets]
     if not targets:
         raise ValueError("calibration needs at least one target energy")
@@ -605,30 +616,30 @@ def _calibrate_1d(make_pair, targets, lo, hi, step, cfg, constants, what):
         return CalibrationResult(value=x, misfit=float(misfit), levels=tuple(energies.tolist()))
 
     def evaluate(x: float) -> CalibrationResult:
-        solved = solve_pair(make_pair(x), cfg, e_min=e_min, e_max=e_max, constants=constants)
+        trial = replace(template, **{field: x})
+        solved = solve_pair(trial, cfg, e_min=e_min, e_max=e_max, constants=constants)
         return fit(x, np.array([lv.energy for lv in solved.levels]))
 
     def newton_step(at: CalibrationResult) -> float:
         """Gauss-Newton step on the nearest-level residuals; nan if it has no slope."""
         matched = _nearest(at.levels, targets)
         slope = _level_slopes(
-            make_pair, at.value, matched, (lo, hi), _SLOPE_H * step, _SLOPE_H * cfg.grid_step,
-            constants,
+            template, field, at.value, matched, (lo, hi), _SLOPE_H * step,
+            _SLOPE_H * cfg.grid_step, constants,
         )
         gain = float(slope @ slope)
         if not (math.isfinite(gain) and gain > 0.0):
             return math.nan
         return -float(slope @ (np.array(matched) - targets)) / gain
 
-    # a one-point range is a one-point grid, after the same step check; the public
-    # functions admit only ranges in which make_pair succeeds
+    # a one-point range is a one-point grid, after the same step check
     grid = uniform_grid(lo, hi, step).tolist()
     if grid[-1] < hi - 1e-12 * max(1.0, abs(hi)):
         grid.append(hi)
     # the whole coarse grid is one batch, its misfits taken from the level arrays
-    batch = _solve_batch([(make_pair(x), cfg, e_min, e_max) for x in grid], constants)
+    batch = _solve_batch(_Geometry.varied(template, field, grid), cfg, e_min, e_max, constants)
     energies = batch.energy[batch.kept]
-    counts = np.bincount(batch.req[batch.kept], minlength=len(grid))
+    counts = np.bincount(batch.owner[batch.kept], minlength=len(grid))
     b = int(np.argmin(_misfits(energies, counts, targets)))
     first = int(counts[:b].sum())
     best = coarse_best = fit(grid[b], energies[first : first + counts[b]])
@@ -708,11 +719,8 @@ def calibrate_distance(
             f"distance range must exceed the well width {pair_template.width}, got {l_range}"
         )
     cfg = config or SolverConfig()
-
-    def make_pair(distance: float) -> WellPair:
-        return replace(pair_template, distance=distance)
-
-    return _calibrate_1d(make_pair, targets, lo, hi, step, cfg, constants, "distance")
+    return _calibrate_1d(pair_template, "distance", targets, lo, hi, step, cfg, constants,
+                         "distance")
 
 
 def calibrate_depth(
@@ -741,18 +749,12 @@ def calibrate_depth(
                 "searched deep depth must stay above the fixed shallow depth "
                 f"{pair_template.v_shallow}, got range {depth_range}"
             )
-
-        def make_pair(depth: float) -> WellPair:
-            return replace(pair_template, v_deep=depth)
-
+        field = "v_deep"
     else:
         if hi >= pair_template.v_deep or lo <= 0.0:
             raise ValueError(
                 "searched shallow depth must stay inside (0, v_deep="
                 f"{pair_template.v_deep}), got range {depth_range}"
             )
-
-        def make_pair(depth: float) -> WellPair:
-            return replace(pair_template, v_shallow=depth)
-
-    return _calibrate_1d(make_pair, targets, lo, hi, step, cfg, constants, "depth")
+        field = "v_shallow"
+    return _calibrate_1d(pair_template, field, targets, lo, hi, step, cfg, constants, "depth")

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .eigensolver import _MAX_GRID_POINTS
 from .potential import PotentialProfile
 from .quantities import CODATA2018, PhysicalConstants
 
@@ -56,15 +57,16 @@ _NODE_FLOOR = 1e-9
 
 @dataclass(frozen=True)
 class FdConfig:
-    """Grid resolution and refinement switches for the oracle."""
+    """Grid resolution and refinement switches for the oracle; 1001 to 10**7 grid points."""
 
     grid_points: int = 20001
     extrapolate: bool = False
 
     def __post_init__(self) -> None:
-        if self.grid_points < 1001 or self.grid_points % 2 == 0:
+        if not 1001 <= self.grid_points <= _MAX_GRID_POINTS or self.grid_points % 2 == 0:
             raise ValueError(
-                f"grid_points must be odd and >= 1001, got {self.grid_points}"
+                f"grid_points must be odd and in [1001, {_MAX_GRID_POINTS}], "
+                f"got {self.grid_points}"
             )
 
 

@@ -25,6 +25,7 @@ __all__ = [
     "WellPair",
     "CascadeSpec",
     "PotentialProfile",
+    "pair_segments",
     "pair_profile",
     "cascade_profile",
 ]
@@ -201,20 +202,30 @@ class PotentialProfile:
         return max(self.segment_values)
 
 
-def pair_profile(pair: WellPair) -> PotentialProfile:
-    """Profile of a single pair in centered coordinates.
+def pair_segments(pair):
+    """A pair's ``(x_start, x_end, value)`` segments in centered coordinates.
 
-    The shallow well occupies the left region, the deep well the right one;
-    hard walls sit at +-(distance + width)/2 and the energy zero is the
-    deep-well bottom.
+    Shallow well left, deep well right, hard walls at +-(distance + width)/2,
+    energy zero at the deep-well bottom.  Elementwise: ``pair`` may carry its
+    parameters as arrays, one pair per element (the last value stays 0.0).
     """
     half_outer = 0.5 * (pair.distance + pair.width)
     half_inner = 0.5 * (pair.distance - pair.width)
+    return (
+        (-half_outer, -half_inner, pair.shallow_floor),
+        (-half_inner, half_inner, pair.v_deep),
+        (half_inner, half_outer, 0.0),
+    )
+
+
+def pair_profile(pair: WellPair) -> PotentialProfile:
+    """Profile of a single pair, from its :func:`pair_segments`."""
+    (x_min, left, shallow), (_, right, barrier), (_, x_max, deep) = pair_segments(pair)
     return PotentialProfile(
-        breakpoints=(-half_inner, half_inner),
-        segment_values=(pair.shallow_floor, pair.v_deep, 0.0),
-        x_min=-half_outer,
-        x_max=half_outer,
+        breakpoints=(left, right),
+        segment_values=(shallow, barrier, deep),
+        x_min=x_min,
+        x_max=x_max,
     )
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 __all__ = [
     "PhysicalConstants",
@@ -27,30 +28,25 @@ _EV_IN_J = 1.602176634e-19
 _PLANCK_J_S = 6.62607015e-34
 _LIGHT_SPEED_M_S = 299_792_458.0
 
-# Relative consistency demanded between derived and stored fields (10 digits).
-_CONSISTENCY_RTOL = 5e-10
-
 
 @dataclass(frozen=True)
 class PhysicalConstants:
     """Immutable record of the physics factors the solver needs.
 
     Attributes:
-        hbar_eV_s: reduced Planck constant in eV*s.
         hbar_J_s: reduced Planck constant in J*s.
         electron_mass_kg: electron mass in kg.
         eV_in_J: one electronvolt in joule.
         hc_eV_nm: photon energy-wavelength product in eV*nm.
-        wavenumber_factor: sqrt(2*m_e*eV_in_J)/hbar in 1/Angstrom, so that
-            k = wavenumber_factor * sqrt(E_eV) for a free electron.
+
+    ``hbar_eV_s`` and ``wavenumber_factor`` are derived from these fields,
+    once per instance.
     """
 
-    hbar_eV_s: float
     hbar_J_s: float
     electron_mass_kg: float
     eV_in_J: float
     hc_eV_nm: float
-    wavenumber_factor: float
 
     def __post_init__(self) -> None:
         for field in fields(self):
@@ -59,20 +55,16 @@ class PhysicalConstants:
                 raise ValueError(
                     f"constant {field.name} must be finite and positive, got {value!r}"
                 )
-        derived_factor = (
-            math.sqrt(2.0 * self.electron_mass_kg * self.eV_in_J) / self.hbar_J_s * 1e-10
-        )
-        if abs(self.wavenumber_factor - derived_factor) > _CONSISTENCY_RTOL * derived_factor:
-            raise ValueError(
-                "wavenumber_factor inconsistent with mass/hbar/eV fields: "
-                f"{self.wavenumber_factor!r} vs derived {derived_factor!r}"
-            )
-        derived_hbar_ev = self.hbar_J_s / self.eV_in_J
-        if abs(self.hbar_eV_s - derived_hbar_ev) > _CONSISTENCY_RTOL * derived_hbar_ev:
-            raise ValueError(
-                f"hbar_eV_s inconsistent with hbar_J_s/eV_in_J: "
-                f"{self.hbar_eV_s!r} vs derived {derived_hbar_ev!r}"
-            )
+
+    @cached_property
+    def hbar_eV_s(self) -> float:
+        """Reduced Planck constant in eV*s."""
+        return self.hbar_J_s / self.eV_in_J
+
+    @cached_property
+    def wavenumber_factor(self) -> float:
+        """sqrt(2*m_e*eV_in_J)/hbar in 1/Angstrom: k = wavenumber_factor * sqrt(E_eV)."""
+        return math.sqrt(2.0 * self.electron_mass_kg * self.eV_in_J) / self.hbar_J_s * 1e-10
 
     def kinetic_coefficient(self) -> float:
         """hbar^2/(2 m) in eV*Angstrom^2; the 1D kinetic-energy prefactor."""
@@ -80,25 +72,20 @@ class PhysicalConstants:
 
 
 def make_constants(**overrides: float) -> PhysicalConstants:
-    """Build a constants record, recomputing derived fields from overrides.
+    """Build a constants record: CODATA-2018 values, any of the four fields overridden.
 
-    ``hbar_eV_s`` and ``wavenumber_factor`` are rederived from the primitive
-    fields unless given explicitly (explicit values must stay consistent).
-    Intended for sensitivity studies via the ``[constants]`` config section.
+    The derived ``hbar_eV_s`` and ``wavenumber_factor`` follow the overrides
+    and cannot be set themselves.  Intended for sensitivity studies via the
+    ``[constants]`` config section.
     """
     unknown = set(overrides) - {field.name for field in fields(PhysicalConstants)}
     if unknown:
         raise ValueError(f"unknown constant override(s): {sorted(unknown)}")
-    hbar_j = overrides.get("hbar_J_s", _HBAR_J_S)
-    mass = overrides.get("electron_mass_kg", _ELECTRON_MASS_KG)
-    ev = overrides.get("eV_in_J", _EV_IN_J)
     defaults = {
-        "hbar_J_s": hbar_j,
-        "electron_mass_kg": mass,
-        "eV_in_J": ev,
+        "hbar_J_s": _HBAR_J_S,
+        "electron_mass_kg": _ELECTRON_MASS_KG,
+        "eV_in_J": _EV_IN_J,
         "hc_eV_nm": _PLANCK_J_S * _LIGHT_SPEED_M_S / _EV_IN_J * 1e9,
-        "hbar_eV_s": hbar_j / ev,
-        "wavenumber_factor": math.sqrt(2.0 * mass * ev) / hbar_j * 1e-10,
     }
     return PhysicalConstants(**{**defaults, **overrides})
 

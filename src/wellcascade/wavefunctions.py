@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensolver import Level
+from .eigensolver import _MAX_GRID_POINTS, Level
 from .potential import WellPair, pair_profile
 from .quantities import CODATA2018, PhysicalConstants
 from .transcendental import Regime, classify_regime, wavenumbers
@@ -120,15 +120,6 @@ class PiecewiseWavefunction:
             return True, self.d1, self.d2, self.k2
         raise ValueError(f"region must be 2, 3 or 4, got {region}")
 
-    def region_value(self, region: int, x):
-        """Evaluate the analytic form of region 2, 3 or 4 (no domain guard)."""
-        out = _value_slope(*self._region(region), np.asarray(x, dtype=float))[0]
-        return float(out) if np.isscalar(x) else out
-
-    def region_derivative(self, region: int, x):
-        out = _value_slope(*self._region(region), np.asarray(x, dtype=float))[1]
-        return float(out) if np.isscalar(x) else out
-
     def __call__(self, x):
         """Wavefunction value; zero on and beyond the walls."""
         xa = np.atleast_1d(np.asarray(x, dtype=float))
@@ -138,7 +129,7 @@ class PiecewiseWavefunction:
         region = 2 + np.searchsorted((x1, x2), xa, side="right")
         for r in (2, 3, 4):
             mask = inside & (region == r)
-            out[mask] = self.region_value(r, xa[mask])
+            out[mask] = _value_slope(*self._region(r), xa[mask])[0]
         # walls pin the ends to exactly zero
         out[xa == x0] = 0.0
         out[xa == x3] = 0.0
@@ -205,9 +196,9 @@ def build_wavefunction(
 
 
 def sample_wavefunction(wf: PiecewiseWavefunction, n_points: int):
-    """Uniform samples (x, psi) across the whole domain, walls included."""
-    if n_points < 2:
-        raise ValueError(f"need at least 2 sample points, got {n_points}")
+    """Uniform samples (x, psi) across the whole domain, walls included; 2 to 10**7 points."""
+    if not 2 <= n_points <= _MAX_GRID_POINTS:
+        raise ValueError(f"need 2 to {_MAX_GRID_POINTS} sample points, got {n_points}")
     x0, _, _, x3 = wf.region_bounds
     x = np.linspace(x0, x3, n_points)
     return x, wf(x)

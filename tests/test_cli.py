@@ -139,6 +139,25 @@ def test_oracle_padding_key_is_unknown(tmp_path, capsys):
     assert err == "config error: unknown key 'padding_A' in section [oracle]\n"
 
 
+@pytest.mark.parametrize(
+    "extra, args, code, message",
+    [
+        ("", ["wavefunction", "--pair", "1", "--level", "0", "--points", "100000000000"], 1,
+         "error: need 2 to 10000000 sample points, got 100000000000\n"),
+        ("\n[oracle]\ngrid_points = 1000000001\n", ["oracle", "--pair", "1"], 2,
+         "config error: [oracle] invalid configuration: grid_points must be odd and in "
+         "[1001, 10000000], got 1000000001\n"),
+    ],
+    ids=["sample-points", "oracle-grid-points"],
+)
+def test_oversized_size_ends_in_an_error_message(tmp_path, capsys, extra, args, code, message):
+    # a size past the 10**7 points of the largest grid is refused before any array is allocated
+    cfg = tmp_path / "sized.cfg"
+    cfg.write_text(MINIMAL + extra)
+    assert main([*args, "--config", str(cfg), "--output-dir", str(tmp_path)]) == code
+    assert capsys.readouterr().err == message
+
+
 def test_missing_config_file(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "nope.cfg")

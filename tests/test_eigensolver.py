@@ -238,22 +238,21 @@ def test_multisection_equals_one_bracket_at_a_time(width, barrier, v_deep, share
 
 def test_batch_solve_matches_one_solve_at_a_time(pair1, pair2):
     config = SolverConfig()
-    # a coarse distance grid around pair 1, whose requests share one window;
-    # the last window is empty (hi <= lo)
-    distances = [
-        (replace(pair1, distance=60.0 + 0.01 * i), config, 1.395, 1.51) for i in range(19)
-    ]
-    distances.append((pair1, config, 1.51, 1.395))
-    # a deep-depth grid around pair 2, where every request needs its own window
-    depths = [(replace(pair2, v_deep=0.52 + 5e-4 * i), config, 0.218, 0.324) for i in range(9)]
-    # both grids interleaved, so the window is replaced at every request
-    mixed = [r for both in zip(distances, depths) for r in both] + distances[len(depths):]
-    for requests in (distances, depths, mixed):
-        batch = eigensolver._solve_all(requests, CODATA2018)
-        alone = [solve_pair(p, c, e_min=lo, e_max=hi) for p, c, lo, hi in requests]
-        assert batch == alone
-    assert batch[-1].diagnostics.grid_points == 0 and batch[-1].levels == ()
-    assert all(r.levels for r in batch[:-1])
+    # a coarse distance grid around pair 1 and a deep-depth grid around pair 2
+    distances = [replace(pair1, distance=60.0 + 0.01 * i) for i in range(19)]
+    depths = [replace(pair2, v_deep=0.52 + 5e-4 * i) for i in range(9)]
+    # both grids interleaved, so the geometry changes at every pair
+    mixed = [p for both in zip(distances, depths) for p in both] + distances[len(depths):]
+    # pair 2's barrier top lies below the first window: its grid is empty,
+    # in the middle of a batch whose other pairs all have levels
+    cases = ((distances[:9] + [pair2] + distances[9:], 1.395, 1.51),
+             (depths, 0.218, 0.324), (mixed, 0.218, 0.324))
+    for pairs, lo, hi in cases:
+        batch = eigensolver._solve_all(pairs, config, lo, hi, CODATA2018)
+        assert batch == [solve_pair(p, config, e_min=lo, e_max=hi) for p in pairs]
+        for result in batch:
+            empty = result.pair is pair2
+            assert (result.diagnostics.grid_points == 0) == empty == (result.levels == ())
 
 
 def test_calibration_coarse_batch_scans_cell_ends_once(pair1, monkeypatch):
@@ -292,9 +291,9 @@ def test_calibration_cost_follows_refinement_not_coarse_points(pair1, monkeypatc
         calls.append(1)
         return characteristic(*args)
 
-    def batching(requests, constants):
+    def batching(*args):
         before = len(calls)
-        result = solve_batch(requests, constants)
+        result = solve_batch(*args)
         batches.append(len(calls) - before)
         return result
 
@@ -446,6 +445,38 @@ def test_calibrate_depth_rejects_bad_ordering(pair2):
         calibrate_depth(pair2, "neither", [0.268], (0.5, 0.55))
 
 
+# calibrations whose range holds an invalid pair: a distance at or below the
+# width, a deep depth at or below the fixed shallow one, a shallow depth
+# outside (0, v_deep); pair 1 is 43.85 A wide, pair 2 is 0.272 / 0.524 eV deep
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p1, p2: calibrate_distance(p1, [1.445], (43.85, 65.0)),
+        lambda p1, p2: calibrate_distance(p1, [1.445], (40.0, 65.0)),
+        lambda p1, p2: calibrate_depth(p2, "shallow", [0.268], (0.272, 0.55)),
+        lambda p1, p2: calibrate_depth(p2, "shallow", [0.268], (0.1, 0.55)),
+        lambda p1, p2: calibrate_depth(p2, "deep", [0.268], (0.25, 0.524)),
+        lambda p1, p2: calibrate_depth(p2, "deep", [0.268], (0.25, 0.6)),
+        lambda p1, p2: calibrate_depth(p2, "deep", [0.268], (0.0, 0.3)),
+        lambda p1, p2: calibrate_depth(p2, "deep", [0.268], (-0.1, 0.3)),
+    ],
+    ids=["distance-at-width", "distance-below-width", "deep-at-shallow", "deep-below-shallow",
+         "shallow-at-deep", "shallow-above-deep", "shallow-at-zero", "shallow-below-zero"],
+)
+def test_calibration_range_with_an_invalid_pair_raises_before_any_solve(pair1, pair2, call,
+                                                                       monkeypatch):
+    # the coarse batch builds no WellPair, so the range checks alone keep
+    # every pair of a calibration valid
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the range was checked")
+
+    monkeypatch.setattr(eigensolver, "_solve_batch", no_solve)
+    monkeypatch.setattr(eigensolver, "solve_pair", no_solve)
+    with pytest.raises(ValueError, match="range") as info:
+        call(pair1, pair2)
+    assert not isinstance(info.value, CalibrationError)
+
+
 @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
 def test_calibrate_rejects_non_finite_targets(pair1, pair2, target):
     for call in (
@@ -517,18 +548,20 @@ SLOPE_CASES = {
     "shallow": (1, 0.524, (0.50, 0.55), (0.26, 0.32), 5e-4),
     "deep": (1, 0.272, (0.25, 0.30), (0.26, 0.32), 5e-4),
 }
+# role -> the field calibrating it varies: the distance, or the depth not held fixed
+FIELDS = {"distance": "distance", "shallow": "v_deep", "deep": "v_shallow"}
 
 
 def _vary(pair, role):
-    """``make_pair`` of calibrating ``pair``: the distance, or the depth not held fixed."""
-    field = {"distance": "distance", "shallow": "v_deep", "deep": "v_shallow"}[role]
-    return lambda x: replace(pair, **{field: x})
+    """``pair`` as a function of the field that calibrating ``role`` varies."""
+    return lambda x: replace(pair, **{FIELDS[role]: x})
 
 
 @pytest.mark.parametrize("role", SLOPE_CASES)
 def test_implicit_level_slopes_match_solved_levels(reference_spec, role):
     index, x, x_range, (e_lo, e_hi), step = SLOPE_CASES[role]
-    make_pair = _vary(reference_spec.pair(index), role)
+    template, field = reference_spec.pair(index), FIELDS[role]
+    make_pair = _vary(template, role)
 
     def levels(at):
         return np.array([lv.energy for lv in find_levels(make_pair(at), e_min=e_lo, e_max=e_hi)])
@@ -539,11 +572,12 @@ def test_implicit_level_slopes_match_solved_levels(reference_spec, role):
     assert np.all(np.abs(solved) > 1e-5)
     h_x, h_e = eigensolver._SLOPE_H * step, eigensolver._SLOPE_H * SolverConfig().grid_step
     slope_steps = (h_x, h_e, CODATA2018)
-    central = eigensolver._level_slopes(make_pair, x, energies, x_range, *slope_steps)
+    central = eigensolver._level_slopes(template, field, x, energies, x_range, *slope_steps)
     np.testing.assert_allclose(central, solved, rtol=1e-6)
     # at either end of the range the stencil turns one-sided
     for one_sided in ((x, x_range[1]), (x_range[0], x)):
-        slopes = eigensolver._level_slopes(make_pair, x, energies, one_sided, *slope_steps)
+        slopes = eigensolver._level_slopes(template, field, x, energies, one_sided,
+                                           *slope_steps)
         np.testing.assert_allclose(slopes, solved, rtol=1e-3)
 
 
@@ -571,9 +605,9 @@ def test_calibration_refines_in_a_few_solves(pair1, monkeypatch):
     batches, calls = [], []
     solve_batch = eigensolver._solve_batch
 
-    def batching(requests, *args, **kwargs):
-        batches.append(len(requests))
-        return solve_batch(requests, *args, **kwargs)
+    def batching(geometry, *args):
+        batches.append(geometry.width.size)
+        return solve_batch(geometry, *args)
 
     def counting(*args, **kwargs):
         calls.append(1)
@@ -584,7 +618,7 @@ def test_calibration_refines_in_a_few_solves(pair1, monkeypatch):
     result = calibrate_distance(pair1, [1.445, 1.460], (60.0, 60.5))
     assert f"{result.value:.6f}" == "60.188796"
     # one coarse batch of the 51 grid points, then refinement solves of one
-    # request each, every one through solve_pair; golden section made ~34
+    # pair each, every one through solve_pair; golden section made ~34
     assert batches[0] == 51 and set(batches[1:]) == {1}
     assert len(calls) == len(batches) - 1 <= 6
 

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wellcascade.eigensolver import _Geometry
 from wellcascade.potential import (
     CascadeSpec,
     PotentialProfile,
     WellPair,
     cascade_profile,
     pair_profile,
+    pair_segments,
 )
 from wellcascade.cli import main
 
@@ -35,6 +39,24 @@ def test_pair_profile_reference_geometry(pair1):
     half_inner = 0.5 * (pair1.distance - pair1.width)
     assert profile.x_min == -half_outer and profile.x_max == half_outer
     assert profile.breakpoints == (-half_inner, half_inner)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.floats(0.1, 100.0), st.floats(0.01, 50.0), st.floats(0.01, 0.99),
+                  st.floats(0.01, 5.0)),
+        min_size=1, max_size=8,
+    )
+)
+def test_pair_segments_of_arrays_equal_each_pair_profile(geometries):
+    # the solver counts levels on the segments of a whole batch at once
+    pairs = [WellPair(width=a, distance=a + barrier, v_shallow=share * v_deep, v_deep=v_deep)
+             for a, barrier, share, v_deep in geometries]
+    segments = pair_segments(_Geometry.of(pairs))
+    for i, pair in enumerate(pairs):
+        own = [[np.broadcast_to(x, len(pairs))[i] for x in segment] for segment in segments]
+        assert np.array(own).tobytes() == np.array(pair_profile(pair).segments()).tobytes()
 
 
 def test_profile_evaluation_and_breakpoint_side(pair1):

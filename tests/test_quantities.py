@@ -39,9 +39,12 @@ def test_wavenumber_sqrt_scaling():
 
 
 def test_wavenumber_rejects_negative():
+    # the factor is derived, so no value of it can be set; its inputs must be positive
     for factor in (-CODATA2018.wavenumber_factor, math.nan):
-        with pytest.raises(ValueError, match="wavenumber_factor"):
+        with pytest.raises(ValueError, match=r"unknown .*\['wavenumber_factor'\]"):
             make_constants(wavenumber_factor=factor)
+    with pytest.raises(ValueError, match="electron_mass_kg must be finite and positive"):
+        make_constants(electron_mass_kg=-M_E)
 
 
 def test_ev_joule_reference_points():
@@ -103,13 +106,12 @@ def test_constants_all_positive():
 
 
 def test_constants_consistency_10_digits():
+    # the derived constants are computed from the fields, so they agree exactly
     derived = math.sqrt(2.0 * CODATA2018.electron_mass_kg * CODATA2018.eV_in_J)
     derived /= CODATA2018.hbar_J_s
     derived *= 1e-10
-    assert CODATA2018.wavenumber_factor == pytest.approx(derived, rel=5e-10)
-    assert CODATA2018.hbar_eV_s == pytest.approx(
-        CODATA2018.hbar_J_s / CODATA2018.eV_in_J, rel=5e-10
-    )
+    assert CODATA2018.wavenumber_factor == derived
+    assert CODATA2018.hbar_eV_s == CODATA2018.hbar_J_s / CODATA2018.eV_in_J
 
 
 def test_make_constants_recomputes_derived_fields():
@@ -120,11 +122,15 @@ def test_make_constants_recomputes_derived_fields():
     assert tweaked.hc_eV_nm == CODATA2018.hc_eV_nm
 
 
-def test_make_constants_rejects_unknown_and_inconsistent():
-    with pytest.raises(ValueError):
-        make_constants(planck_length=1.0)
-    with pytest.raises(ValueError):
-        make_constants(wavenumber_factor=2.0 * CODATA2018.wavenumber_factor)
+def test_make_constants_rejects_unknown_and_derived():
+    # only the four fields can be set: the derived constants are unknown overrides
+    for name, value in (
+        ("planck_length", 1.0),
+        ("wavenumber_factor", 2.0 * CODATA2018.wavenumber_factor),
+        ("hbar_eV_s", CODATA2018.hbar_eV_s),
+    ):
+        with pytest.raises(ValueError, match=f"unknown constant override.*{name}"):
+            make_constants(**{name: value})
 
 
 def test_non_finite_inputs_rejected():

@@ -6,7 +6,7 @@ from wellcascade.eigensolver import Level, find_levels
 from wellcascade.oracle import FdConfig, count_nodes, fd_states
 from wellcascade.potential import WellPair, pair_profile
 from wellcascade.transcendental import Regime
-from wellcascade.wavefunctions import build_wavefunction, sample_wavefunction
+from wellcascade.wavefunctions import _value_slope, build_wavefunction, sample_wavefunction
 
 
 @pytest.fixture(scope="module")
@@ -31,10 +31,8 @@ def test_interior_continuity(pair1, pair1_levels):
         _, x1, x2, _ = wf.region_bounds
         scale = max(abs(wf.d1), abs(wf.d2))
         for x, left, right in ((x1, 2, 3), (x2, 3, 4)):
-            v_left = wf.region_value(left, x)
-            v_right = wf.region_value(right, x)
-            d_left = wf.region_derivative(left, x)
-            d_right = wf.region_derivative(right, x)
+            v_left, d_left = _value_slope(*wf._region(left), x)
+            v_right, d_right = _value_slope(*wf._region(right), x)
             assert abs(v_left - v_right) <= 1e-8 * scale
             deriv_scale = max(abs(d_left), abs(d_right), scale)
             assert abs(d_left - d_right) <= 1e-8 * deriv_scale
@@ -86,8 +84,9 @@ def test_first_lobe_positive(pair1, pair1_levels):
 def test_boundary_samples_agree_from_both_sides(pair1, pair1_levels):
     wf = build_wavefunction(pair1, pair1_levels[3])
     _, x1, x2, _ = wf.region_bounds
-    assert wf.region_value(2, x1) == pytest.approx(wf.region_value(3, x1), rel=1e-8)
-    assert wf.region_value(3, x2) == pytest.approx(wf.region_value(4, x2), rel=1e-8)
+    for x, left, right in ((x1, 2, 3), (x2, 3, 4)):
+        value = _value_slope(*wf._region(left), x)[0]
+        assert value == pytest.approx(_value_slope(*wf._region(right), x)[0], rel=1e-8)
 
 
 def test_walls_are_exact_zeros(pair1, pair1_levels):
