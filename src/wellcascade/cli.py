@@ -40,7 +40,7 @@ from .eigensolver import (
     solve_pair,
     uniform_grid,
 )
-from .oracle import FdConfig, fd_solve, fd_states
+from .oracle import FdConfig, SturmCountError, fd_solve, fd_states
 from .potential import CascadeSpec, WellPair, cascade_profile, pair_profile
 from .quantities import PhysicalConstants, make_constants
 from .transcendental import GridScan, grid_scan
@@ -793,7 +793,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (CalibrationError, cascade_mod.ResonanceNotFoundError) as exc:
+    except (CalibrationError, cascade_mod.ResonanceNotFoundError, SturmCountError) as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:

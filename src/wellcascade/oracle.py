@@ -3,29 +3,41 @@
 Discretises the 1D Hamiltonian on a uniform grid with central second-order
 differences and Dirichlet ends at the profile's own hard walls, ``x_min``
 and ``x_max``, so the matrix is that of the given potential and no other.
-It then extracts the lowest eigenvalues of the symmetric tridiagonal matrix
-by Sturm-sequence bisection (LAPACK ``stebz``/``stein`` via
-:func:`scipy.linalg.eigh_tridiagonal`).
+Its lowest eigenvalues are then located by the Sturm count of the
+symmetric tridiagonal matrix.
+
+The potential is piecewise constant, so the matrix is a few runs of equal
+rows (five for a pair, one per segment and one per cell that straddles a
+breakpoint).  Within a run the Sturm sequence has a closed form, a sine or
+a pair of exponentials, so the count at an energy costs one step per run,
+not per row (:func:`_sturm_count`).  Every level is located by index with
+multisection of that count, all levels together, until its bracket is two
+adjacent doubles.  The count reads the matrix's potential as ``d - 2c``
+from its stored diagonal, which is exact, so it counts the same matrix
+LAPACK would; and it carries the slope of the sequence apart from its
+value, so it loses no precision to the ``2c`` on the diagonal.  Its levels
+lie within a few ulp of a long-double bisection of the same matrix, where
+LAPACK ``stebz`` rounds its Sturm counts at about ulp*||T||, 1e-11 to
+1e-10 eV on 20 001 rows.  Nothing here comes from :mod:`wellcascade.transcendental`, so
+the oracle stays independent of the solver it checks.
 
 Only eigenvalues below the barrier top are bound states; the ones above it
-are box artifacts.  So each solve first counts the eigenvalues in
-(Gershgorin floor, barrier top], then bisects by index only up to the
-smaller of that count and the request.  The count is a ``stebz`` call by
-value whose absolute tolerance is as wide as the window itself: the window
-counts as converged before its first halving, so LAPACK returns after the
-Sturm counts at its two ends (about 1 ms on 20 001 rows, against ~5 ms per
-bisected eigenvalue).  A request at or below the count makes the same
-LAPACK call as one without the count, so its values are the same.  A
-request above it stops short of that call's index range and cannot repeat
-its bisection; it converges to a quarter of ``stebz``'s default absolute
-tolerance ulp*||T|| instead, so the two differ by little more than that
-call's own error (at most 7e-11 eV on pair-crosscheck's 20 001-row grids).
+are box artifacts.  So each solve first counts the eigenvalues below the
+barrier top and locates only the smaller of that count and the request.
+LAPACK certifies the count: a ``stebz`` call by value over (Gershgorin
+floor, barrier top], whose absolute tolerance is as wide as the window, so
+it returns after the Sturm counts at its two ends (about 1 ms on 20 001
+rows), must give the same number, or the solve fails with
+:class:`SturmCountError`.  :func:`fd_states` takes its eigenvectors from
+LAPACK ``stein`` at the located levels.
 
-The potential enters as its average over each grid cell.  For a
-piecewise-constant profile the cell average is exact and the discretisation
-error is a clean O(h^2), which makes Richardson step-halving meaningful;
-sampling the potential pointwise instead would leave an O(h) boundary
-misalignment error that dominates and does not extrapolate away.
+The potential enters as its average over each grid cell: a cell inside one
+segment takes that segment's value, and a cell that straddles a breakpoint
+the mean of its parts.  For a piecewise-constant profile the cell average
+is exact and the discretisation error is a clean O(h^2), which makes
+Richardson step-halving meaningful; sampling the potential pointwise
+instead would leave an O(h) boundary misalignment error that dominates and
+does not extrapolate away.
 
 scipy is imported inside the functions that call it, so importing the
 package, and running every CLI command but ``oracle``, does not load it.
@@ -49,10 +61,20 @@ __all__ = [
     "fd_levels",
     "fd_states",
     "count_nodes",
+    "SturmCountError",
 ]
 
 # entries below this fraction of the peak are noise to count_nodes
 _NODE_FLOOR = 1e-9
+# energies per count call of the multisection
+_ROUND_POINTS = 512
+# floor of a run's decay rate per row: the rate of every |E - V| above about
+# 1e-300 c exceeds it, so it acts only at E = V
+_KAPPA_FLOOR = 1e-150
+
+
+class SturmCountError(ArithmeticError):
+    """The oracle's count of its levels disagrees with LAPACK's."""
 
 
 @dataclass(frozen=True)
@@ -80,15 +102,27 @@ class FdResult:
 
 
 def _cell_averaged_potential(edges, values, x, h):
-    """Mean of the piecewise-constant potential over each cell [x-h/2, x+h/2]."""
-    cumulative = np.concatenate(([0.0], np.cumsum(values * np.diff(edges))))
+    """Mean of the piecewise-constant potential over each cell [x-h/2, x+h/2].
 
-    def antiderivative(points):
-        clipped = np.clip(points, edges[0], edges[-1])
-        idx = np.clip(np.searchsorted(edges, clipped, side="right") - 1, 0, len(values) - 1)
-        return cumulative[idx] + values[idx] * (clipped - edges[idx])
+    A cell inside one segment takes that segment's value as it is; only the
+    cells that straddle a breakpoint are averaged.
+    """
+    lo, hi = x - 0.5 * h, x + 0.5 * h
+    last = len(values) - 1
+    first = np.clip(np.searchsorted(edges, lo, side="right") - 1, 0, last)
+    final = np.clip(np.searchsorted(edges, hi, side="left") - 1, 0, last)
+    average = values[first]
+    straddle = np.flatnonzero(first != final)
+    if straddle.size:
+        cumulative = np.concatenate(([0.0], np.cumsum(values * np.diff(edges))))
 
-    return (antiderivative(x + 0.5 * h) - antiderivative(x - 0.5 * h)) / h
+        def antiderivative(points):
+            clipped = np.clip(points, edges[0], edges[-1])
+            idx = np.clip(np.searchsorted(edges, clipped, side="right") - 1, 0, last)
+            return cumulative[idx] + values[idx] * (clipped - edges[idx])
+
+        average[straddle] = (antiderivative(hi[straddle]) - antiderivative(lo[straddle])) / h
+    return average
 
 
 def _tridiagonal(profile, grid_points, constants):
@@ -104,23 +138,26 @@ def _tridiagonal(profile, grid_points, constants):
 
 
 def _gershgorin(diag, off) -> tuple[float, float]:
-    """Interval that holds every eigenvalue of the tridiagonal matrix."""
+    """Interval that holds every eigenvalue of the tridiagonal matrix.
+
+    It is wider than the Gershgorin bounds by more than the rounding of a
+    Sturm count, so no count can place an eigenvalue outside it.
+    """
     reach = 2.0 * float(np.max(np.abs(off)))
-    return float(np.min(diag)) - reach, float(np.max(diag)) + reach
+    lo, hi = float(np.min(diag)) - reach, float(np.max(diag)) + reach
+    slack = diag.size * np.finfo(float).eps * max(abs(lo), abs(hi))
+    return lo - slack, hi + slack
 
 
 def _bound_count(diag, off, barrier_top: float) -> int:
-    """Number of eigenvalues in (Gershgorin floor, ``barrier_top``]: one Sturm count.
+    """LAPACK's number of eigenvalues in (Gershgorin floor, ``barrier_top``].
 
     An absolute tolerance as wide as the window stops ``stebz``'s bisection
     before it starts, so the call costs the Sturm counts at the two ends.
-    The floor sits below the Gershgorin bound by more than the rounding of
-    a Sturm count, so no eigenvalue can fall under it.
     """
     from scipy.linalg import eigh_tridiagonal
 
-    lo, hi = _gershgorin(diag, off)
-    floor = lo - diag.size * np.finfo(float).eps * max(abs(lo), abs(hi))
+    floor = _gershgorin(diag, off)[0]
     if not barrier_top > floor:
         return 0
     width = barrier_top - floor
@@ -129,35 +166,166 @@ def _bound_count(diag, off, barrier_top: float) -> int:
     ).size
 
 
-def _index_top(n_levels, matrices, barrier_top) -> int:
-    """Levels to bisect by index: the request, capped by the bound count and the grid.
+def _runs(diag, off):
+    """The matrix as runs of equal rows: each run's potential ``d - 2c``, its
+    length, and the coupling ``c``."""
+    c = -float(off[0])
+    starts = np.flatnonzero(np.concatenate(([True], diag[1:] != diag[:-1])))
+    lengths = np.diff(np.append(starts, diag.size))
+    return diag[starts] - 2.0 * c, lengths, c
 
-    With several grids the cap is the largest of their counts, so every grid
-    is solved over the same index range.
+
+def _oscillating(x, m, psi, step):
+    """Sign changes across a run with ``0 < x < 1`` and the state at its end.
+
+    There ``a = 2 cos(theta)`` with ``sin(theta/2)**2 = x``, and the
+    sequence is ``R sin(chi + j theta)`` for ``j = -1, 0, ..., m``, where
+    ``chi`` is the phase of ``psi``: a sign change lies wherever the phase
+    crosses a multiple of pi.  ``chi`` takes the sign of ``psi`` exactly.
     """
-    count = max(_bound_count(diag, off, barrier_top) for _, _, diag, off in matrices)
-    return min(n_levels, matrices[0][2].size, count)
+    half = np.sqrt(x)  # sin(theta/2)
+    theta = 2.0 * np.arcsin(half)
+    # R cos(chi) sin(theta) = psi cos(theta) - psi_prev, with cos(theta) = 1 - 2x
+    chi = np.arctan2(psi * 2.0 * half * np.sqrt(1.0 - x), step - 2.0 * x * psi)
+    end = chi + m * theta
+    changes = np.floor(end / np.pi) - np.floor(chi / np.pi)
+    # sin(end) - sin(end - theta) = 2 sin(theta/2) cos(end - theta/2)
+    return changes, np.sin(end), 2.0 * half * np.cos(end - 0.5 * theta)
 
 
-def _by_index(matrix, top, capped, eigvals_only=True):
-    """The lowest ``top`` eigenvalues (and unit eigenvectors unless ``eigvals_only``).
+def _decaying(y, m, psi, step):
+    """Sign changes across a run with ``a = 2 cosh(kappa) >= 2`` and the state at its end.
 
-    A ``capped`` range ends below the request, so ``stebz`` cannot repeat
-    the bisection of the uncapped call; it converges to a quarter of the
-    default absolute tolerance ulp*||T|| instead, so it differs from the
-    uncapped call by little more than that call's own error.
+    ``y = sinh(kappa/2)**2``.  The sequence is ``A g**j + B g**-j`` with
+    ``g = exp(kappa)``, ``j = 0`` at ``psi``; ``2 sinh(kappa) A = step +
+    (g - 1) psi`` and ``2 sinh(kappa) B = (1 - 1/g) psi - step``, each a
+    sum that keeps the relative precision of ``step`` when the two nearly
+    cancel.  The end of the run is scaled by ``2 sinh(kappa) g**-m``, so no
+    run overflows however long.  A floor on ``kappa`` makes the same
+    formulas the linear solution at ``a = 2``.  The run holds one sign
+    change when its first and last entries differ in sign, else none.
     """
-    from scipy.linalg import eigh_tridiagonal
+    kappa = np.maximum(2.0 * np.arcsinh(np.sqrt(y)), _KAPPA_FLOOR)
+    grow, shrink = np.expm1(kappa), -np.expm1(-kappa)  # g - 1 and 1 - 1/g
+    a = step + grow * psi
+    b = shrink * psi - step
+    fade = np.expm1(-2.0 * m * kappa)  # g**-2m - 1
+    # a + b g**-2m, written so that the step cancels exactly as kappa -> 0
+    end = (grow + shrink) * psi + b * fade
+    return psi * end < 0.0, end, a * shrink - (b + b * fade) * grow
 
-    _, _, diag, off = matrix
-    if top == 0:
-        return np.empty(0) if eigvals_only else (np.empty(0), np.empty((diag.size, 0)))
-    tol = 0.0
-    if capped:
-        tol = np.finfo(float).eps * max(map(abs, _gershgorin(diag, off))) / 4.0
-    return eigh_tridiagonal(
-        diag, off, select="i", select_range=(0, top - 1), eigvals_only=eigvals_only, tol=tol
-    )
+
+def _alternating(y, m, psi, step):
+    """Sign changes across a run with ``a <= -2`` and the state at its end.
+
+    ``y = x - 1``.  With every other entry negated the run is one with
+    ``-a >= 2``, whose sequence changes sign at most once; each of the
+    ``m`` steps of the run on which the negated sequence keeps its sign
+    is a sign change.  The end state is taken up to an overall sign.
+    """
+    changes, end, end_step = _decaying(y, m, -psi, step - 2.0 * psi)
+    return m - changes, end, 2.0 * end - end_step
+
+
+def _sturm_count(runs, energies) -> np.ndarray:
+    """Number of eigenvalues below each energy: the sign changes of the Sturm sequence.
+
+    The sequence is the leading minors of ``T - E``, scaled by ``c`` per row:
+    ``psi_(i+1) = a_i psi_i - psi_(i-1)`` with ``a_i - 2 = (V_i - E) / c``,
+    from ``psi_0 = 1`` and ``psi_(-1) = 0``.  Over a run of equal rows it has
+    a closed form (see :func:`_oscillating`, :func:`_decaying` and
+    :func:`_alternating`, by ``x = (E - V) / 4c``), so the cost is per run,
+    not per row.  The state is ``psi_i`` and the step ``psi_i - psi_(i-1)``,
+    kept apart so that a slowly varying sequence keeps its slope to full
+    precision, and it leaves each run at unit length.
+    """
+    values, lengths, c = runs
+    e = np.asarray(energies, dtype=float)
+    psi, step = np.ones(e.shape), np.ones(e.shape)
+    count = np.zeros(e.shape)
+    for value, m in zip(values.tolist(), lengths.tolist()):
+        x = (e - value) / (4.0 * c)
+        regime = np.where(x <= 0.0, 0, np.where(x < 1.0, 1, 2))
+        branches = ((_decaying, -x), (_oscillating, x), (_alternating, x - 1.0))
+        for which, (branch, arg) in enumerate(branches):
+            where = regime == which
+            if where.all():
+                changes, psi, step = branch(arg, m, psi, step)
+                count += changes
+            elif where.any():
+                changes, psi[where], step[where] = branch(arg[where], m, psi[where], step[where])
+                count[where] += changes
+        norm = np.hypot(psi, step)
+        psi, step = psi / norm, step / norm
+    return count.astype(np.int64)
+
+
+def _multisect(count, lo, hi, k) -> np.ndarray:
+    """Level ``k`` of each bracket ``N(lo) <= k < N(hi)``, all levels together.
+
+    A round descends ``depth`` levels of bisection's midpoint tree of every
+    bracket still open with one ``count`` call, about ``_ROUND_POINTS``
+    energies; each bracket then walks its own tree, so it sees the midpoint
+    sequence it would see alone.  A bracket closes when its midpoint is no
+    longer strictly inside it, at two adjacent doubles; the level is that
+    midpoint.
+    """
+    lo, hi = lo.copy(), hi.copy()
+    while True:
+        mid = 0.5 * (lo + hi)
+        live = np.flatnonzero((lo < mid) & (mid < hi))
+        if not live.size:
+            return mid
+        n = live.size
+        depth = max(1, (_ROUND_POINTS // n + 1).bit_length() - 1)
+        # the tree in order: ends[:, j] for j = 0..width, each node's midpoint
+        # halfway between its ends
+        width = 2**depth
+        ends = np.empty((n, width + 1))
+        ends[:, 0], ends[:, width] = lo[live], hi[live]
+        for span in (width >> level for level in range(depth)):
+            ends[:, span // 2 :: span] = 0.5 * (ends[:, :-1:span] + ends[:, span::span])
+        counts = count(ends[:, 1:-1].ravel()).reshape(n, width - 1)
+        rows, a, b = np.arange(n), np.zeros(n, dtype=int), np.full(n, width)
+        for _ in range(depth):
+            m = (a + b) // 2
+            right = counts[rows, m - 1] <= k[live]
+            a, b = np.where(right, m, a), np.where(right, b, m)
+        lo[live], hi[live] = ends[rows, a], ends[rows, b]
+
+
+def _grid(profile, grid_points, constants):
+    """The matrix on one grid, its runs, and its number of bound levels.
+
+    The closed-form count at the barrier top must equal LAPACK's, or the
+    grid is rejected.
+    """
+    x, h, diag, off = _tridiagonal(profile, grid_points, constants)
+    runs = _runs(diag, off)
+    barrier_top = profile.max_value()
+    bound = int(_sturm_count(runs, [barrier_top])[0])
+    certificate = _bound_count(diag, off, barrier_top)
+    if bound != certificate:
+        raise SturmCountError(
+            f"at E = {barrier_top!r} eV the closed-form Sturm count is {bound} but LAPACK "
+            f"counts {certificate}, on {grid_points} rows of {profile!r}"
+        )
+    return x, h, diag, off, runs, bound
+
+
+def _levels(grid, top, barrier_top) -> np.ndarray:
+    """The lowest ``top`` eigenvalues of one grid's matrix.
+
+    Levels below its bound count are bracketed by (Gershgorin floor, barrier
+    top]; with several grids solved over one index range, the rest by
+    (barrier top, Gershgorin ceiling].
+    """
+    _, _, diag, off, runs, bound = grid
+    floor, ceiling = _gershgorin(diag, off)
+    k = np.arange(top)
+    lo = np.where(k < bound, floor, barrier_top)
+    hi = np.where(k < bound, barrier_top, ceiling)
+    return _multisect(lambda e: _sturm_count(runs, e), lo, hi, k)
 
 
 def fd_solve(
@@ -169,27 +337,26 @@ def fd_solve(
     """Lowest ``n_levels`` bound eigenvalues of the discretised Hamiltonian.
 
     Eigenvalues at or above the highest barrier are box artifacts, not bound
-    states.  They are counted first and never bisected (see module notes);
-    any that slip under the count are dropped, and the result is marked
-    ``truncated`` when fewer than ``n_levels`` entries remain.  With
-    ``extrapolate`` the grid step is halved once and each level
-    Richardson-combined; both grids are solved over one index range, capped
-    by the larger of their counts and by the coarse grid's size.  The raw
-    step-halving difference ``|E_half - E_full|`` is reported per level as a
-    conservative error estimate.
+    states.  They are counted first, by runs, with LAPACK's count as the
+    certificate, and never located (see module notes); any that slip under
+    the count are dropped, and the result is marked ``truncated`` when fewer
+    than ``n_levels`` entries remain.  With ``extrapolate`` the grid step is
+    halved once and each level Richardson-combined; both grids are solved
+    over one index range, capped by the larger of their counts and by the
+    coarse grid's size.  The raw step-halving difference ``|E_half -
+    E_full|`` is reported per level as a conservative error estimate.
     """
     if n_levels < 1:
         raise ValueError(f"n_levels must be >= 1, got {n_levels}")
     cfg = config or FdConfig()
     barrier_top = profile.max_value()
     sizes = [cfg.grid_points] + ([2 * cfg.grid_points + 1] if cfg.extrapolate else [])
-    matrices = [_tridiagonal(profile, n, constants) for n in sizes]
-    top = _index_top(n_levels, matrices, barrier_top)
-    capped = top < n_levels
-    levels_all = coarse = _by_index(matrices[0], top, capped)
+    grids = [_grid(profile, n, constants) for n in sizes]
+    top = min(n_levels, cfg.grid_points, max(grid[-1] for grid in grids))
+    levels_all = coarse = _levels(grids[0], top, barrier_top)
     estimates = None
     if cfg.extrapolate:
-        fine = _by_index(matrices[1], top, capped)
+        fine = _levels(grids[1], top, barrier_top)
         levels_all = (4.0 * fine - coarse) / 3.0
         estimates = np.abs(fine - coarse)
     keep = levels_all < barrier_top
@@ -215,21 +382,31 @@ def fd_states(
 ):
     """Grid positions, bound eigenvalues and unit-norm eigenfunctions.
 
-    Eigenvectors come back L2-normalised so that ``h * sum(psi**2) = 1``.
-    The index range is :func:`fd_solve`'s, so without extrapolation the
-    energies are its levels bit for bit.  Extrapolation does not apply to
-    states; the configured grid is used as is.
+    The eigenvalues are :func:`fd_solve`'s, bit for bit, without
+    extrapolation, which does not apply to states: the configured grid is
+    used as is.  The eigenvectors come from LAPACK ``stein`` (inverse
+    iteration) at those eigenvalues, L2-normalised so that
+    ``h * sum(psi**2) = 1``.
     """
+    from scipy.linalg import lapack
+
     if n_levels < 1:
         raise ValueError(f"n_levels must be >= 1, got {n_levels}")
     cfg = config or FdConfig()
     barrier_top = profile.max_value()
-    matrix = _tridiagonal(profile, cfg.grid_points, constants)
-    x, h = matrix[:2]
-    top = _index_top(n_levels, [matrix], barrier_top)
-    energies, vectors = _by_index(matrix, top, top < n_levels, eigvals_only=False)
-    keep = energies < barrier_top
-    return x, energies[keep], vectors[:, keep] / math.sqrt(h)
+    grid = _grid(profile, cfg.grid_points, constants)
+    x, h, diag, off, _, bound = grid
+    energies = _levels(grid, min(n_levels, bound), barrier_top)
+    energies = energies[energies < barrier_top]
+    if not energies.size:
+        return x, energies, np.empty((x.size, 0))
+    blocks = np.ones(diag.size, dtype=np.int32)
+    splits = np.zeros(diag.size, dtype=np.int32)
+    splits[0] = diag.size
+    vectors, info = lapack.dstein(diag, off, energies, blocks, splits)
+    if info:
+        raise np.linalg.LinAlgError(f"stein: {info} eigenvector(s) of {profile!r} did not converge")
+    return x, energies, vectors / math.sqrt(h)
 
 
 def count_nodes(values) -> int:

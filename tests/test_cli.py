@@ -448,23 +448,40 @@ def test_oracle_emit_states_solves_once(reference_config_file, tmp_path, capsys,
 
     cfg = load_config(reference_config_file)
     expected = fd_solve(pair_profile(cfg.spec.pair(1)), 4, cfg.oracle, cfg.constants).levels
-    real, calls = scipy.linalg.eigh_tridiagonal, []
+    real, real_stein, calls = scipy.linalg.eigh_tridiagonal, scipy.linalg.lapack.dstein, []
 
     def counting(*args, **kwargs):
         calls.append((kwargs["select"], kwargs.get("eigvals_only", False)))
         return real(*args, **kwargs)
 
+    def stein(*args):
+        calls.append("stein")
+        return real_stein(*args)
+
     monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counting)
+    monkeypatch.setattr(scipy.linalg.lapack, "dstein", stein)
     rc = main(["oracle", "--config", str(reference_config_file), "--pair", "2", "--levels", "4",
                "--emit-states", "--output-dir", str(tmp_path)])
     assert rc == 0
-    # one count of the bound states by value, then one eigensolve by index, with
-    # vectors, gives both the printed levels and the states
-    assert calls == [("v", True), ("i", False)]
+    # one LAPACK count of the bound states by value certifies the oracle's own,
+    # then one inverse iteration gives the states at the printed levels
+    assert calls == [("v", True), "stein"]
     rows = capsys.readouterr().out.splitlines()[2:6]
     assert [row.split()[2] for row in rows] == [f"{e:.9f}" for e in expected]
     header = (tmp_path / "oracle_pair2_states.csv").read_text().splitlines()[0]
     assert header == "x_A,psi_0,psi_1,psi_2,psi_3"
+
+
+def test_oracle_count_disagreement_is_a_computation_error(reference_config_file, capsys,
+                                                          monkeypatch):
+    from wellcascade import oracle
+
+    real = oracle._bound_count
+    monkeypatch.setattr(oracle, "_bound_count", lambda *args: real(*args) + 1)
+    rc = main(["oracle", "--config", str(reference_config_file), "--pair", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("computation error: at E = 1.585 eV the closed-form Sturm count is 13")
 
 
 @pytest.mark.parametrize("mode", [["--pair", "1"], ["--cascade"]], ids=["pair", "cascade"])

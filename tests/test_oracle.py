@@ -14,6 +14,10 @@ from wellcascade.quantities import CODATA2018
 from wellcascade.transcendental import count_below
 
 
+# the reference pair 1 with its wells 1200 A apart
+LONG_PAIR = WellPair(width=43.85, distance=1200.0, v_shallow=0.272, v_deep=1.585)
+
+
 def box_profile(width=43.85):
     """Hard-wall box: the infinite-well limit."""
     return PotentialProfile(breakpoints=(), segment_values=(0.0,), x_min=0.0, x_max=width)
@@ -212,32 +216,136 @@ def test_count_solver_and_oracle_agree_on_random_pairs(width, barrier, v_deep, s
     assert count == len(solve_pair(pair).levels) == _bound_count(pair_profile(pair))
 
 
-def test_requests_within_the_count_make_the_uncapped_call(pair1):
+def _long_double_levels(diag, off, top, lo, hi, rounds=16):
+    """The lowest ``top`` eigenvalues of the stored matrix, by a long-double
+    Sturm count over every row: 16 sections per bracket per round."""
+    d, c2 = diag.astype(np.longdouble), np.longdouble(off[0]) ** 2
+    k = np.arange(top)
+    lo = np.full(top, lo, dtype=np.longdouble)
+    hi = np.full(top, hi, dtype=np.longdouble)
+    rows = np.arange(top)
+    for _ in range(rounds):
+        ends = lo[:, None] + (hi - lo)[:, None] * (np.arange(17) / np.longdouble(16))
+        sigma = ends[:, 1:-1]
+        q = d[0] - sigma
+        count = (q < 0).astype(int)
+        for entry in d[1:]:
+            q = (entry - sigma) - c2 / np.where(q == 0, -1e-300, q)
+            count += q < 0
+        t = np.count_nonzero(count <= k[:, None], axis=1)
+        lo, hi = ends[rows, t], ends[rows, t + 1]
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="long double is plain double"
+)
+@pytest.mark.parametrize("index", range(4))
+def test_levels_match_a_long_double_bisection_of_the_matrix(reference_spec, index):
+    profile = pair_profile(reference_spec.pair(index))
+    config = FdConfig(grid_points=2001)
+    levels = np.array(fd_solve(profile, 40, config).levels)
+    _, _, diag, off = oracle._tridiagonal(profile, config.grid_points, CODATA2018)
+    reference = _long_double_levels(
+        diag, off, levels.size, oracle._gershgorin(diag, off)[0], profile.max_value()
+    )
+    assert np.max(np.abs(levels - reference)) <= 1e-12
+
+
+@pytest.mark.parametrize("extra", [-3, 0, 4])
+def test_levels_within_stebz_tolerance_at_every_request(pair1, extra):
     from scipy.linalg import eigh_tridiagonal
 
     profile = pair_profile(pair1)
     _, _, diag, off = oracle._tridiagonal(profile, 20001, CODATA2018)
     n = _bound_count(profile)
-
-    def by_index(top, tol=0.0):
-        return eigh_tridiagonal(
-            diag, off, select="i", select_range=(0, top - 1), eigvals_only=True, tol=tol
-        )
-
-    for request in (1, n):
-        result = fd_solve(profile, request)
-        assert result.levels == tuple(by_index(request).tolist()) and not result.truncated
-    # above the count, the box artifacts are never bisected; the bound levels
-    # converge to a quarter of stebz's default tolerance ulp * ||T||, so they
-    # stay within 1e-10 eV of the uncapped call's
-    uncapped = by_index(n + 4)
-    capped = fd_solve(profile, n + 4)
-    assert capped.truncated and len(capped.levels) == n
-    assert np.all(uncapped[n:] >= profile.max_value())
-    assert np.max(np.abs(np.array(capped.levels) - uncapped[:n])) <= 1e-10
+    result = fd_solve(profile, n + extra)
+    assert len(result.levels) == min(n, n + extra) and result.truncated == (extra > 0)
+    # stebz bisecting far below its default tolerance ulp * ||T|| stops at the
+    # rounding of its own Sturm count, about that tolerance; the levels agree
+    # with it to a quarter of it
     tolerance = np.finfo(float).eps * (float(np.max(diag)) + 2.0 * abs(off[0]))
-    converged = by_index(n, tol=1e-3 * tolerance)
-    assert np.max(np.abs(np.array(capped.levels) - converged)) <= tolerance / 4.0
+    converged = eigh_tridiagonal(
+        diag, off, select="i", select_range=(0, len(result.levels) - 1), eigvals_only=True,
+        tol=1e-3 * tolerance,
+    )
+    assert np.max(np.abs(np.array(result.levels) - converged)) <= tolerance / 4.0
+
+
+def test_cells_inside_one_segment_take_its_value(reference_spec):
+    for profile in (cascade_profile(reference_spec), pair_profile(LONG_PAIR)):
+        x, h, diag, off = oracle._tridiagonal(profile, 20001, CODATA2018)
+        edges = np.array([profile.x_min, *profile.breakpoints, profile.x_max])
+        values = np.array(profile.segment_values)
+        averages = oracle._cell_averaged_potential(edges, values, x, h)
+        left = np.searchsorted(edges, x - 0.5 * h, side="right") - 1
+        right = np.searchsorted(edges, x + 0.5 * h, side="left") - 1
+        inside = left == right
+        assert np.array_equal(averages[inside], values[left[inside]])
+        # the rest straddle one breakpoint each and lie between its two values
+        assert np.array_equal(right[~inside] - left[~inside], [1] * len(profile.breakpoints))
+        low = np.minimum(values[left[~inside]], values[right[~inside]])
+        high = np.maximum(values[left[~inside]], values[right[~inside]])
+        assert np.all((low <= averages[~inside]) & (averages[~inside] <= high))
+        # so the matrix is one run per segment and one per straddling cell
+        assert len(oracle._runs(diag, off)[0]) == 2 * len(values) - 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    width=st.floats(5.0, 50.0),
+    barrier=st.floats(0.5, 3000.0),
+    v_deep=st.floats(0.3, 2.0),
+    share=st.floats(0.1, 0.9),
+    half_rows=st.integers(500, 10000),
+    fractions=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=1,
+                       max_size=6),
+)
+def test_closed_form_count_equals_lapack(width, barrier, v_deep, share, half_rows, fractions):
+    pair = WellPair(width=width, distance=width + barrier, v_shallow=share * v_deep, v_deep=v_deep)
+    _, _, diag, off = oracle._tridiagonal(pair_profile(pair), 2 * half_rows + 1, CODATA2018)
+    floor, ceiling = oracle._gershgorin(diag, off)
+    # around the bound levels, over the whole spectrum, and at its top, where
+    # the wells' runs are in the alternating regime E - V >= 4c
+    energies = [f * 1.2 * v_deep for f in fractions]
+    energies += [floor + f * (ceiling - floor) for f in fractions]
+    energies += [ceiling - f * 1.2 * v_deep for f in fractions]
+    counts = oracle._sturm_count(oracle._runs(diag, off), energies)
+    assert counts.tolist() == [oracle._bound_count(diag, off, e) for e in energies]
+
+
+def test_alternating_runs_count_like_lapack():
+    # 1001 rows over 4000 A: 4c is ~0.1 eV, so most energies below the barrier
+    # top are 4c or more above the wells' floors
+    pair = WellPair(width=40.0, distance=3960.0, v_shallow=0.5, v_deep=1.5)
+    profile = pair_profile(pair)
+    _, _, diag, off = oracle._tridiagonal(profile, 1001, CODATA2018)
+    values, _, c = runs = oracle._runs(diag, off)
+    energies = np.linspace(0.01, 1.49, 60)
+    assert np.any(energies - values.min() >= 4.0 * c)
+    counts = oracle._sturm_count(runs, energies)
+    assert counts.tolist() == [oracle._bound_count(diag, off, e) for e in energies]
+    levels = np.array(fd_solve(profile, 1000, FdConfig(grid_points=1001)).levels)
+    assert levels.size == _bound_count(profile, 1001) and np.all(np.diff(levels) > 0.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_long_barriers_and_the_chain_count_like_lapack(reference_spec):
+    # over the 1200 A pair's barrier a row's decay compounds to exp(~725)
+    for profile, count in ((pair_profile(LONG_PAIR), 13), (cascade_profile(reference_spec), 26)):
+        result = fd_solve(profile, 400)
+        assert len(result.levels) == _bound_count(profile) == count
+        assert np.all(np.isfinite(result.levels))
+        _, energies, vectors = fd_states(profile, 400)
+        assert tuple(energies.tolist()) == result.levels and np.all(np.isfinite(vectors))
+
+
+def test_a_count_that_disagrees_with_lapack_names_the_energy(pair1, monkeypatch):
+    profile = pair_profile(pair1)
+    real = oracle._bound_count
+    monkeypatch.setattr(oracle, "_bound_count", lambda *args: real(*args) + 1)
+    with pytest.raises(oracle.SturmCountError, match=f"E = {profile.max_value()!r} eV"):
+        fd_solve(profile, 4, FdConfig(grid_points=2001))
 
 
 def test_no_bound_state_skips_the_eigensolve(monkeypatch):
