@@ -552,8 +552,13 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_times(args) -> int:
     if args.from_json:
-        payload = json.loads(Path(args.from_json).read_text(encoding="utf-8"))
-        levels = [lv["energy_eV"] for lv in payload["levels"]]
+        try:
+            payload = json.loads(Path(args.from_json).read_text(encoding="utf-8"))
+            levels = [lv["energy_eV"] for lv in payload["levels"]]
+            if not all(type(e) in (int, float) for e in levels):
+                raise TypeError("an energy_eV is not a number")
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"{args.from_json} is not a solve-pair JSON file ({exc!r})") from None
         if args.upper_index is None or args.lower_index is None:
             raise ValueError("--from-json requires --upper-index and --lower-index")
         if not all(0 <= i < len(levels) for i in (args.upper_index, args.lower_index)):

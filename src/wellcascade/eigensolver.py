@@ -14,13 +14,15 @@ step sets how each residual is scaled, not which levels are found.
 The cleared matching function (see :mod:`.transcendental`) is then evaluated
 at every bracket end in one call, and every bracket is refined on it by
 bisection.  All brackets are bisected in lockstep, several halvings per
-round: a round evaluates the cleared form once, at every midpoint of
-bisection's own tree a few levels below each open bracket (six levels for a
-few brackets, one for a few hundred), and each bracket descends its tree by
-the signs.  Each bracket carries its own pair's geometry and still sees its
-own midpoint sequence, so the roots are those of bisecting one bracket at a
-time.  The lockstep spans every solve of a batch.  A batch is one geometry
-of parameter arrays (one pair per element) solved with one
+round, by :func:`_multisect`, the program's one multisection (the oracle
+locates its levels with it too, walked by its own count): a round evaluates
+the cleared form once, at every midpoint of bisection's own tree a few
+levels below each open bracket (six levels for a few brackets, one for a
+few hundred), and each bracket descends its tree by the signs.  Each
+bracket carries its own pair's geometry and still sees its own midpoint
+sequence, so the roots are those of bisecting one bracket at a time.  The
+lockstep spans every solve of a batch.  A batch is one geometry of
+parameter arrays (one pair per element) solved with one
 :class:`SolverConfig` over one energy window: a single :func:`solve_pair`
 is a batch of one, the cascade solves its four pairs as one batch, and
 calibration solves its whole coarse grid as one batch, the template's
@@ -29,9 +31,10 @@ overhead is paid once per round rather than once per round and candidate.
 Bisection is unconditionally safe here because the cleared form is
 continuous and free of poles; it always runs down to machine resolution, so
 the configured ``refine_tol`` acts as a guaranteed upper bound on the
-reported bracket width rather than a stopping knob.  A one-level cell is the bracket that scanning the whole grid for sign
-changes finds (see :func:`_solve_batch` for a level within rounding of a
-grid point), so the energies and residuals are the scan's bit for bit.
+reported bracket width rather than a stopping knob.  A one-level cell is
+the bracket that scanning the whole grid for sign changes finds (see
+:func:`_solve_batch` for a level within rounding of a grid point), so the
+energies and residuals are the scan's bit for bit.
 
 A level's ``residual`` is the magnitude of the cleared matching function at
 the refined energy divided by its larger magnitude at the two ends of the
@@ -57,7 +60,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -196,30 +199,31 @@ class _Geometry(NamedTuple):
         return _Geometry(*(a[index] for a in self))
 
 
-def _bisect(geometry, lo, hi, f_lo, constants):
-    """Shrink verified sign-change brackets down to machine resolution, together.
+def _multisect(lo, hi, decide):
+    """Shrink brackets down to machine resolution, together: the program's one multisection.
 
-    ``geometry`` holds each bracket's pair parameters, so the brackets may
-    come from different pairs.  A round descends ``depth`` levels of
-    bisection's own midpoint tree with one :func:`characteristic` call, on
-    the midpoints ``0.5*(a + b)`` of every node down to that depth of every
-    bracket still open; ``depth`` is as large as ``_ROUND_POINTS`` and
-    ``_SECTIONS`` allow (one level for a few hundred brackets, six for a
-    few).  Each bracket then walks its tree by the sign of f at each node, so
-    it sees the midpoint sequence it would see alone.  A bracket closes when
-    its midpoint is no longer strictly inside it, after 200 halvings, or at
-    an exact zero, which collapses it to ``(mid, mid)``.
+    A round descends ``depth`` levels of bisection's own midpoint tree with
+    one ``decide(live, points)`` call, on the midpoints ``0.5*(a + b)`` of
+    every node down to that depth of every bracket still open: ``live``
+    holds the indices of those brackets, ``points[i]`` their tree in order.
+    ``depth`` is as large as ``_ROUND_POINTS`` and ``_SECTIONS`` allow (one
+    level for a few hundred brackets, six for a few).  ``decide`` returns
+    the move at each node: 1 to its right child, -1 to its left one, and 0
+    at an exact hit, which collapses the bracket to ``(mid, mid)``.  Each
+    bracket walks its own tree, so it sees the midpoint sequence it would see
+    alone.  A bracket closes when its midpoint is no longer strictly inside
+    it, or after 200 halvings.  A midpoint not strictly inside its node is
+    one of its ends, where a consistent ``decide`` moves toward the other
+    end: the walk keeps the bracket, and the next round closes it.
     """
     lo, hi = lo.copy(), hi.copy()
-    # f > 0 at lo: a halving keeps lo on its side of the root, so this never changes
-    live, a, b, up, geo = np.arange(lo.size), lo, hi, f_lo > 0.0, geometry
+    live, a, b = np.arange(lo.size), lo, hi
     halvings = 0
     while halvings < 200:
         root = 0.5 * (a + b)
         keep = (a < root) & (root < b)
         if not keep.all():
-            live, a, b, root, up = (x[keep] for x in (live, a, b, root, up))
-            geo = geo.take(keep)
+            live, a, b, root = (x[keep] for x in (live, a, b, root))
         if not live.size:
             break
         n, depth = live.size, 1
@@ -235,13 +239,7 @@ def _bisect(geometry, lo, hi, f_lo, constants):
         ends[:, 0], ends[:, width // 2], ends[:, width] = a, root, b
         for span in (width >> level for level in range(1, depth)):
             ends[:, span // 2 :: span] = 0.5 * (ends[:, :-1:span] + ends[:, span::span])
-        f = characteristic(_Geometry(*(x[:, None] for x in geo)), ends[:, 1:-1], constants)
-        # the move at each node: to the right child where f has lo's sign, else to
-        # the left one, none at an exact zero.  A midpoint not strictly inside its
-        # node is one of its ends, where f has that end's sign: the walk keeps the
-        # bracket below it, and the next round closes it.
-        move = np.where((f > 0.0) == up[:, None], 1, -1)
-        move[f == 0.0] = 0
+        move = decide(live, ends[:, 1:-1])
         # each bracket walks down from its root; ``at`` indexes the flattened nodes
         rows = np.arange(n)
         at = rows * (width - 1) + (width // 2 - 1)
@@ -254,6 +252,32 @@ def _bisect(geometry, lo, hi, f_lo, constants):
         a, b = ends.ravel()[at - (last < 0)], ends.ravel()[at + (last > 0)]
         lo[live], hi[live] = a, b
     return lo, hi
+
+
+def _bisect(geometry, lo, hi, f_lo, constants):
+    """Shrink verified sign-change brackets of the cleared form, together.
+
+    ``geometry`` holds each bracket's pair parameters, so the brackets may
+    come from different pairs.  :func:`_multisect` walks each bracket by the
+    sign of one :func:`characteristic` call per round: to the right child
+    where f has lo's sign, else to the left one, and it stops at an exact
+    zero.  The open brackets' geometry and signs are gathered only when some
+    bracket closes.
+    """
+    # f > 0 at lo: a halving keeps lo on its side of the root, so this never changes
+    up = f_lo > 0.0
+    open_geo, open_up = geometry, up
+
+    def decide(live, points):
+        nonlocal open_geo, open_up
+        if live.size != open_up.size:
+            open_geo, open_up = geometry.take(live), up[live]
+        f = characteristic(_Geometry(*(x[:, None] for x in open_geo)), points, constants)
+        move = np.where((f > 0.0) == open_up[:, None], 1, -1)
+        move[f == 0.0] = 0
+        return move
+
+    return _multisect(lo, hi, decide)
 
 
 def _grids(geometry, step, e_min, e_max) -> tuple[float, np.ndarray]:
@@ -596,8 +620,9 @@ def _level_slopes(template, field, x, energies, x_range, h, h_e, constants) -> n
 def _calibrate_1d(template, field, targets, lo, hi, step, cfg, constants, what):
     """Fit ``template``'s parameter ``field`` over ``[lo, hi]`` to the target energies.
 
-    The callers' range checks keep every pair in the range valid, so only the
-    Newton trials build a :class:`WellPair`."""
+    Every solve, the coarse batch and each Newton trial alike, is a
+    :func:`_solve_batch` of parameter arrays; the callers' range checks keep
+    every pair in the range valid, so no :class:`WellPair` is built."""
     targets = [float(t) for t in targets]
     if not targets:
         raise ValueError("calibration needs at least one target energy")
@@ -616,9 +641,8 @@ def _calibrate_1d(template, field, targets, lo, hi, step, cfg, constants, what):
         return CalibrationResult(value=x, misfit=float(misfit), levels=tuple(energies.tolist()))
 
     def evaluate(x: float) -> CalibrationResult:
-        trial = replace(template, **{field: x})
-        solved = solve_pair(trial, cfg, e_min=e_min, e_max=e_max, constants=constants)
-        return fit(x, np.array([lv.energy for lv in solved.levels]))
+        batch = _solve_batch(_Geometry.varied(template, field, [x]), cfg, e_min, e_max, constants)
+        return fit(x, batch.energy[batch.kept])
 
     def newton_step(at: CalibrationResult) -> float:
         """Gauss-Newton step on the nearest-level residuals; nan if it has no slope."""

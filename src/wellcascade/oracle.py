@@ -10,16 +10,19 @@ The potential is piecewise constant, so the matrix is a few runs of equal
 rows (five for a pair, one per segment and one per cell that straddles a
 breakpoint).  Within a run the Sturm sequence has a closed form, a sine or
 a pair of exponentials, so the count at an energy costs one step per run,
-not per row (:func:`_sturm_count`).  Every level is located by index with
-multisection of that count, all levels together, until its bracket is two
-adjacent doubles.  The count reads the matrix's potential as ``d - 2c``
-from its stored diagonal, which is exact, so it counts the same matrix
-LAPACK would; and it carries the slope of the sequence apart from its
-value, so it loses no precision to the ``2c`` on the diagonal.  Its levels
-lie within a few ulp of a long-double bisection of the same matrix, where
-LAPACK ``stebz`` rounds its Sturm counts at about ulp*||T||, 1e-11 to
-1e-10 eV on 20 001 rows.  Nothing here comes from :mod:`wellcascade.transcendental`, so
-the oracle stays independent of the solver it checks.
+not per row (:func:`_sturm_count`).  Every level is located by index, all
+levels together, with the program's one multisection,
+:func:`~wellcascade.eigensolver._multisect`, walked by that count: at most
+six halvings per count call, until each bracket is two adjacent doubles.
+The count reads the matrix's potential as ``d - 2c`` from its stored
+diagonal, which is exact, so it counts the same matrix LAPACK would; and
+it carries the slope of the sequence apart from its value, so it loses no
+precision to the ``2c`` on the diagonal.  Its levels lie within a few ulp
+of a long-double bisection of the same matrix, where LAPACK ``stebz``
+rounds its Sturm counts at about ulp*||T||, 1e-11 to 1e-10 eV on 20 001
+rows.  Nothing here comes from :mod:`wellcascade.transcendental`, and the
+shared multisection is bracket logic only, so the oracle stays independent
+of the formulas it checks.
 
 Only eigenvalues below the barrier top are bound states; the ones above it
 are box artifacts.  So each solve first counts the eigenvalues below the
@@ -28,8 +31,11 @@ LAPACK certifies the count: a ``stebz`` call by value over (Gershgorin
 floor, barrier top], whose absolute tolerance is as wide as the window, so
 it returns after the Sturm counts at its two ends (about 1 ms on 20 001
 rows), must give the same number, or the solve fails with
-:class:`SturmCountError`.  :func:`fd_states` takes its eigenvectors from
-LAPACK ``stein`` at the located levels.
+:class:`SturmCountError`.  A level within LAPACK's count rounding of the top
+may fall on either side of it for LAPACK, so where the two counts differ the
+closed-form count stands if it lies between LAPACK's counts at the top -/+
+4 eps ||T||.  :func:`fd_states` takes its eigenvectors from LAPACK ``stein``
+at the located levels.
 
 The potential enters as its average over each grid cell: a cell inside one
 segment takes that segment's value, and a cell that straddles a breakpoint
@@ -50,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensolver import _MAX_GRID_POINTS
+from .eigensolver import _MAX_GRID_POINTS, _multisect
 from .potential import PotentialProfile
 from .quantities import CODATA2018, PhysicalConstants
 
@@ -66,8 +72,6 @@ __all__ = [
 
 # entries below this fraction of the peak are noise to count_nodes
 _NODE_FLOOR = 1e-9
-# energies per count call of the multisection
-_ROUND_POINTS = 512
 # floor of a run's decay rate per row: the rate of every |E - V| above about
 # 1e-300 c exceeds it, so it acts only at E = V
 _KAPPA_FLOOR = 1e-150
@@ -260,45 +264,12 @@ def _sturm_count(runs, energies) -> np.ndarray:
     return count.astype(np.int64)
 
 
-def _multisect(count, lo, hi, k) -> np.ndarray:
-    """Level ``k`` of each bracket ``N(lo) <= k < N(hi)``, all levels together.
-
-    A round descends ``depth`` levels of bisection's midpoint tree of every
-    bracket still open with one ``count`` call, about ``_ROUND_POINTS``
-    energies; each bracket then walks its own tree, so it sees the midpoint
-    sequence it would see alone.  A bracket closes when its midpoint is no
-    longer strictly inside it, at two adjacent doubles; the level is that
-    midpoint.
-    """
-    lo, hi = lo.copy(), hi.copy()
-    while True:
-        mid = 0.5 * (lo + hi)
-        live = np.flatnonzero((lo < mid) & (mid < hi))
-        if not live.size:
-            return mid
-        n = live.size
-        depth = max(1, (_ROUND_POINTS // n + 1).bit_length() - 1)
-        # the tree in order: ends[:, j] for j = 0..width, each node's midpoint
-        # halfway between its ends
-        width = 2**depth
-        ends = np.empty((n, width + 1))
-        ends[:, 0], ends[:, width] = lo[live], hi[live]
-        for span in (width >> level for level in range(depth)):
-            ends[:, span // 2 :: span] = 0.5 * (ends[:, :-1:span] + ends[:, span::span])
-        counts = count(ends[:, 1:-1].ravel()).reshape(n, width - 1)
-        rows, a, b = np.arange(n), np.zeros(n, dtype=int), np.full(n, width)
-        for _ in range(depth):
-            m = (a + b) // 2
-            right = counts[rows, m - 1] <= k[live]
-            a, b = np.where(right, m, a), np.where(right, b, m)
-        lo[live], hi[live] = ends[rows, a], ends[rows, b]
-
-
 def _grid(profile, grid_points, constants):
     """The matrix on one grid, its runs, and its number of bound levels.
 
-    The closed-form count at the barrier top must equal LAPACK's, or the
-    grid is rejected.
+    The closed-form count at the barrier top must equal LAPACK's, or lie
+    between LAPACK's counts at the top -/+ 4 eps ||T||, or the grid is
+    rejected.
     """
     x, h, diag, off = _tridiagonal(profile, grid_points, constants)
     runs = _runs(diag, off)
@@ -306,10 +277,16 @@ def _grid(profile, grid_points, constants):
     bound = int(_sturm_count(runs, [barrier_top])[0])
     certificate = _bound_count(diag, off, barrier_top)
     if bound != certificate:
-        raise SturmCountError(
-            f"at E = {barrier_top!r} eV the closed-form Sturm count is {bound} but LAPACK "
-            f"counts {certificate}, on {grid_points} rows of {profile!r}"
-        )
+        # LAPACK's count rounds at about eps*||T||: a level that close to the
+        # top may fall on either side of it
+        slack = 4.0 * np.finfo(float).eps * (np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off)))
+        below, above = (_bound_count(diag, off, barrier_top + s) for s in (-slack, slack))
+        if not below <= bound <= above:
+            raise SturmCountError(
+                f"at E = {barrier_top!r} eV the closed-form Sturm count is {bound} but LAPACK "
+                f"counts {certificate} (from {below} to {above} within {slack:.3g} eV), "
+                f"on {grid_points} rows of {profile!r}"
+            )
     return x, h, diag, off, runs, bound
 
 
@@ -325,7 +302,10 @@ def _levels(grid, top, barrier_top) -> np.ndarray:
     k = np.arange(top)
     lo = np.where(k < bound, floor, barrier_top)
     hi = np.where(k < bound, barrier_top, ceiling)
-    return _multisect(lambda e: _sturm_count(runs, e), lo, hi, k)
+    # level k lies above every point counting k or fewer below it
+    lo, hi = _multisect(lo, hi, lambda live, points: np.where(
+        _sturm_count(runs, points) <= k[live, None], 1, -1))
+    return 0.5 * (lo + hi)
 
 
 def fd_solve(

@@ -422,6 +422,24 @@ def test_times_rejects_negative_indices(tmp_path, reference_config_file, capsys)
     assert "out of range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("payload", ["report", [1.4, 1.5], {"levels": [{"energy_eV": "x"},
+                                                                        {"energy_eV": 1.5}]}],
+                         ids=["cascade-report", "list", "string-energy"])
+def test_times_rejects_a_file_that_is_not_a_solve_pair_file(tmp_path, reference_config_file,
+                                                            payload, capsys):
+    path = tmp_path / "report.json"
+    if payload == "report":
+        main(["cascade", "--config", str(reference_config_file), "--output-dir", str(tmp_path)])
+    else:
+        path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    rc = main(["times", "--from-json", str(path), "--upper-index", "1", "--lower-index", "0"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"error: {path} is not a solve-pair JSON file")
+
+
 def test_times_requires_energies():
     assert main(["times"]) == 1
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from wellcascade import eigensolver, transcendental
+from wellcascade import eigensolver, oracle, transcendental
 from wellcascade.eigensolver import (
     CalibrationError,
     SolverConfig,
@@ -19,7 +19,7 @@ from wellcascade.eigensolver import (
     uniform_grid,
 )
 from wellcascade.oracle import FdConfig, fd_levels
-from wellcascade.potential import WellPair, pair_profile
+from wellcascade.potential import WellPair, cascade_profile, pair_profile
 from wellcascade.quantities import CODATA2018
 from wellcascade.transcendental import characteristic, grid_scan
 
@@ -118,6 +118,23 @@ def _bisect_one(pair, lo, hi, f_lo):
         else:
             hi = mid
     return lo, hi
+
+
+def _count_one(grid, top, k):
+    """Level ``k`` of an oracle grid by bisecting its count alone, from the
+    bracket the oracle opens: below or above the barrier top ``top``."""
+    _, _, diag, off, runs, bound = grid
+    floor, ceiling = oracle._gershgorin(diag, off)
+    lo, hi = (floor, top) if k < bound else (top, ceiling)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if not (lo < mid < hi):
+            break
+        if oracle._sturm_count(runs, [mid])[0] <= k:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def _sign_changes(pair, lo=2e-5, hi=None, step=2e-5):
@@ -234,6 +251,29 @@ def test_multisection_equals_one_bracket_at_a_time(width, barrier, v_deep, share
         [expected[i] for i in which] + [(b[1], b[2]) for b in done]
     )
     assert spy.call_args_list[0].args[1].shape == (size, 2 ** _DEPTHS[size] - 1)
+    # driven by the oracle's count: ``size`` levels of the pair's matrix open
+    # ``size`` brackets, those above the barrier top included; the highest is
+    # checked alone (every level is, in the next test)
+    grid = oracle._grid(pair_profile(pair), 1001, CODATA2018)
+    with mock.patch.object(oracle, "_sturm_count", wraps=oracle._sturm_count) as spy:
+        levels = oracle._levels(grid, size, v_deep)
+    assert spy.call_args_list[0].args[1].shape == (size, 2 ** _DEPTHS[size] - 1)
+    assert levels[-1] == _count_one(grid, v_deep, size - 1)
+
+
+def test_oracle_levels_equal_one_bracket_at_a_time(reference_spec):
+    # every bound level of paper.cfg's pairs and of the chain, and two above
+    # the barrier top, each bisected alone on the count down to adjacent doubles
+    profiles = [pair_profile(reference_spec.pair(i)) for i in range(4)]
+    for profile in profiles + [cascade_profile(reference_spec)]:
+        top = profile.max_value()
+        grid = oracle._grid(profile, 2001, CODATA2018)
+        bound = grid[5]
+        levels = oracle._levels(grid, bound + 2, top)
+        expected = [_count_one(grid, top, k) for k in range(bound + 2)]
+        assert levels.tolist() == expected
+        config = oracle.FdConfig(grid_points=2001)
+        assert oracle.fd_solve(profile, bound + 2, config).levels == tuple(expected[:bound])
 
 
 def test_batch_solve_matches_one_solve_at_a_time(pair1, pair2):
@@ -256,25 +296,27 @@ def test_batch_solve_matches_one_solve_at_a_time(pair1, pair2):
 
 
 def test_calibration_coarse_batch_scans_cell_ends_once(pair1, monkeypatch):
-    scans, solves = [], []
+    scans, batches = [], []
+    solve_batch = eigensolver._solve_batch
 
     def recording(*args, **kwargs):
         scans.append(np.array(args[1]))
         return grid_scan(*args, **kwargs)
 
-    def counting(*args, **kwargs):
-        solves.append(1)
-        return solve_pair(*args, **kwargs)
+    def batching(geometry, *args):
+        batches.append(geometry.width.size)
+        return solve_batch(geometry, *args)
 
     monkeypatch.setattr(eigensolver, "grid_scan", recording)
-    monkeypatch.setattr(eigensolver, "solve_pair", counting)
+    monkeypatch.setattr(eigensolver, "_solve_batch", batching)
     step = SolverConfig().grid_step
     for l_range, points in (((60.0, 60.5), 51), ((58.0, 63.0), 501)):
         scans.clear()
-        solves.clear()
+        batches.clear()
         calibrate_distance(pair1, [1.445, 1.460], l_range)
-        # one scan for the coarse batch and one for each refinement solve
-        assert solves and len(scans) == 1 + len(solves)
+        # one scan for the coarse batch and one for each one-pair refinement batch
+        assert batches[0] == points and set(batches[1:]) == {1}
+        assert len(scans) == len(batches) > 1
         # on grid points only: two cell ends per level in the window, which
         # holds the doublet at every coarse distance (its grid has 5 750 points)
         coarse = scans[0]
@@ -602,25 +644,20 @@ def test_calibration_recovers_off_grid_hidden_value(pair1, pair2, role, hidden, 
 
 
 def test_calibration_refines_in_a_few_solves(pair1, monkeypatch):
-    batches, calls = [], []
+    batches = []
     solve_batch = eigensolver._solve_batch
 
     def batching(geometry, *args):
         batches.append(geometry.width.size)
         return solve_batch(geometry, *args)
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return solve_pair(*args, **kwargs)
-
     monkeypatch.setattr(eigensolver, "_solve_batch", batching)
-    monkeypatch.setattr(eigensolver, "solve_pair", counting)
     result = calibrate_distance(pair1, [1.445, 1.460], (60.0, 60.5))
     assert f"{result.value:.6f}" == "60.188796"
-    # one coarse batch of the 51 grid points, then refinement solves of one
-    # pair each, every one through solve_pair; golden section made ~34
+    # one coarse batch of the 51 grid points, then refinement batches of one
+    # pair each; golden section made ~34 solves
     assert batches[0] == 51 and set(batches[1:]) == {1}
-    assert len(calls) == len(batches) - 1 <= 6
+    assert 1 < len(batches) <= 1 + 6
 
 
 def test_calibration_logs_one_debug_record(pair1, caplog, capsys):

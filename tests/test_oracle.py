@@ -348,6 +348,22 @@ def test_a_count_that_disagrees_with_lapack_names_the_energy(pair1, monkeypatch)
         fd_solve(profile, 4, FdConfig(grid_points=2001))
 
 
+def test_a_level_within_lapack_rounding_of_the_top_passes_the_certificate():
+    # the third level crosses the barrier top near 0.5058026829924528 eV; within
+    # LAPACK's own count rounding of it the two counts differ, and the closed
+    # form's count stands when it lies between LAPACK's counts at top -/+ 4 eps ||T||
+    counts, disagree = set(), 0
+    for j in range(-400, 400):
+        top = 0.5058026829924528 + j * 2e-14
+        profile = PotentialProfile(
+            breakpoints=(0.0, 20.0), segment_values=(top, 0.0, top), x_min=-5.0, x_max=25.0
+        )
+        _, _, diag, off, _, bound = oracle._grid(profile, 1001, CODATA2018)
+        counts.add(bound)
+        disagree += bound != oracle._bound_count(diag, off, top)
+    assert counts == {2, 3} and disagree > 0
+
+
 def test_no_bound_state_skips_the_eigensolve(monkeypatch):
     import scipy.linalg
 
