@@ -39,11 +39,15 @@ at the located levels.
 
 The potential enters as its average over each grid cell: a cell inside one
 segment takes that segment's value, and a cell that straddles a breakpoint
-the mean of its parts.  For a piecewise-constant profile the cell average
-is exact and the discretisation error is a clean O(h^2), which makes
-Richardson step-halving meaningful; sampling the potential pointwise
-instead would leave an O(h) boundary misalignment error that dominates and
-does not extrapolate away.
+the mean of its parts.  Sampling the potential pointwise instead would leave
+an O(h) misalignment error at every breakpoint.  The error is still not
+smooth in h, since each breakpoint's place inside its cell moves with h, so
+Richardson step-halving is not reliable.  Measured against the solver on
+paper.cfg pairs 1-4, extrapolating from 20 001 rows leaves 2.8e-9 to 1.5e-8
+eV where the raw levels are off by 8.9e-8 to 1.1e-6 eV; from 200 001 rows it
+leaves 5.3e-9 eV on pair 2, where the raw levels are off by 9.4e-10 eV.
+ROADMAP.md ("An oracle that converges at a known order") plans a grid with a
+node on every breakpoint.
 
 scipy is imported inside the functions that call it, so importing the
 package, and running every CLI command but ``oracle``, does not load it.
@@ -324,7 +328,10 @@ def fd_solve(
     halved once and each level Richardson-combined; both grids are solved
     over one index range, capped by the larger of their counts and by the
     coarse grid's size.  The raw step-halving difference ``|E_half -
-    E_full|`` is reported per level as a conservative error estimate.
+    E_full|`` is reported per level as an error estimate.  It is not a bound:
+    on every paper.cfg pair, at 20 001 and at 200 001 rows, some extrapolated
+    level is off by more than its estimate (pair 4 at 20 001 rows, level 2:
+    4.1e-9 against 3.4e-10 eV, see the module notes).
     """
     if n_levels < 1:
         raise ValueError(f"n_levels must be >= 1, got {n_levels}")

@@ -1,29 +1,31 @@
 """Piecewise wavefunction reconstruction for a solved bound state.
 
-Region layout (centered coordinates, shallow well on the left):
+A pair's potential is the ``(x_start, x_end, value)`` segments of
+:func:`~wellcascade.potential.pair_segments`, between hard walls.  On each
+segment the state is a closed form in ``t = x - x_start``, with ``k`` the
+segment's wavenumber or decay rate at the level's energy:
 
-    I    wall        x < x0
-    II   shallow     x0 .. x1   a1, a2   (exp basis in regime A, trig in B)
-    III  barrier     x1 .. x2   b, c     (exp basis)
-    IV   deep        x2 .. x3   d1, d2   (trig basis)
-    V    wall        x > x3
+* ``a cos(k t) + b sin(k t)`` where the energy lies above the segment's value;
+* ``a exp(k (t - length)) + b exp(-k t)`` where it lies below, the growing
+  term referenced to the right edge, so that neither term exceeds its value
+  at an edge.
 
-Each region holds ``c1*f + c2*g`` in the exp basis (e^{kx}, e^{-kx}) or the
-trig basis (sin kx, cos kx).  One set of helpers, elementwise over arrays,
-serves every region: value and slope, coefficients from a value and slope,
-and the closed-form squared integral.  :func:`build_wavefunction` is one loop
-over regions II-IV from (psi, psi') = (0, k1) at the left wall, which makes
-the first lobe positive; matching value and slope at each left edge makes
-interior continuity exact by construction.  The right-wall zero then only
-holds when the energy is a true eigenvalue, and its relative violation is
-reported as the matching residual; a level whose residual exceeds 1e-8 is
-rejected.  Propagating left to right follows the growing barrier solution,
-the numerically stable direction for deep-well dominated states.  Region
-wavenumbers come from :func:`~wellcascade.transcendental.wavenumbers`, the
-routine the matching function uses, and region bounds from
-:func:`~wellcascade.potential.pair_profile`.
+:func:`_walk` propagates the solution with ``psi = 0`` at the left wall
+across the segments, as :func:`~wellcascade.transcendental.count_below`
+does: at every edge it rescales ``(psi, psi'/k)`` to unit length and keeps
+the scale as a logarithm, so no barrier overflows however wide it is.  Each
+segment's two coefficients are read from the states at its edges, so value
+and slope match at every interior edge by construction, and the squared
+integral of every segment has a closed form, which normalises the state.
 
-The closed-form L2 norm over the whole domain is one.
+The far-wall zero holds only at a true eigenvalue.  Its violation is the
+matching residual: ``|psi|`` at the far wall of the unit-length
+``(psi, psi'/k)`` state.  Rounding grows wherever the walk runs against the
+state's decay, so :func:`build_wavefunction` walks from both walls, the right
+one as the same walk over the mirrored segments, and keeps the direction with
+the smaller residual.  A level whose residual exceeds 1e-8 is rejected.  The
+sign is chosen so that the first lobe is positive.
+
 :func:`sample_wavefunction` tabulates a state; the ``wavefunction`` command
 of ``wellcascade.cli`` writes that table as CSV.
 """
@@ -36,9 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigensolver import _MAX_GRID_POINTS, Level
-from .potential import WellPair, pair_profile
+from .potential import WellPair, pair_segments
 from .quantities import CODATA2018, PhysicalConstants
-from .transcendental import Regime, classify_regime, wavenumbers
 
 __all__ = [
     "PiecewiseWavefunction",
@@ -46,94 +47,66 @@ __all__ = [
     "sample_wavefunction",
 ]
 
-# largest right-wall residual of an eigenvalue (relative to the deep-well amplitude)
+# largest far-wall residual of an eigenvalue (|psi| of the unit-length (psi, psi'/k) state)
 _WALL_TOL = 1e-8
 
 
-def _value_slope(trig: bool, c1, c2, k, x):
-    """Value and slope of ``c1*f + c2*g`` at ``x`` in the exp or trig basis."""
-    if trig:
-        s, c = np.sin(k * x), np.cos(k * x)
-        return c1 * s + c2 * c, k * (c1 * c - c2 * s)
-    grow, fall = np.exp(k * x), np.exp(-k * x)
-    return c1 * grow + c2 * fall, k * (c1 * grow - c2 * fall)
-
-
-def _coefficients(trig: bool, k, x, value, slope):
-    """Coefficients ``(c1, c2)`` whose combination has ``value`` and ``slope`` at ``x``."""
-    if trig:
-        s, c = np.sin(k * x), np.cos(k * x)
-        return value * s + (slope / k) * c, value * c - (slope / k) * s
-    # keep (k*v + s)/(2k): the barrier match cancels, and 0.5*(v + s/k) rounds it differently
-    return (
-        np.exp(-k * x) * (k * value + slope) / (2.0 * k),
-        np.exp(k * x) * (k * value - slope) / (2.0 * k),
-    )
-
-
-def _sq_integral(trig: bool, c1, c2, k, x_lo, x_hi):
-    """Integral of ``(c1*f + c2*g)**2`` over ``[x_lo, x_hi]`` in the exp or trig basis."""
-    if trig:
-
-        def antiderivative(x):
-            s2, c2x = np.sin(2.0 * k * x), np.cos(2.0 * k * x)
-            return (
-                c1 * c1 * (0.5 * x - s2 / (4.0 * k))
-                + c2 * c2 * (0.5 * x + s2 / (4.0 * k))
-                - c1 * c2 * c2x / (2.0 * k)
-            )
-
-        return antiderivative(x_hi) - antiderivative(x_lo)
-    return (
-        c1 * c1 * (np.exp(2.0 * k * x_hi) - np.exp(2.0 * k * x_lo)) / (2.0 * k)
-        + 2.0 * c1 * c2 * (x_hi - x_lo)
-        + c2 * c2 * (np.exp(-2.0 * k * x_lo) - np.exp(-2.0 * k * x_hi)) / (2.0 * k)
-    )
+def _evaluate(piece, x):
+    """Value and slope at ``x`` of one ``(x_start, x_end, k, above, a, b)`` piece."""
+    x_start, x_end, k, above, a, b = piece
+    if above:
+        c, s = np.cos(k * (x - x_start)), np.sin(k * (x - x_start))
+        return a * c + b * s, k * (b * c - a * s)
+    grow, fall = a * np.exp(k * (x - x_end)), b * np.exp(-k * (x - x_start))
+    return grow + fall, k * (grow - fall)
 
 
 @dataclass(frozen=True)
 class PiecewiseWavefunction:
-    """Normalised bound-state wavefunction of a well pair."""
+    """Normalised bound-state wavefunction: one piece per segment of the pair.
+
+    Each piece is ``(x_start, x_end, k, above, a, b)``, in the form of the
+    module notes that ``above`` selects.
+    """
 
     pair: WellPair
     energy: float
-    regime: Regime
-    a1: float
-    a2: float
-    b: float
-    c: float
-    d1: float
-    d2: float
-    region_bounds: tuple[float, float, float, float]
-    k1: float
-    beta: float
-    k2: float
+    region_bounds: tuple[float, ...]
+    pieces: tuple[tuple[float, float, float, bool, float, float], ...]
     wall_residual: float
-
-    def _region(self, region: int):
-        """Basis, coefficients and wavenumber of region 2, 3 or 4."""
-        if region == 2:
-            return self.regime is Regime.B, self.a1, self.a2, self.k1
-        if region == 3:
-            return False, self.b, self.c, self.beta
-        if region == 4:
-            return True, self.d1, self.d2, self.k2
-        raise ValueError(f"region must be 2, 3 or 4, got {region}")
 
     def __call__(self, x):
         """Wavefunction value; zero on and beyond the walls."""
         xa = np.atleast_1d(np.asarray(x, dtype=float))
-        x0, x1, x2, x3 = self.region_bounds
         out = np.zeros_like(xa)
-        inside = (xa >= x0) & (xa <= x3)
-        region = 2 + np.searchsorted((x1, x2), xa, side="right")
-        for r in (2, 3, 4):
-            mask = inside & (region == r)
-            out[mask] = _value_slope(*self._region(r), xa[mask])[0]
-        # walls pin the ends to exactly zero
-        out[xa == x0] = 0.0
-        out[xa == x3] = 0.0
+        inside = (xa > self.region_bounds[0]) & (xa < self.region_bounds[-1])
+        segment = np.searchsorted(self.region_bounds[1:-1], xa, side="right")
+        for i, piece in enumerate(self.pieces):
+            mask = inside & (segment == i)
+            out[mask] = _evaluate(piece, xa[mask])[0]
         return float(out[0]) if np.isscalar(x) else out
+
+
+def _walk(segments, energy, ks):
+    """States ``(psi, psi', log scale)`` at every edge, from ``psi = 0`` at the left wall.
+
+    ``(psi, psi'/k)`` has unit length at each edge, with ``k`` of the segment
+    to the edge's left (of the first segment at the wall).
+    """
+    psi, slope, log = 0.0, ks[0], 0.0
+    edges = [(psi, slope, log)]
+    for (x_start, x_end, value), k in zip(segments, ks):
+        kl, w = k * (x_end - x_start), slope / k
+        if energy > value:
+            c, s = math.cos(kl), math.sin(kl)
+            psi, w = psi * c + w * s, w * c - psi * s
+        else:  # the far edge over e^{kl}: (psi cosh + w sinh, psi sinh + w cosh)
+            grow, fall = 0.5 * (psi + w), 0.5 * (psi - w) * math.exp(-2.0 * kl)
+            psi, w, log = grow + fall, grow - fall, log + kl
+        norm = math.hypot(psi, w) or math.nan  # an underflowed state leaves a NaN residual
+        psi, slope, log = psi / norm, k * w / norm, log + math.log(norm)
+        edges.append((psi, slope, log))
+    return edges
 
 
 def build_wavefunction(
@@ -143,54 +116,47 @@ def build_wavefunction(
 ) -> PiecewiseWavefunction:
     """Reconstruct and normalise the wavefunction of a solved level.
 
-    Raises ValueError when the right-wall consistency residual exceeds 1e-8,
-    i.e. when ``level.energy`` is not actually an eigenvalue of this pair.
+    Raises ValueError when the far-wall residual exceeds 1e-8, i.e. when
+    ``level.energy`` is not actually an eigenvalue of this pair.
     """
     energy = level.energy
-    regime = classify_regime(pair, energy)
-    k1, beta, k2 = (float(k) for k in wavenumbers(pair, energy, constants))
-    if k1 == 0.0:
-        raise ValueError("level sits exactly on the regime boundary; wavefunction undefined")
-    profile = pair_profile(pair)
-    bounds = (profile.x_min, *profile.breakpoints, profile.x_max)
+    segments = pair_segments(pair)
+    ks = [constants.wavenumber_factor * math.sqrt(abs(energy - v)) for _, _, v in segments]
+    if not min(ks) > 0.0:
+        raise ValueError(f"energy {energy!r} is not finite or lies on a segment value")
 
-    # regions II-IV: (trig basis?, wavenumber), matched at each left edge
-    value, slope = 0.0, k1
-    coefficients = []
-    norm_sq = 0.0
-    for i, (trig, k) in enumerate(((regime is Regime.B, k1), (False, beta), (True, k2))):
-        c1, c2 = _coefficients(trig, k, bounds[i], value, slope)
-        value, slope = _value_slope(trig, c1, c2, k, bounds[i + 1])
-        norm_sq += _sq_integral(trig, c1, c2, k, bounds[i], bounds[i + 1])
-        coefficients += [c1, c2]
-    if not math.isfinite(norm_sq):  # a NaN coefficient passes the wall check
-        raise ValueError(f"wavefunction at energy {energy!r} overflows double precision")
-
-    amplitude = math.hypot(*coefficients[4:])
-    if amplitude == 0.0:
-        raise ValueError("degenerate wavefunction: zero amplitude in the deep well")
-    residual = float(abs(value)) / amplitude
-    if residual > _WALL_TOL:
+    # the right-to-left walk is the same walk over the mirrored segments
+    left = _walk(segments, energy, ks)
+    right = _walk([(-x1, -x0, v) for x0, x1, v in reversed(segments)], energy, ks[::-1])
+    residual, edges = abs(left[-1][0]), left
+    if abs(right[-1][0]) < residual:  # mapped back: edges reversed, slopes negated
+        residual, edges = abs(right[-1][0]), [(p, -s, log) for p, s, log in reversed(right)]
+    if not residual <= _WALL_TOL:
         raise ValueError(
             f"energy {energy!r} is not an eigenvalue of this pair: "
-            f"right-wall residual {residual:.3e} exceeds {_WALL_TOL:.1e}"
+            f"far-wall residual {residual:.3e} exceeds {_WALL_TOL:.1e}"
         )
-    scale = 1.0 / math.sqrt(norm_sq)
-    a1, a2, b, c, d1, d2 = (float(coef * scale) for coef in coefficients)
+    top = max(log for _, _, log in edges)
+    sign = math.copysign(1.0, edges[0][1])  # first lobe positive
+
+    raw, norm_sq = [], 0.0
+    for (x0, x1, v), k, (p0, s0, l0), (p1, s1, l1) in zip(segments, ks, edges, edges[1:]):
+        kl, scale0, scale1 = k * (x1 - x0), math.exp(l0 - top), math.exp(l1 - top)
+        if energy > v:
+            a, b = p0 * scale0, s0 / k * scale0
+            norm_sq += (a * a + b * b) * (x1 - x0) / 2.0
+            norm_sq += ((a * a - b * b) * math.sin(2.0 * kl) / 4.0 + a * b * math.sin(kl) ** 2) / k
+        else:
+            a, b = 0.5 * (p1 + s1 / k) * scale1, 0.5 * (p0 - s0 / k) * scale0
+            norm_sq += (a * a + b * b) * -math.expm1(-2.0 * kl) / (2.0 * k)
+            norm_sq += 2.0 * a * b * (x1 - x0) * math.exp(-kl)
+        raw.append((x0, x1, k, energy > v, a, b))
+    scale = sign / math.sqrt(norm_sq)
     return PiecewiseWavefunction(
         pair=pair,
         energy=energy,
-        regime=regime,
-        a1=a1,
-        a2=a2,
-        b=b,
-        c=c,
-        d1=d1,
-        d2=d2,
-        region_bounds=bounds,
-        k1=k1,
-        beta=beta,
-        k2=k2,
+        region_bounds=(segments[0][0], *(x1 for _, x1, _ in segments)),
+        pieces=tuple((x0, x1, k, above, a * scale, b * scale) for x0, x1, k, above, a, b in raw),
         wall_residual=residual,
     )
 
@@ -199,6 +165,5 @@ def sample_wavefunction(wf: PiecewiseWavefunction, n_points: int):
     """Uniform samples (x, psi) across the whole domain, walls included; 2 to 10**7 points."""
     if not 2 <= n_points <= _MAX_GRID_POINTS:
         raise ValueError(f"need 2 to {_MAX_GRID_POINTS} sample points, got {n_points}")
-    x0, _, _, x3 = wf.region_bounds
-    x = np.linspace(x0, x3, n_points)
+    x = np.linspace(wf.region_bounds[0], wf.region_bounds[-1], n_points)
     return x, wf(x)
