@@ -595,7 +595,7 @@ def _cmd_cascade(args) -> int:
         print(f"wrote {out}")
     if args.emit_profile:
         out = out_dir / "profile.csv"
-        outline = [(x, v) for x0, x1, v in cascade_profile(config.spec).segments() for x in (x0, x1)]
+        outline = [(x, v) for x0, x1, v in cascade_profile(config.spec).segments for x in (x0, x1)]
         _write_csv(out, ("x_A", "V_eV"), outline)
         print(f"wrote {out}")
     if args.emit_scan:

@@ -556,7 +556,13 @@ def find_levels(
 
 @dataclass(frozen=True)
 class CalibrationResult:
-    """Best parameter value found, its misfit, and the matched levels."""
+    """Best parameter value found, its misfit, and the levels of its solve.
+
+    ``levels`` holds every kept level of the solve window, which runs from
+    ``min(targets) - 0.05`` to ``max(targets) + 0.05`` eV, so it may hold more
+    levels than there are targets; the misfit matches each target to its
+    nearest one.
+    """
 
     value: float
     misfit: float

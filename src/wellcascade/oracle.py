@@ -1,8 +1,9 @@
 """Independent finite-difference check of the matching-equation solver.
 
 Discretises the 1D Hamiltonian on a uniform grid with central second-order
-differences and Dirichlet ends at the profile's own hard walls, ``x_min``
-and ``x_max``, so the matrix is that of the given potential and no other.
+differences and Dirichlet ends at the profile's own hard walls, the start
+of its first segment and the end of its last, so the matrix is that of the
+given potential and no other.
 Its lowest eigenvalues are then located by the Sturm count of the
 symmetric tridiagonal matrix.
 
@@ -134,8 +135,8 @@ def _cell_averaged_potential(edges, values, x, h):
 
 
 def _tridiagonal(profile, grid_points, constants):
-    edges = np.array([profile.x_min, *profile.breakpoints, profile.x_max], dtype=float)
-    values = np.array(profile.segment_values, dtype=float)
+    starts, ends, values = np.array(profile.segments).T
+    edges = np.append(starts, ends[-1])
     span = edges[-1] - edges[0]
     h = span / (grid_points + 1)
     x = edges[0] + h * np.arange(1, grid_points + 1)

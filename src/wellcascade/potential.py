@@ -8,7 +8,13 @@ sits at ``v_deep`` and the shallow well floor at ``v_deep - v_shallow``.
 
 :class:`CascadeSpec` chains four such wells into a ring of pairs, indexed
 0..3 with the closing pair last, and carries the two inputs of the transfer
-schedule (absorption target and resonance window).  :func:`cascade_profile`
+schedule (absorption target and resonance window).
+
+A potential is its segments: :class:`PotentialProfile` holds the
+``(x_start, x_end, value)`` triples of a piecewise-constant profile between
+hard walls, the same triples :func:`pair_segments` gives for one pair (or a
+batch of pairs as arrays) and the level count reads.  :func:`pair_profile`
+wraps one pair's segments; :func:`cascade_profile` lays out the chain and
 places every well floor at ``max(depths) - depth`` above the global zero (the
 bottom of the deepest well), which puts all barrier tops at the same height.
 Writing a profile to a file is the command line's job (``wellcascade.cli``).
@@ -18,8 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = [
     "WellPair",
@@ -159,47 +163,26 @@ class CascadeSpec:
 class PotentialProfile:
     """Piecewise-constant potential between two hard walls.
 
-    ``breakpoints`` are the interior segment boundaries (strictly increasing);
-    segment ``i`` spans from the previous boundary (or ``x_min``) up to
-    ``breakpoints[i]`` and carries ``segment_values[i]``.  Evaluation at a
-    breakpoint returns the right-hand segment.
+    ``segments`` are its ``(x_start, x_end, value)`` triples from the left
+    wall to the right one: every number finite, every segment of positive
+    length, and each starting exactly where the one before it ends.
     """
 
-    breakpoints: tuple[float, ...]
-    segment_values: tuple[float, ...]
-    x_min: float
-    x_max: float
+    segments: tuple[tuple[float, float, float], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "breakpoints", tuple(float(b) for b in self.breakpoints))
-        object.__setattr__(self, "segment_values", tuple(float(v) for v in self.segment_values))
-        _require(
-            len(self.segment_values) == len(self.breakpoints) + 1,
-            "segment count must be breakpoint count + 1",
-        )
-        edges = (self.x_min, *self.breakpoints, self.x_max)
-        _require(
-            all(b1 > b0 for b0, b1 in zip(edges, edges[1:])),
-            f"breakpoints must increase strictly inside ({self.x_min}, {self.x_max})",
-        )
-
-    def segments(self) -> list[tuple[float, float, float]]:
-        """(x_start, x_end, value) triples covering the whole domain."""
-        edges = (self.x_min, *self.breakpoints, self.x_max)
-        return [
-            (edges[i], edges[i + 1], self.segment_values[i])
-            for i in range(len(self.segment_values))
-        ]
-
-    def __call__(self, x):
-        """Potential value at ``x`` (scalar or array); walls are not included."""
-        xa = np.asarray(x, dtype=float)
-        idx = np.searchsorted(np.asarray(self.breakpoints), xa, side="right")
-        values = np.asarray(self.segment_values)[idx]
-        return float(values) if np.isscalar(x) else values
+        segments = tuple(tuple(map(float, segment)) for segment in self.segments)
+        object.__setattr__(self, "segments", segments)
+        _require(len(segments) > 0, "a profile needs at least one segment")
+        for i, (x_start, x_end, _) in enumerate(segments):
+            where = f"segment {i} {segments[i]}"
+            _require(all(map(math.isfinite, segments[i])), f"{where} must be finite")
+            _require(x_end > x_start, f"{where} must end after it starts")
+            joined = i == 0 or x_start == segments[i - 1][1]
+            _require(joined, f"{where} must start where segment {i - 1} ends")
 
     def max_value(self) -> float:
-        return max(self.segment_values)
+        return max(value for _, _, value in self.segments)
 
 
 def pair_segments(pair):
@@ -220,13 +203,7 @@ def pair_segments(pair):
 
 def pair_profile(pair: WellPair) -> PotentialProfile:
     """Profile of a single pair, from its :func:`pair_segments`."""
-    (x_min, left, shallow), (_, right, barrier), (_, x_max, deep) = pair_segments(pair)
-    return PotentialProfile(
-        breakpoints=(left, right),
-        segment_values=(shallow, barrier, deep),
-        x_min=x_min,
-        x_max=x_max,
-    )
+    return PotentialProfile(pair_segments(pair))
 
 
 def cascade_profile(spec: CascadeSpec) -> PotentialProfile:
@@ -238,23 +215,14 @@ def cascade_profile(spec: CascadeSpec) -> PotentialProfile:
     """
     floors = spec.floors()
     top = spec.max_depth
-    breaks: list[float] = []
-    values: list[float] = []
+    segments: list[tuple[float, float, float]] = []
     x = 0.0
     for i in range(4):
-        values.append(floors[i])
-        x += spec.widths[i]
+        start, x = x, x + spec.widths[i]
+        segments.append((start, x, floors[i]))
         if i < 3:
-            breaks.append(x)
             barrier = spec.distances[i] - 0.5 * (spec.widths[i] + spec.widths[i + 1])
             _require(barrier > 0.0, f"pair {i + 1} barrier width must be positive")
-            values.append(top)
-            x += barrier
-            breaks.append(x)
-    return PotentialProfile(
-        breakpoints=tuple(breaks),
-        segment_values=tuple(values),
-        x_min=0.0,
-        x_max=x,
-    )
-
+            start, x = x, x + barrier
+            segments.append((start, x, top))
+    return PotentialProfile(tuple(segments))

@@ -73,7 +73,6 @@ __all__ = [
     "Regime",
     "GridScan",
     "classify_regime",
-    "wavenumbers",
     "characteristic",
     "grid_scan",
     "count_below",
@@ -105,7 +104,7 @@ def classify_regime(pair: WellPair, energy_ev: float) -> Regime:
     return Regime.A if energy_ev < pair.shallow_floor else Regime.B
 
 
-def wavenumbers(
+def _wavenumbers(
     pair: WellPair,
     energies,
     constants: PhysicalConstants = CODATA2018,
@@ -186,7 +185,7 @@ def _cleared_terms(pair: WellPair, energies, constants: PhysicalConstants):
     """
     e = np.asarray(energies, dtype=float)
     a = pair.width
-    k1, beta, k2 = wavenumbers(pair, e, constants)
+    k1, beta, k2 = _wavenumbers(pair, e, constants)
     reg_b = e >= pair.shallow_floor
 
     # both regimes' terms from the one k1, each kept below where its regime holds
@@ -290,7 +289,7 @@ def count_below(segments, energies, constants: PhysicalConstants = CODATA2018) -
 
     ``segments`` are the ``(x_start, x_end, value)`` triples of a
     piecewise-constant profile between hard walls, as
-    :meth:`~wellcascade.potential.PotentialProfile.segments` returns them;
+    :attr:`~wellcascade.potential.PotentialProfile.segments` holds them;
     each entry may be an array that broadcasts against ``energies`` (one
     profile per energy), so one call serves many pairs.  The count is the
     number of zeros inside the domain of the solution that starts at the left

@@ -215,10 +215,11 @@ def test_cascade_emit_profile_and_scan(tmp_path, reference_config_file, referenc
     lines = (tmp_path / "profile.csv").read_text().strip().splitlines()
     assert lines[0] == "x_A,V_eV"
     rows = [tuple(map(float, line.split(","))) for line in lines[1:]]
-    assert len(rows) == 2 * len(profile.segment_values)
+    assert len(rows) == 2 * len(profile.segments)
     xs = [r[0] for r in rows]
     assert xs == sorted(xs)
-    assert rows[0][0] == profile.x_min and rows[-1][0] == pytest.approx(profile.x_max)
+    assert rows[0][0] == profile.segments[0][0]
+    assert rows[-1][0] == pytest.approx(profile.segments[-1][1])
     for i in (1, 2, 3):
         header = (tmp_path / f"resonance_scan_pair{i}.csv").read_text().splitlines()[0]
         assert header == "E_eV,lhs,rhs,mismatch,regime,pole_flag"

@@ -20,16 +20,17 @@ LONG_PAIR = WellPair(width=43.85, distance=1200.0, v_shallow=0.272, v_deep=1.585
 
 def box_profile(width=43.85):
     """Hard-wall box: the infinite-well limit."""
-    return PotentialProfile(breakpoints=(), segment_values=(0.0,), x_min=0.0, x_max=width)
+    return PotentialProfile(((0.0, width, 0.0),))
 
 
 def symmetric_double_well(barrier_width, depth=0.5, width=20.0):
     """Equal-depth double well, buildable here though the pair solver forbids it."""
     return PotentialProfile(
-        breakpoints=(width, width + barrier_width),
-        segment_values=(0.0, depth, 0.0),
-        x_min=0.0,
-        x_max=2.0 * width + barrier_width,
+        (
+            (0.0, width, 0.0),
+            (width, width + barrier_width, depth),
+            (width + barrier_width, 2.0 * width + barrier_width, 0.0),
+        )
     )
 
 
@@ -44,9 +45,7 @@ def test_infinite_well_ground_state_via_deep_well():
     # barrier penetration ~1/kappa widens the well by 2/(f*sqrt(V)), so V=1e5
     # keeps the leak below 0.1%
     a = 43.85
-    profile = PotentialProfile(
-        breakpoints=(0.0, a), segment_values=(1e5, 0.0, 1e5), x_min=-5.0, x_max=a + 5.0
-    )
+    profile = PotentialProfile(((-5.0, 0.0, 1e5), (0.0, a, 0.0), (a, a + 5.0, 1e5)))
     levels = fd_solve(profile, 3, FdConfig(grid_points=20001)).levels
     factor = CODATA2018.wavenumber_factor
     for n, e in enumerate(levels, start=1):
@@ -150,9 +149,10 @@ def test_eigenvector_normalisation(pair1):
 def test_grid_ends_at_the_hard_walls(pair1):
     profile = pair_profile(pair1)
     x, _, _ = fd_states(profile, 1, FdConfig(grid_points=2001))
-    h = (profile.x_max - profile.x_min) / 2002
-    assert x[0] == pytest.approx(profile.x_min + h, rel=1e-12)
-    assert x[-1] == pytest.approx(profile.x_max - h, rel=1e-12)
+    x_min, x_max = profile.segments[0][0], profile.segments[-1][1]
+    h = (x_max - x_min) / 2002
+    assert x[0] == pytest.approx(x_min + h, rel=1e-12)
+    assert x[-1] == pytest.approx(x_max - h, rel=1e-12)
 
 
 def test_config_validation():
@@ -182,7 +182,7 @@ def test_bound_count_equals_solver_level_count(reference_spec, index):
 
 @pytest.mark.parametrize("index", range(4))
 def test_count_below_is_exact_beside_every_oracle_level(reference_spec, index):
-    segments = pair_profile(reference_spec.pair(index)).segments()
+    segments = pair_profile(reference_spec.pair(index)).segments
     levels = np.array(fd_solve(pair_profile(reference_spec.pair(index)), 20).levels)
     n = np.arange(levels.size)
     assert np.array_equal(count_below(segments, levels - 1e-5), n)
@@ -192,7 +192,7 @@ def test_count_below_is_exact_beside_every_oracle_level(reference_spec, index):
 def test_count_below_counts_the_chain_like_the_oracle(reference_spec):
     profile = cascade_profile(reference_spec)
     top = np.nextafter(profile.max_value(), 0.0)
-    assert count_below(profile.segments(), [top]).tolist() == [_bound_count(profile)] == [26]
+    assert count_below(profile.segments, [top]).tolist() == [_bound_count(profile)] == [26]
 
 
 @settings(max_examples=25, deadline=None)
@@ -205,7 +205,7 @@ def test_count_below_counts_the_chain_like_the_oracle(reference_spec):
 def test_count_solver_and_oracle_agree_on_random_pairs(width, barrier, v_deep, share):
     pair = WellPair(width=width, distance=width + barrier, v_shallow=share * v_deep, v_deep=v_deep)
     step = SolverConfig().grid_step
-    segments = pair_profile(pair).segments()
+    segments = pair_profile(pair).segments
     below_step, below_top, below_margin = count_below(
         segments, [step, pair.v_deep - step, pair.v_deep - 1e-4]
     )
@@ -275,15 +275,15 @@ def test_levels_within_stebz_tolerance_at_every_request(pair1, extra):
 def test_cells_inside_one_segment_take_its_value(reference_spec):
     for profile in (cascade_profile(reference_spec), pair_profile(LONG_PAIR)):
         x, h, diag, off = oracle._tridiagonal(profile, 20001, CODATA2018)
-        edges = np.array([profile.x_min, *profile.breakpoints, profile.x_max])
-        values = np.array(profile.segment_values)
+        starts, ends, values = np.array(profile.segments).T
+        edges = np.append(starts, ends[-1])
         averages = oracle._cell_averaged_potential(edges, values, x, h)
         left = np.searchsorted(edges, x - 0.5 * h, side="right") - 1
         right = np.searchsorted(edges, x + 0.5 * h, side="left") - 1
         inside = left == right
         assert np.array_equal(averages[inside], values[left[inside]])
         # the rest straddle one breakpoint each and lie between its two values
-        assert np.array_equal(right[~inside] - left[~inside], [1] * len(profile.breakpoints))
+        assert np.array_equal(right[~inside] - left[~inside], [1] * (len(profile.segments) - 1))
         low = np.minimum(values[left[~inside]], values[right[~inside]])
         high = np.maximum(values[left[~inside]], values[right[~inside]])
         assert np.all((low <= averages[~inside]) & (averages[~inside] <= high))
@@ -355,9 +355,7 @@ def test_a_level_within_lapack_rounding_of_the_top_passes_the_certificate():
     counts, disagree = set(), 0
     for j in range(-400, 400):
         top = 0.5058026829924528 + j * 2e-14
-        profile = PotentialProfile(
-            breakpoints=(0.0, 20.0), segment_values=(top, 0.0, top), x_min=-5.0, x_max=25.0
-        )
+        profile = PotentialProfile(((-5.0, 0.0, top), (0.0, 20.0, 0.0), (20.0, 25.0, top)))
         _, _, diag, off, _, bound = oracle._grid(profile, 1001, CODATA2018)
         counts.add(bound)
         disagree += bound != oracle._bound_count(diag, off, top)
@@ -393,9 +391,7 @@ def test_extrapolation_solves_both_grids_over_the_larger_count():
     # the third level sits just below the barrier top on the coarse grid and
     # just above it on the fine one, so the two grids count differently
     top = 0.505804
-    profile = PotentialProfile(
-        breakpoints=(0.0, 20.0), segment_values=(top, 0.0, top), x_min=-5.0, x_max=25.0
-    )
+    profile = PotentialProfile(((-5.0, 0.0, top), (0.0, 20.0, 0.0), (20.0, 25.0, top)))
     assert [_bound_count(profile, n) for n in (1001, 2003)] == [3, 2]
     result = fd_solve(profile, 5, FdConfig(grid_points=1001, extrapolate=True))
     assert result.truncated

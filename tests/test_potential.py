@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,12 +35,11 @@ def test_well_pair_rejects_inverted_depths():
 
 
 def test_pair_profile_reference_geometry(pair1):
-    profile = pair_profile(pair1)
-    assert profile.segment_values == (pytest.approx(1.313), 1.585, 0.0)
+    (x0, x1, shallow), (_, x2, barrier), (_, x3, deep) = pair_profile(pair1).segments
+    assert (shallow, barrier, deep) == (pytest.approx(1.313), 1.585, 0.0)
     half_outer = 0.5 * (pair1.distance + pair1.width)
     half_inner = 0.5 * (pair1.distance - pair1.width)
-    assert profile.x_min == -half_outer and profile.x_max == half_outer
-    assert profile.breakpoints == (-half_inner, half_inner)
+    assert (x0, x1, x2, x3) == (-half_outer, -half_inner, half_inner, half_outer)
 
 
 @settings(max_examples=50, deadline=None)
@@ -56,25 +57,13 @@ def test_pair_segments_of_arrays_equal_each_pair_profile(geometries):
     segments = pair_segments(_Geometry.of(pairs))
     for i, pair in enumerate(pairs):
         own = [[np.broadcast_to(x, len(pairs))[i] for x in segment] for segment in segments]
-        assert np.array(own).tobytes() == np.array(pair_profile(pair).segments()).tobytes()
-
-
-def test_profile_evaluation_and_breakpoint_side(pair1):
-    profile = pair_profile(pair1)
-    x1, x2 = profile.breakpoints
-    assert profile(x1 - 1.0) == pytest.approx(1.313)
-    assert profile(0.0) == 1.585
-    assert profile(x2 + 1.0) == 0.0
-    # evaluation at a breakpoint takes the right-hand segment
-    assert profile(x1) == 1.585
-    assert profile(x2) == 0.0
-    values = profile(np.array([x1 - 1.0, 0.0, x2 + 1.0]))
-    assert values == pytest.approx([1.313, 1.585, 0.0])
+        assert np.array(own).tobytes() == np.array(pair_profile(pair).segments).tobytes()
 
 
 def test_profile_integral_above_min_positive(pair1):
     profile = pair_profile(pair1)
-    integral = sum((x1 - x0) * (v - min(profile.segment_values)) for x0, x1, v in profile.segments())
+    floor = min(v for _, _, v in profile.segments)
+    integral = sum((x1 - x0) * (v - floor) for x0, x1, v in profile.segments)
     assert np.isfinite(integral) and integral > 0.0
 
 
@@ -87,18 +76,19 @@ def test_cascade_floors(reference_spec):
 
 def test_cascade_profile_structure(reference_spec):
     profile = cascade_profile(reference_spec)
-    assert len(profile.segment_values) == 7
-    assert len(profile.breakpoints) == 6
+    assert len(profile.segments) == 7
+    values = [v for _, _, v in profile.segments]
     floors = reference_spec.floors()
-    assert profile.segment_values[0::2] == pytest.approx(floors)
-    assert profile.segment_values[1::2] == pytest.approx((1.585,) * 3)
+    assert values[0::2] == pytest.approx(floors)
+    assert values[1::2] == pytest.approx((1.585,) * 3)
     total = 4 * 43.85 + sum(d - 43.85 for d in reference_spec.distances[:3])
-    assert profile.x_max - profile.x_min == pytest.approx(total)
+    assert profile.segments[0][0] == 0.0
+    assert profile.segments[-1][1] == pytest.approx(total)
 
 
 def test_cascade_restriction_matches_pair_profile(reference_spec):
     cascade = cascade_profile(reference_spec)
-    segments = cascade.segments()
+    segments = cascade.segments
     for i in range(3):
         sub = segments[2 * i : 2 * i + 3]
         widths = [x1 - x0 for x0, x1, _ in sub]
@@ -106,8 +96,8 @@ def test_cascade_restriction_matches_pair_profile(reference_spec):
         shift = min(values[0], values[2])
         shifted = [v - shift for v in values]
         ref = pair_profile(reference_spec.pair(i))
-        ref_widths = [x1 - x0 for x0, x1, _ in ref.segments()]
-        ref_values = list(ref.segment_values)
+        ref_widths = [x1 - x0 for x0, x1, _ in ref.segments]
+        ref_values = [v for _, _, v in ref.segments]
         if shifted[0] < shifted[2]:  # deep well on the left: mirror
             shifted.reverse()
             widths.reverse()
@@ -161,10 +151,30 @@ def test_closing_pair(reference_spec):
 
 
 def test_profile_validation():
+    with pytest.raises(ValueError):  # a segment that is not a triple
+        PotentialProfile(((0.0, 1.0), (1.0, 2.0, 0.0)))
+    profile = PotentialProfile([(0, 1, 2), np.array([1, 3, 0])])
+    assert profile.segments == ((0.0, 1.0, 2.0), (1.0, 3.0, 0.0))
+    assert all(type(n) is float for segment in profile.segments for n in segment)
+
+
+@pytest.mark.parametrize(
+    "segments",
+    [
+        ((-5.0, 0.0, 1.0), (0.0, 20.0, math.nan), (20.0, 25.0, 1.0)),
+        ((-math.inf, 0.0, 1.0), (0.0, 20.0, 0.0), (20.0, 25.0, 1.0)),
+        ((-5.0, 0.0, 1.0), (0.0, 20.0, 0.0), (20.0, math.inf, 1.0)),
+        ((-5.0, 0.0, 1.0), (0.5, 20.0, 0.0), (20.0, 25.0, 1.0)),
+        ((-5.0, 0.5, 1.0), (0.0, 20.0, 0.0), (20.0, 25.0, 1.0)),
+        ((-5.0, 0.0, 1.0), (20.0, 0.0, 0.0), (0.0, 25.0, 1.0)),
+        (),
+    ],
+    ids=["nan-value", "infinite-left-wall", "infinite-right-wall", "gap", "overlap",
+         "reversed", "empty"],
+)
+def test_profile_rejects_what_is_not_a_potential(segments):
     with pytest.raises(ValueError):
-        PotentialProfile(breakpoints=(1.0,), segment_values=(0.0,), x_min=0.0, x_max=2.0)
-    with pytest.raises(ValueError):
-        PotentialProfile(breakpoints=(2.0, 1.0), segment_values=(0.0, 1.0, 0.0), x_min=0.0, x_max=3.0)
+        PotentialProfile(segments)
 
 
 def test_profile_csv_round_trip(tmp_path, reference_spec, reference_config_file):
@@ -176,7 +186,8 @@ def test_profile_csv_round_trip(tmp_path, reference_spec, reference_config_file)
     lines = (tmp_path / "profile.csv").read_text().strip().splitlines()
     assert lines[0] == "x_A,V_eV"
     rows = [tuple(map(float, line.split(","))) for line in lines[1:]]
-    assert len(rows) == 2 * len(profile.segment_values)
+    assert len(rows) == 2 * len(profile.segments)
     xs = [r[0] for r in rows]
     assert xs == sorted(xs)
-    assert rows[0][0] == profile.x_min and rows[-1][0] == pytest.approx(profile.x_max)
+    assert rows[0][0] == profile.segments[0][0]
+    assert rows[-1][0] == pytest.approx(profile.segments[-1][1])

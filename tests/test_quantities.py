@@ -5,7 +5,7 @@ import pytest
 
 from wellcascade.potential import WellPair
 from wellcascade.quantities import CODATA2018, make_constants, photon_wavelength_nm
-from wellcascade.transcendental import wavenumbers
+from wellcascade.transcendental import _wavenumbers
 
 # Independent recomputation from CODATA-2018 literals (the test-side oracle).
 M_E = 9.1093837015e-31
@@ -20,7 +20,7 @@ DEEP = WellPair(width=40.0, distance=60.0, v_shallow=50.0, v_deep=200.0)
 
 def test_wavenumber_zero_energy():
     # k2 vanishes at the deep-well bottom, k1 at the shallow-well floor
-    k1, beta, k2 = wavenumbers(DEEP, np.array([0.0, DEEP.shallow_floor]))
+    k1, beta, k2 = _wavenumbers(DEEP, np.array([0.0, DEEP.shallow_floor]))
     assert k2[0] == 0.0 and k1[1] == 0.0
     assert beta[0] == CODATA2018.wavenumber_factor * math.sqrt(DEEP.v_deep)
 
@@ -30,11 +30,11 @@ def test_wavenumber_one_ev_matches_codata():
     got = CODATA2018.wavenumber_factor
     assert got == pytest.approx(expected, rel=1e-12)
     assert got == pytest.approx(0.51231, abs=1e-4)
-    assert wavenumbers(DEEP, 1.0)[2] == got
+    assert _wavenumbers(DEEP, 1.0)[2] == got
 
 
 def test_wavenumber_sqrt_scaling():
-    _, _, k2 = wavenumbers(DEEP, np.array([1.0, 4.0]))
+    _, _, k2 = _wavenumbers(DEEP, np.array([1.0, 4.0]))
     assert k2[1] == pytest.approx(2.0 * k2[0], rel=1e-15)
 
 
@@ -63,7 +63,7 @@ def test_ev_joule_round_trip():
 def test_wavenumber_energy_recovery():
     rng = np.random.default_rng(7)
     e = rng.uniform(1e-4, 100.0, 30)
-    k1, beta, k2 = wavenumbers(DEEP, e)
+    k1, beta, k2 = _wavenumbers(DEEP, e)
     kinetic = CODATA2018.kinetic_coefficient()
     np.testing.assert_allclose(k2 * k2 * kinetic, e, rtol=1e-12)
     np.testing.assert_allclose(beta * beta * kinetic, DEEP.v_deep - e, rtol=1e-12)

@@ -16,7 +16,7 @@ from wellcascade.transcendental import (
     characteristic,
     classify_regime,
     grid_scan,
-    wavenumbers,
+    _wavenumbers,
 )
 
 mp.mp.dps = 50
@@ -74,12 +74,12 @@ def test_classify_regime(pair1):
 def test_wavenumbers_consistency(pair1):
     factor = CODATA2018.wavenumber_factor
     energies = (0.5, 1.2, 1.45)
-    for e, k1, beta, k2 in zip(energies, *wavenumbers(pair1, np.array(energies))):
+    for e, k1, beta, k2 in zip(energies, *_wavenumbers(pair1, np.array(energies))):
         assert k2 == pytest.approx(factor * math.sqrt(e), rel=1e-14)
         assert beta == pytest.approx(factor * math.sqrt(pair1.v_deep - e), rel=1e-14)
         expected = abs(pair1.shallow_floor - e)
         assert k1 == pytest.approx(factor * math.sqrt(expected), rel=1e-14)
-        assert (k1, beta, k2) == tuple(wavenumbers(pair1, e))
+        assert (k1, beta, k2) == tuple(_wavenumbers(pair1, e))
 
 
 def test_sides_match_literal_high_precision(pair1):
@@ -103,7 +103,7 @@ def test_rescaled_sides_carry_common_decay_factor(pair1):
         if scan.pole[0]:
             continue
         f, g = _literal_sides(pair1, float(e))
-        beta = mp.mpf(float(wavenumbers(pair1, float(e))[1]))
+        beta = mp.mpf(float(_wavenumbers(pair1, float(e))[1]))
         decay = mp.e ** (-beta * (mp.mpf(pair1.distance) - mp.mpf(pair1.width)))
         assert scan.lhs[0] == pytest.approx(float(f * decay), rel=1e-10)
         assert scan.rhs[0] == pytest.approx(float(g * decay), rel=1e-10)
