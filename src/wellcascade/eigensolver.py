@@ -96,8 +96,10 @@ _SEARCH_PAD = 0.05
 # also bounds the oracle's rows and a sampled wavefunction's points
 _MAX_GRID_POINTS = 10_000_000
 # points per multisection round of a solve batch (count or cleared form), and most
-# sections of one bracket: a call costs about as much as ~300 energies, so a few
-# brackets are cut in many sections and a large batch is bisected
+# sections of one bracket: a call costs about as much as a few hundred energies (the
+# cleared form 16 us plus 60 ns per energy, the count 50 us plus 125 ns per energy, on
+# a 2-CPU x86-64 host with numpy 2.4), so a few brackets are cut in many sections and
+# a large batch is bisected
 _ROUND_POINTS = 512
 _SECTIONS = 64
 
@@ -214,23 +216,30 @@ def _multisect(lo, hi, decide):
     alone.  A bracket closes when its midpoint is no longer strictly inside
     it, or after 200 halvings.  A midpoint not strictly inside its node is
     one of its ends, where a consistent ``decide`` moves toward the other
-    end: the walk keeps the bracket, and the next round closes it.
+    end: the walk keeps the bracket, and the next round closes it.  Rounds
+    carry only the open brackets, and each bracket's ends are written back
+    when it closes; a one-level round builds no tree, as each bracket keeps
+    the half its move names.
     """
     lo, hi = lo.copy(), hi.copy()
-    live, a, b = np.arange(lo.size), lo, hi
-    halvings = 0
+    live, a, b, halvings = np.arange(lo.size), lo, hi, 0
     while halvings < 200:
         root = 0.5 * (a + b)
         keep = (a < root) & (root < b)
         if not keep.all():
+            # only open brackets are carried; the closed ones leave their ends here
+            lo[live], hi[live] = a, b
             live, a, b, root = (x[keep] for x in (live, a, b, root))
         if not live.size:
             break
-        n, depth = live.size, 1
-        while 2 ** (depth + 1) <= min(_SECTIONS, _ROUND_POINTS // n + 1):
-            depth += 1
-        depth = min(depth, 200 - halvings)
+        # the deepest tree whose 2**depth - 1 midpoints the round affords, at least one level
+        n = live.size
+        depth = min(max(1, min(_SECTIONS, _ROUND_POINTS // n + 1).bit_length() - 1), 200 - halvings)
         halvings += depth
+        if depth == 1:
+            move = decide(live, root[:, None])[:, 0]
+            a, b = np.where(move < 0, a, root), np.where(move > 0, b, root)
+            continue
         # the tree in order: ends[m] is the midpoint of node m, which spans
         # ends[m - h] to ends[m + h] with h = 2**(depth - 1 - level); its children
         # are m - h/2 and m + h/2
@@ -250,7 +259,7 @@ def _multisect(lo, hi, decide):
         last = move.ravel()[at]
         at += 2 * rows + 1
         a, b = ends.ravel()[at - (last < 0)], ends.ravel()[at + (last > 0)]
-        lo[live], hi[live] = a, b
+    lo[live], hi[live] = a, b
     return lo, hi
 
 
@@ -265,15 +274,15 @@ def _bisect(geometry, lo, hi, f_lo, constants):
     bracket closes.
     """
     # f > 0 at lo: a halving keeps lo on its side of the root, so this never changes
-    up = f_lo > 0.0
-    open_geo, open_up = geometry, up
+    columns, up = _Geometry(*(x[:, None] for x in geometry)), (f_lo > 0.0)[:, None]
+    open_columns, open_up = columns, up
 
     def decide(live, points):
-        nonlocal open_geo, open_up
+        nonlocal open_columns, open_up
         if live.size != open_up.size:
-            open_geo, open_up = geometry.take(live), up[live]
-        f = characteristic(_Geometry(*(x[:, None] for x in open_geo)), points, constants)
-        move = np.where((f > 0.0) == open_up[:, None], 1, -1)
+            open_columns, open_up = columns.take(live), up[live]
+        f = characteristic(open_columns, points, constants)
+        move = np.where((f > 0.0) == open_up, 1, -1)
         move[f == 0.0] = 0
         return move
 
@@ -287,9 +296,13 @@ def _grids(geometry, step, e_min, e_max) -> tuple[float, np.ndarray]:
         if bound is not None and math.isnan(bound):
             raise ValueError(f"solve window bound {name} must be a number, got nan")
     lo = max(step, e_min if e_min is not None else step)
-    top = geometry.v_deep - step
-    hi = top if e_max is None else np.minimum(top, e_max)
-    return lo, np.array([_grid_size(lo, h, step) if h > lo else 0 for h in hi.tolist()], dtype=int)
+    hi = np.minimum(geometry.v_deep - step, math.inf if e_max is None else e_max)
+    # every grid at once; the first pair past the point limit raises _grid_size's error
+    span, sized = (hi - lo) / step, hi > lo
+    bad = np.flatnonzero(sized & ~(span < _MAX_GRID_POINTS))
+    if bad.size:
+        _grid_size(lo, float(hi[bad[0]]), step)
+    return lo, np.where(sized, np.floor(span) + 1, 0).astype(int)
 
 
 def _sign_change(f_lo, f_hi):
@@ -335,15 +348,13 @@ def _cells(count, grid, size):
         points = a[head, None] + width[:, None] * np.arange(1, sections) // sections
         at = np.repeat(owner[head], sections - 1)
         counts = count(at, grid(points.ravel())).reshape(points.shape)
-        points, counts = points[which], counts[which]
-        # t: how many of a level's count points lie at or below it
-        t = np.count_nonzero(counts <= k[live, None], axis=1)
-        row, up, down = np.arange(live.size), t > 0, t < sections - 1
-        left, right = np.maximum(t - 1, 0), np.minimum(t, sections - 2)
-        a[live] = np.where(up, points[row, left], a[live])
-        n_a[live] = np.where(up, counts[row, left], n_a[live])
-        b[live] = np.where(down, points[row, right], b[live])
-        n_b[live] = np.where(down, counts[row, right], n_b[live])
+        # t: how many of a level's count points lie at or below it; the new
+        # cell is [t, t + 1] of its bracket's points with the ends included
+        t = np.count_nonzero(counts[which] <= k[live, None], axis=1)
+        points = np.concatenate((a[head, None], points, b[head, None]), axis=1)
+        counts = np.concatenate((n_a[head, None], counts, n_b[head, None]), axis=1)
+        a[live], b[live] = points[which, t], points[which, t + 1]
+        n_a[live], n_b[live] = counts[which, t], counts[which, t + 1]
 
 
 def _isolate(count, owner, k, lo, hi, n_a, n_b):
@@ -737,11 +748,12 @@ def calibrate_distance(
 ) -> CalibrationResult:
     """Find the center distance whose levels best match ``targets`` (eV).
 
-    Searches ``l_range`` on a 0.01 Angstrom grid as one coarse batch, then
-    refines the best cell by Newton steps on implicit level slopes.  Raises
-    :class:`CalibrationError` (carrying the best candidate) if the final
-    misfit exceeds 5e-3 eV.  Each solve spans the targets with 0.05 eV to
-    spare on either side.  Target energies must be finite.
+    Searches ``l_range`` on a ``step`` grid (0.01 Angstrom by default) as one
+    coarse batch, then refines the best cell by Newton steps on implicit
+    level slopes.  Raises :class:`CalibrationError` (carrying the best
+    candidate) if the final misfit exceeds 5e-3 eV.  Each solve spans the
+    targets with 0.05 eV to spare on either side.  Target energies must be
+    finite.
     """
     lo, hi = float(l_range[0]), float(l_range[1])
     if lo <= pair_template.width:

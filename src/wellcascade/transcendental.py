@@ -40,7 +40,8 @@ Numerical notes
 * :func:`characteristic` and :func:`grid_scan` both read the terms from
   ``_cleared_terms``, so the formula has one implementation.  Its parameters
   may be per-energy arrays, so one call evaluates many pairs, every value
-  bit for bit the one a call for its own pair gives.
+  bit for bit the one a call for its own pair gives.  A call evaluates
+  each shallow-region regime only when some of its energies lie in it.
 
 Level count
 -----------
@@ -104,21 +105,19 @@ def classify_regime(pair: WellPair, energy_ev: float) -> Regime:
     return Regime.A if energy_ev < pair.shallow_floor else Regime.B
 
 
-def _wavenumbers(
-    pair: WellPair,
-    energies,
-    constants: PhysicalConstants = CODATA2018,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _wavenumbers(pair: WellPair, energies, constants: PhysicalConstants = CODATA2018,
+                 floor=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Region wavenumbers ``(k1, beta, k2)`` in 1/Angstrom over an array of energies.
 
     ``k1 = f*sqrt(|E - shallow_floor|)`` serves both regimes: it is the decay
     rate of the shallow region in regime A and its wavenumber in regime B.
-    ``pair`` may carry its parameters as arrays (see :func:`_cleared_terms`).
+    ``pair`` may carry its parameters as arrays (see :func:`_cleared_terms`),
+    and ``floor`` is its shallow floor when the caller already has it.
     The energies are not checked; callers keep them inside (0, v_deep).
     """
     e = np.asarray(energies, dtype=float)
     f = constants.wavenumber_factor
-    k1 = f * np.sqrt(np.abs(e - pair.shallow_floor))
+    k1 = f * np.sqrt(np.abs(e - (pair.shallow_floor if floor is None else floor)))
     beta = f * np.sqrt(pair.v_deep - e)
     k2 = f * np.sqrt(e)
     return k1, beta, k2
@@ -184,26 +183,30 @@ def _cleared_terms(pair: WellPair, energies, constants: PhysicalConstants):
     ``Nr`` absorbs the full ``exp(-2 beta (L-a))`` of the rescaled rhs.
     """
     e = np.asarray(energies, dtype=float)
-    a = pair.width
-    k1, beta, k2 = _wavenumbers(pair, e, constants)
-    reg_b = e >= pair.shallow_floor
+    a, floor = pair.width, pair.shallow_floor
+    k1, beta, k2 = _wavenumbers(pair, e, constants, floor)
+    k1a, k2a = k1 * a, k2 * a
 
-    # both regimes' terms from the one k1, each kept below where its regime holds
-    q = np.exp(-2.0 * k1 * a)
-    nl_a = beta * (1.0 - q) + k1 * (1.0 + q)
-    dl_a = beta * (1.0 - q) - k1 * (1.0 + q)
-    s1, c1 = np.sin(k1 * a), np.cos(k1 * a)
-    nl_b = beta * s1 + k1 * c1
-    dl_b = beta * s1 - k1 * c1
+    def shallow(oscillating):
+        # regime B multiplies through by sin(k1 a); regime A by 1 - q with
+        # q = exp(-2 k1 a); each is evaluated only where some energy needs it
+        if oscillating:
+            u, v = beta * np.sin(k1a), k1 * np.cos(k1a)
+        else:
+            q = np.exp(-2.0 * k1a)
+            u, v = beta * (1.0 - q), k1 * (1.0 + q)
+        return u + v, u - v
 
-    s2, c2 = np.sin(k2 * a), np.cos(k2 * a)
+    reg_b = e >= floor
+    above = np.count_nonzero(reg_b)
+    if 0 < above < reg_b.size:
+        (nl_b, dl_b), (nl_a, dl_a) = shallow(True), shallow(False)
+        nl, dl = np.where(reg_b, nl_b, nl_a), np.where(reg_b, dl_b, dl_a)
+    else:
+        nl, dl = shallow(above > 0)
+    u, v = beta * np.sin(k2a), k2 * np.cos(k2a)
     decay = np.exp(-2.0 * beta * (pair.distance - pair.width))
-    return (
-        np.where(reg_b, nl_b, nl_a),
-        np.where(reg_b, dl_b, dl_a),
-        decay * (beta * s2 - k2 * c2),
-        beta * s2 + k2 * c2,
-    )
+    return nl, dl, decay * (u - v), u + v
 
 
 def grid_scan(

@@ -123,7 +123,7 @@ def _bisect_one(pair, lo, hi, f_lo):
 def _count_one(grid, top, k):
     """Level ``k`` of an oracle grid by bisecting its count alone, from the
     bracket the oracle opens: below or above the barrier top ``top``."""
-    _, _, diag, off, runs, bound = grid
+    _, _, diag, off, runs, bound, _ = grid
     floor, ceiling = oracle._gershgorin(diag, off)
     lo, hi = (floor, top) if k < bound else (top, ceiling)
     for _ in range(200):

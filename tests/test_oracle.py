@@ -170,7 +170,7 @@ def test_invalid_requests(pair1):
 
 def _bound_count(profile, grid_points=20001):
     _, _, diag, off = oracle._tridiagonal(profile, grid_points, CODATA2018)
-    return oracle._bound_count(diag, off, profile.max_value())
+    return oracle._bound_count(diag, off, profile.max_value(), oracle._gershgorin(diag, off)[0])
 
 
 @pytest.mark.parametrize("index", range(4))
@@ -311,7 +311,31 @@ def test_closed_form_count_equals_lapack(width, barrier, v_deep, share, half_row
     energies += [floor + f * (ceiling - floor) for f in fractions]
     energies += [ceiling - f * 1.2 * v_deep for f in fractions]
     counts = oracle._sturm_count(oracle._runs(diag, off), energies)
-    assert counts.tolist() == [oracle._bound_count(diag, off, e) for e in energies]
+    assert counts.tolist() == [oracle._bound_count(diag, off, e, floor) for e in energies]
+
+
+def test_sturm_count_is_the_same_whatever_the_order_and_shape_of_its_energies(reference_spec):
+    # the count sorts its energies and takes each run's regimes as slices:
+    # every arrangement of one set of energies must give each the count it
+    # gets alone, at both regime boundaries of every run and the Gershgorin ends
+    rng = np.random.default_rng(11)
+    for profile in (pair_profile(reference_spec.pair(0)), cascade_profile(reference_spec)):
+        _, _, diag, off = oracle._tridiagonal(profile, 1001, CODATA2018)
+        runs = oracle._runs(diag, off)
+        values, _, c = runs
+        floor, ceiling = oracle._gershgorin(diag, off)
+        energies = np.concatenate(
+            [values, values + 4.0 * c, [floor, ceiling], rng.uniform(floor, ceiling, 30)]
+        )
+        energies = energies[: 2 * (energies.size // 2)]
+        alone = np.array([oracle._sturm_count(runs, [e])[0] for e in energies])
+        shuffled = rng.permutation(energies.size)
+        twice = rng.permutation(np.tile(np.arange(energies.size), 2))
+        for which in (shuffled, shuffled[::-1], twice):
+            assert np.array_equal(oracle._sturm_count(runs, energies[which]), alone[which])
+        square = shuffled.reshape(2, -1)
+        counts = oracle._sturm_count(runs, energies[square])
+        assert counts.shape == square.shape and np.array_equal(counts, alone[square])
 
 
 def test_alternating_runs_count_like_lapack():
@@ -324,7 +348,8 @@ def test_alternating_runs_count_like_lapack():
     energies = np.linspace(0.01, 1.49, 60)
     assert np.any(energies - values.min() >= 4.0 * c)
     counts = oracle._sturm_count(runs, energies)
-    assert counts.tolist() == [oracle._bound_count(diag, off, e) for e in energies]
+    floor = oracle._gershgorin(diag, off)[0]
+    assert counts.tolist() == [oracle._bound_count(diag, off, e, floor) for e in energies]
     levels = np.array(fd_solve(profile, 1000, FdConfig(grid_points=1001)).levels)
     assert levels.size == _bound_count(profile, 1001) and np.all(np.diff(levels) > 0.0)
 
@@ -356,9 +381,9 @@ def test_a_level_within_lapack_rounding_of_the_top_passes_the_certificate():
     for j in range(-400, 400):
         top = 0.5058026829924528 + j * 2e-14
         profile = PotentialProfile(((-5.0, 0.0, top), (0.0, 20.0, 0.0), (20.0, 25.0, top)))
-        _, _, diag, off, _, bound = oracle._grid(profile, 1001, CODATA2018)
+        _, _, diag, off, _, bound, (floor, _) = oracle._grid(profile, 1001, CODATA2018)
         counts.add(bound)
-        disagree += bound != oracle._bound_count(diag, off, top)
+        disagree += bound != oracle._bound_count(diag, off, top, floor)
     assert counts == {2, 3} and disagree > 0
 
 

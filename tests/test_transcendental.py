@@ -286,6 +286,31 @@ def test_batched_scan_equals_scan_of_each_pair(geometries, fractions):
         assert _same_bits(characteristic(geometry, energies)[own], alone.char)
 
 
+def test_cleared_form_in_one_regime_or_both_equals_each_energy_alone(pair1):
+    # the cleared form evaluates only the regimes its energies fall in: a
+    # window all below the shallow floor, one all above it, and one across it
+    # with an energy exactly on it must each give every energy's own value
+    floor = pair1.shallow_floor
+    windows = (
+        np.linspace(0.05, floor - 0.05, 9),
+        np.linspace(floor + 0.01, pair1.v_deep - 0.01, 9),
+        np.append(np.linspace(floor - 0.02, floor + 0.02, 8), floor),
+    )
+    for energies in windows:
+        distances = pair1.distance + 0.5 * np.arange(energies.size)
+        pairs = [WellPair(pair1.width, d, pair1.v_shallow, pair1.v_deep) for d in distances]
+        geometry = eigensolver._Geometry.varied(pair1, "distance", distances)
+        columns = eigensolver._Geometry(*(x[:, None] for x in geometry))
+        for pair, e, own in ((pair1, energies, [pair1] * energies.size),
+                             (geometry, energies, pairs),
+                             (columns, energies[:, None], pairs)):
+            alone = [grid_scan(p, np.array([x])) for p, x in zip(own, energies)]
+            assert _same_bits(characteristic(pair, e).ravel(),
+                              np.concatenate([a.char for a in alone]))
+            for i, term in enumerate(grid_scan(pair, e).terms):
+                assert _same_bits(term.ravel(), np.concatenate([a.terms[i] for a in alone]))
+
+
 def _quotient_poles(n, d):
     """The pole test by division: tolerance, or no finite quotient."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
