@@ -52,8 +52,6 @@ OUTPUT_DIR_ENV = "WELLCASCADE_OUTDIR"
 
 _REQUIRED_KEYS = (("wells", "widths_A"), ("wells", "depths_eV"), ("wells", "distances_A"))
 
-_FORMATS = ("json", "table")
-
 
 class ConfigError(ValueError):
     """Configuration rejected before any computation ran."""
@@ -65,7 +63,6 @@ class RunConfig:
     solver: SolverConfig
     oracle: FdConfig
     output_dir: str
-    formats: tuple[str, ...]
     constants: PhysicalConstants
 
 
@@ -107,11 +104,6 @@ def _int(section: str, key: str, raw: str) -> int:
         raise ConfigError(f"[{section}] {key}: expected an integer")
 
 
-def _int_or_none(section: str, key: str, raw: str) -> int | None:
-    """An integer, or None (no limit) when the value is blank."""
-    return _int(section, key, raw) if raw.strip() else None
-
-
 # [section] key -> (keyword of the object the section builds, parser of the value)
 _KEYWORDS = {
     "wells": {
@@ -120,9 +112,7 @@ _KEYWORDS = {
     },
     "solver": {
         "grid_step_eV": ("grid_step", _float),
-        "refine_tol_eV": ("refine_tol", _float),
         "residual_tol": ("residual_tol", _float),
-        "max_levels": ("max_levels", _int_or_none),
     },
     "oracle": {
         "grid_points": ("grid_points", _int),
@@ -138,7 +128,7 @@ _KNOWN_KEYS = {
     "wells": {
         "labels", "closing_distance_A", *(key for _, key in _REQUIRED_KEYS), *_KEYWORDS["wells"]
     },
-    "output": {"directory", "formats"},
+    "output": {"directory"},
 }
 
 
@@ -214,22 +204,10 @@ def parse_config(text: str) -> RunConfig:
     oracle = _build(parser, "oracle", FdConfig, "invalid configuration")
 
     output_dir = "out"
-    formats: tuple[str, ...] = ("json", "table")
-    if parser.has_section("output"):
-        sec = parser["output"]
-        if "directory" in sec:
-            output_dir = sec["directory"].strip()
-            if not output_dir:
-                raise ConfigError("[output] directory: must not be empty")
-        if "formats" in sec:
-            formats = tuple(s.strip() for s in sec["formats"].split(",") if s.strip())
-            bad = [f for f in formats if f not in _FORMATS]
-            if bad:
-                raise ConfigError(
-                    f"[output] formats: unknown format(s) {bad}; allowed: {list(_FORMATS)}"
-                )
-            if not formats:
-                raise ConfigError("[output] formats: must not be empty")
+    if parser.has_option("output", "directory"):
+        output_dir = parser["output"]["directory"].strip()
+        if not output_dir:
+            raise ConfigError("[output] directory: must not be empty")
 
     constants = _build(parser, "constants", make_constants, "invalid override")
 
@@ -238,7 +216,6 @@ def parse_config(text: str) -> RunConfig:
         solver=solver,
         oracle=oracle,
         output_dir=output_dir,
-        formats=formats,
         constants=constants,
     )
 
@@ -280,11 +257,13 @@ def _sig9(x: float) -> float:
 
 
 def _solver_dict(cfg: SolverConfig) -> dict:
+    # schema 1 keeps two fixed entries: every bracket closes at adjacent
+    # doubles, inside 1e-9 eV, and nothing caps the level count
     return {
         "grid_step_eV": _sig9(cfg.grid_step),
-        "refine_tol_eV": _sig9(cfg.refine_tol),
+        "refine_tol_eV": 1e-09,
         "residual_tol": _sig9(cfg.residual_tol),
-        "max_levels": cfg.max_levels,
+        "max_levels": None,
     }
 
 
@@ -468,18 +447,16 @@ def _cmd_solve_pair(args) -> int:
     result = solve_pair(
         pair, config.solver, e_min=args.emin, e_max=args.emax, constants=config.constants
     )
-    if "table" in config.formats:
-        print(f"pair {args.pair} ({name}): width {pair.width} A, distance {pair.distance} A, "
-              f"depths {pair.v_shallow}/{pair.v_deep} eV, global offset {offset} eV")
-        print(f"{'idx':>3} {'E_local_eV':>14} {'E_global_eV':>14} {'regime':>6} {'residual':>10}")
-        for lv in result.levels:
-            print(f"{lv.index:>3} {lv.energy:>14.9f} {lv.energy + offset:>14.9f} "
-                  f"{str(lv.regime):>6} {lv.residual:>10.2e}")
-        print(f"{len(result.levels)} bound state(s)")
-    if "json" in config.formats:
-        out = _output_dir(config, args.output_dir) / f"solve_pair{args.pair}.json"
-        _write_json(out, _solve_result_dict(result, offset))
-        print(f"wrote {out}")
+    print(f"pair {args.pair} ({name}): width {pair.width} A, distance {pair.distance} A, "
+          f"depths {pair.v_shallow}/{pair.v_deep} eV, global offset {offset} eV")
+    print(f"{'idx':>3} {'E_local_eV':>14} {'E_global_eV':>14} {'regime':>6} {'residual':>10}")
+    for lv in result.levels:
+        print(f"{lv.index:>3} {lv.energy:>14.9f} {lv.energy + offset:>14.9f} "
+              f"{str(lv.regime):>6} {lv.residual:>10.2e}")
+    print(f"{len(result.levels)} bound state(s)")
+    out = _output_dir(config, args.output_dir) / f"solve_pair{args.pair}.json"
+    _write_json(out, _solve_result_dict(result, offset))
+    print(f"wrote {out}")
     return 0
 
 
@@ -587,12 +564,10 @@ def _cmd_cascade(args) -> int:
     config = load_config(args.config)
     report = cascade_mod.solve_cascade(config.spec, config.solver, constants=config.constants)
     out_dir = _output_dir(config, args.output_dir)
-    if "table" in config.formats:
-        _print_cascade_table(report)
-    if "json" in config.formats:
-        out = out_dir / "report.json"
-        _write_json(out, report_to_dict(report))
-        print(f"wrote {out}")
+    _print_cascade_table(report)
+    out = out_dir / "report.json"
+    _write_json(out, report_to_dict(report))
+    print(f"wrote {out}")
     if args.emit_profile:
         out = out_dir / "profile.csv"
         outline = [(x, v) for x0, x1, v in cascade_profile(config.spec).segments for x in (x0, x1)]

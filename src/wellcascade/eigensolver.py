@@ -30,8 +30,8 @@ geometry with the searched parameter set to an array.  So numpy's per-call
 overhead is paid once per round rather than once per round and candidate.
 Bisection is unconditionally safe here because the cleared form is
 continuous and free of poles; it always runs down to machine resolution, so
-the configured ``refine_tol`` acts as a guaranteed upper bound on the
-reported bracket width rather than a stopping knob.  A one-level cell is
+every reported bracket closes at adjacent doubles (or at an exact zero) and
+no tolerance stops it early.  A one-level cell is
 the bracket that scanning the whole grid for sign changes finds (see
 :func:`_solve_batch` for a level within rounding of a grid point), so the
 energies and residuals are the scan's bit for bit.
@@ -102,28 +102,29 @@ _MAX_GRID_POINTS = 10_000_000
 # a large batch is bisected
 _ROUND_POINTS = 512
 _SECTIONS = 64
+# the lower end of a window open at the bottom: the count is 0 there, and the
+# cleared form is defined (grid_scan takes energies above 0)
+_TINY = np.nextafter(0.0, 1.0)
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Scan/refinement tolerances for the bound-state search."""
+    """Grid step and residual filter of the bound-state search.
+
+    ``grid_step`` (eV) sets the grid cell that scales each residual, not
+    which levels are found; ``residual_tol`` is the largest residual of a
+    reported level.  Every bracket closes at adjacent doubles and every level
+    of the window is reported, so neither needs a setting.
+    """
 
     grid_step: float = 2e-5
-    refine_tol: float = 1e-9
     residual_tol: float = 1e-8
-    max_levels: int | None = None
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.grid_step):
-            raise ValueError(f"grid_step must be finite, got {self.grid_step}")
-        if not (self.grid_step > self.refine_tol > 0.0):
-            raise ValueError(
-                f"need grid_step > refine_tol > 0, got {self.grid_step} / {self.refine_tol}"
-            )
+        if not (math.isfinite(self.grid_step) and self.grid_step > 0.0):
+            raise ValueError(f"grid_step must be finite and > 0, got {self.grid_step}")
         if not (math.isfinite(self.residual_tol) and self.residual_tol > 0.0):
             raise ValueError(f"residual_tol must be positive, got {self.residual_tol}")
-        if self.max_levels is not None and self.max_levels < 0:
-            raise ValueError(f"max_levels must be non-negative, got {self.max_levels}")
 
 
 @dataclass(frozen=True)
@@ -289,20 +290,25 @@ def _bisect(geometry, lo, hi, f_lo, constants):
     return _multisect(lo, hi, decide)
 
 
-def _grids(geometry, step, e_min, e_max) -> tuple[float, np.ndarray]:
-    """First point and size of each pair's grid: the window inside (step, v_deep - step)."""
+def _grids(geometry, step, e_min, e_max):
+    """Each pair's window and grid: ``(bottom, top, first point, size)``.
+
+    The window runs from ``e_min`` (or just above 0) to ``e_max`` (or the
+    barrier top ``v_deep``); the grid is the part of it inside
+    [step, v_deep - step]."""
     # a NaN bound would fall out of max/min below and leave the full range
     for name, bound in (("e_min", e_min), ("e_max", e_max)):
         if bound is not None and math.isnan(bound):
             raise ValueError(f"solve window bound {name} must be a number, got nan")
-    lo = max(step, e_min if e_min is not None else step)
-    hi = np.minimum(geometry.v_deep - step, math.inf if e_max is None else e_max)
+    bottom = max(_TINY, -math.inf if e_min is None else e_min)
+    top = np.minimum(geometry.v_deep, math.inf if e_max is None else e_max)
+    lo, hi = max(step, bottom), np.minimum(geometry.v_deep - step, top)
     # every grid at once; the first pair past the point limit raises _grid_size's error
     span, sized = (hi - lo) / step, hi > lo
     bad = np.flatnonzero(sized & ~(span < _MAX_GRID_POINTS))
     if bad.size:
         _grid_size(lo, float(hi[bad[0]]), step)
-    return lo, np.where(sized, np.floor(span) + 1, 0).astype(int)
+    return bottom, top, lo, np.where(sized, np.floor(span) + 1, 0).astype(int)
 
 
 def _sign_change(f_lo, f_hi):
@@ -310,25 +316,32 @@ def _sign_change(f_lo, f_hi):
     return np.isfinite(f_lo) & np.isfinite(f_hi) & (np.sign(f_lo) * np.sign(f_hi) < 0.0)
 
 
-def _cells(count, grid, size):
-    """Number every level inside each pair's grid and find its grid cell.
+def _cells(count, grid, size, bottom, top):
+    """Number every level inside each pair's window and find its cell.
 
     Returns per level its pair, its index ``k`` among all levels of that
     pair, the cell ``[a, a + 1]`` that holds it (``N(grid(a)) <= k <
-    N(grid(a + 1))``), and ``N`` at both cell ends.  The first round cuts
-    each whole grid, its ends included, and the counts at the ends number the
-    levels; then the index brackets ``[a, b]`` shrink by multisection, every
-    level of every pair together.  Brackets of two levels are the same or
-    disjoint, so levels in one bracket (adjacent in the arrays) share its
-    count points.  A round spends about ``_ROUND_POINTS`` points: a few
-    brackets get many sections each, a large batch is bisected.
+    N(grid(a + 1))``), and ``N`` at both cell ends.  Index -1 stands for the
+    window's bottom and ``size`` for its top: the end cells ``[-1, 0]`` and
+    ``[size - 1, size]`` run from the grid's end points out to the window's
+    ends (a window without grid points is the one cell ``[-1, 0]``).  The
+    first round cuts each whole window, its ends included, and the counts at
+    the ends number the levels; then the index brackets ``[a, b]`` shrink by
+    multisection over the grid, every level of every pair together.
+    Brackets of two levels are the same or disjoint, so levels in one bracket
+    (adjacent in the arrays) share its count points.  A round spends about
+    ``_ROUND_POINTS`` points: a few brackets get many sections each, a large
+    batch is bisected.
     """
-    cells = np.flatnonzero(size >= 2)
-    last = size[cells] - 1
-    sections = max(1, min(_SECTIONS, _ROUND_POINTS // max(cells.size, 1), int(last.max(initial=1))))
-    points = last[:, None] * np.arange(sections + 1) // sections
+    cells = np.flatnonzero(top > bottom)
+    length = size[cells] + 1  # from index -1 to size
+    sections = max(1, min(_SECTIONS, _ROUND_POINTS // max(cells.size, 1), int(length.max(initial=1))))
+    points = length[:, None] * np.arange(sections + 1) // sections - 1
+    energies = grid(points)
+    energies[points < 0] = bottom
+    energies[:, -1] = top[cells]
     at = np.repeat(cells, sections + 1)
-    counts = count(at, grid(points.ravel())).reshape(points.shape)
+    counts = count(at, energies.ravel()).reshape(points.shape)
     per = counts[:, -1] - counts[:, 0]
     owner = np.repeat(cells, per)
     k = np.arange(per.sum()) - np.repeat(np.cumsum(per) - per - counts[:, 0], per)
@@ -377,34 +390,34 @@ def _isolate(count, owner, k, lo, hi, n_a, n_b):
     return (n_a == k) & (n_b == k + 1)
 
 
-def _neighbour_cells(scan, grid, size, owner, a, stray, lo, hi, f_lo, f_hi):
+def _neighbour_cells(scan, cell_end, size, owner, a, stray, lo, hi, f_lo, f_hi):
     """Move stray one-level brackets to the neighbour cell that changes sign, in place.
 
     A level within rounding of a grid point lies on either side of it for the
     count and for the cleared form alike, so the cell the count gives can show
     no sign change while the next one does; scanning the whole grid finds the
     level there.  The neighbour ``[a-1, a]`` or ``[a+1, a+2]`` is taken when it
-    lies inside the grid, no other level's count places it there and the
-    cleared form changes sign across it; with both, the side whose shared end
-    is nearer zero.  Returns the levels moved.
+    is a grid cell, no other level's count places it there and the cleared
+    form changes sign across it; with both, the side whose shared end is
+    nearer zero.  ``cell_end(owner, index)`` gives the energy of a cell end.
+    Returns the levels moved.
     """
     r, i = owner[stray], a[stray]
     before, after = np.maximum(stray - 1, 0), np.minimum(stray + 1, a.size - 1)
     taken_left = (before != stray) & (owner[before] == r) & (a[before] == i - 1)
     taken_right = (after != stray) & (owner[after] == r) & (a[after] == i + 1)
     both = np.tile(r, 2)
-    outer, _ = scan(both, grid(np.concatenate([np.maximum(i - 1, 0),
-                                               np.minimum(i + 2, size[r] - 1)])))
-    f_left, f_right = np.split(outer, 2)
+    outer, _ = scan(both, cell_end(both, np.concatenate([i - 1, i + 2])))
+    f_left, f_right = outer.reshape(2, -1)
     left = (i >= 1) & ~taken_left & _sign_change(f_left, f_lo[stray])
     right = (i + 2 < size[r]) & ~taken_right & _sign_change(f_hi[stray], f_right)
     right &= ~left | (np.abs(f_hi[stray]) <= np.abs(f_lo[stray]))
     left &= ~right
     go = stray[right]
-    lo[go], hi[go] = hi[go], grid(a[go] + 2)
+    lo[go], hi[go] = hi[go], cell_end(owner[go], a[go] + 2)
     f_lo[go], f_hi[go] = f_hi[go], f_right[right]
     go = stray[left]
-    lo[go], hi[go] = grid(a[go] - 1), lo[go]
+    lo[go], hi[go] = cell_end(owner[go], a[go] - 1), lo[go]
     f_lo[go], f_hi[go] = f_left[left], f_lo[go]
     return stray[left | right]
 
@@ -416,7 +429,7 @@ class _Batch(NamedTuple):
     size: np.ndarray  # grid points of each pair
     found: np.ndarray  # a root was bisected, or lies at a bracket end
     change: np.ndarray  # the cleared form changes sign across the bracket
-    kept: np.ndarray  # found, within residual_tol and within max_levels: reported
+    kept: np.ndarray  # found and within residual_tol: reported
     discarded: np.ndarray  # found but beyond residual_tol
     energy: np.ndarray
     residual: np.ndarray
@@ -432,9 +445,12 @@ def _solve_batch(geometry: _Geometry, cfg: SolverConfig, e_min, e_max, constants
     ``geometry`` holds the pairs' parameters as arrays.  The grid of a pair
     is ``lo + step*i`` over the window (as :func:`uniform_grid`), cut to its
     own barrier top, but it is never built.  The oscillation count
-    :func:`count_below` at the two grid ends numbers the levels inside, and
+    :func:`count_below` at the two window ends numbers the levels inside, and
     each level's cell follows by multisection of the count over the grid
-    index (:func:`_cells`).  A cell that holds two or more levels is halved
+    index (:func:`_cells`).  The cells beyond the grid's end points run out
+    to the window's ends; an open window's bracket ends there are the
+    smallest positive double and the double below ``v_deep``, inside the
+    range :func:`grid_scan` takes.  A cell that holds two or more levels is halved
     on the count in continuous energy until each has a bracket of its own
     (:func:`_isolate`).  One :func:`grid_scan` call evaluates the cleared form
     at every bracket end, and every bracket with a sign change goes to
@@ -449,7 +465,8 @@ def _solve_batch(geometry: _Geometry, cfg: SolverConfig, e_min, e_max, constants
     calibration reads directly.
     """
     step = cfg.grid_step
-    first, size = _grids(geometry, step, e_min, e_max)
+    bottom, top, first, size = _grids(geometry, step, e_min, e_max)
+    ceiling = np.minimum(top, np.nextafter(geometry.v_deep, 0.0))
 
     def count(owner, energies):
         return count_below(pair_segments(geometry.take(owner)), energies, constants)
@@ -457,12 +474,20 @@ def _solve_batch(geometry: _Geometry, cfg: SolverConfig, e_min, e_max, constants
     def grid(index):
         return first + step * index
 
+    def cell_end(owner, index):
+        """A cell end's energy: the window's ends lie at -1 and from ``size`` on."""
+        energy = grid(index)
+        energy[index < 0] = bottom
+        above = index >= size[owner]
+        energy[above] = ceiling[owner[above]]
+        return energy
+
     def scan(owner, energies):
         scanned = grid_scan(geometry.take(owner), energies, constants)
         return scanned.char, scanned.char_scale
 
-    owner, k, a, n_a, n_b = _cells(count, grid, size)
-    cell_lo, cell_hi = grid(a), grid(a + 1)
+    owner, k, a, n_a, n_b = _cells(count, grid, size, bottom, top)
+    cell_lo, cell_hi = cell_end(owner, a), cell_end(owner, a + 1)
     lo, hi = cell_lo.copy(), cell_hi.copy()
     isolated = _isolate(count, owner, k, lo, hi, n_a, n_b)
     split = np.flatnonzero((lo != cell_lo) | (hi != cell_hi))
@@ -472,8 +497,10 @@ def _solve_batch(geometry: _Geometry, cfg: SolverConfig, e_min, e_max, constants
         np.concatenate([owner, owner, owner[split], owner[split]]),
         np.concatenate([lo, hi, cell_lo[split], cell_hi[split]]),
     )
-    f_lo, f_hi, f_cell = np.split(char, [k.size, 2 * k.size])
-    s_lo, s_hi = np.split(char_scale[: 2 * k.size], 2)
+    # rows of a reshape, not np.split, whose Python-level slicing costs more per solve
+    f_lo, f_hi = char[: 2 * k.size].reshape(2, -1)
+    s_lo, s_hi = char_scale[: 2 * k.size].reshape(2, -1)
+    f_cell = char[2 * k.size :]
     # a sign change is bisected; a zero at a bracket end is a level already
     change = isolated & _sign_change(f_lo, f_hi)
     zero_hi = isolated & ~change & (f_hi == 0.0) & (s_hi != 0.0)
@@ -482,11 +509,11 @@ def _solve_batch(geometry: _Geometry, cfg: SolverConfig, e_min, e_max, constants
     stray = np.flatnonzero(isolated & ~(change | zero_hi | zero_lo))
     stray = stray[~np.isin(stray, split)]
     if stray.size:
-        change[_neighbour_cells(scan, grid, size, owner, a, stray, lo, hi, f_lo, f_hi)] = True
+        change[_neighbour_cells(scan, cell_end, size, owner, a, stray, lo, hi, f_lo, f_hi)] = True
 
     # residual scale: the cleared form's size at the ends of the level's grid cell
     scale = np.maximum(np.abs(f_lo), np.abs(f_hi))
-    scale[split] = np.maximum(*np.abs(np.split(f_cell, 2)))
+    scale[split] = np.maximum(*np.abs(f_cell).reshape(2, -1))
     scale[zero_hi], scale[zero_lo] = s_hi[zero_hi], s_lo[zero_lo]
     r_lo, r_hi = np.where(zero_hi, hi, lo), np.where(zero_lo, lo, hi)
     r_lo[change], r_hi[change] = _bisect(
@@ -499,12 +526,8 @@ def _solve_batch(geometry: _Geometry, cfg: SolverConfig, e_min, e_max, constants
         np.abs(characteristic(geometry.take(owner[found]), energy[found], constants)) / scale[found]
     )
 
-    # reported: found, within residual_tol, and among the first max_levels of its pair
     discarded = found & (residual > cfg.residual_tol)
     kept = found & ~discarded
-    if cfg.max_levels is not None:
-        before = np.concatenate([[0], np.cumsum(kept)])
-        kept &= before[:-1] - before[np.searchsorted(owner, owner)] < cfg.max_levels
     return _Batch(owner, size, found, change, kept, discarded, energy, residual, r_lo, r_hi, lo, hi)
 
 

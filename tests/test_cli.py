@@ -27,7 +27,6 @@ def test_bundled_config_parses(reference_run_config):
     assert cfg.spec.distances == (60.19, 60.0, 60.0, 62.5)
     assert cfg.solver.grid_step == 2e-5
     assert cfg.oracle.grid_points == 20001
-    assert cfg.formats == ("json", "table")
 
 
 def test_minimal_config_defaults():
@@ -91,31 +90,23 @@ def test_constant_overrides_flow_through():
 def test_solver_and_oracle_keys_reach_their_configs():
     cfg = parse_config(
         MINIMAL
-        + "\n[solver]\ngrid_step_eV = 1e-4\nrefine_tol_eV = 1e-10\nresidual_tol = 1e-6\n"
-        "max_levels = 5\n[oracle]\ngrid_points = 1001\nextrapolate = yes\n"
+        + "\n[solver]\ngrid_step_eV = 1e-4\nresidual_tol = 1e-6\n"
+        "[oracle]\ngrid_points = 1001\nextrapolate = yes\n"
     )
-    assert (cfg.solver.grid_step, cfg.solver.refine_tol) == (1e-4, 1e-10)
-    assert (cfg.solver.residual_tol, cfg.solver.max_levels) == (1e-6, 5)
+    assert (cfg.solver.grid_step, cfg.solver.residual_tol) == (1e-4, 1e-6)
     assert (cfg.oracle.grid_points, cfg.oracle.extrapolate) == (1001, True)
-    assert parse_config(MINIMAL + "\n[solver]\nmax_levels =\n").solver.max_levels is None
 
 
 @pytest.mark.parametrize(
     "section, message",
     [
-        ("[solver]\nmax_levels = many", "[solver] max_levels: expected an integer"),
         ("[oracle]\ngrid_points = lots", "[oracle] grid_points: expected an integer"),
         ("[oracle]\ngrid_points = 1000", "[oracle] invalid configuration: grid_points"),
-        ("[solver]\nrefine_tol_eV = 1", "[solver] invalid configuration: need grid_step"),
+        ("[solver]\nresidual_tol = 0", "[solver] invalid configuration: residual_tol must be"),
         ("[solver]\ngrid_step_eV = inf", "[solver] invalid configuration: grid_step must be finite"),
         ("[constants]\nhc_eV_nm = -1", "[constants] invalid override: constant hc_eV_nm"),
-        (
-            "[output]\nformats = csv",
-            "[output] formats: unknown format(s) ['csv']; allowed: ['json', 'table']",
-        ),
     ],
-    ids=["solver-int", "oracle-int", "oracle-value", "solver-value", "solver-step-inf",
-         "constants-value", "csv"],
+    ids=["oracle-int", "oracle-value", "solver-value", "solver-step-inf", "constants-value"],
 )
 def test_section_value_errors_name_the_key(section, message):
     with pytest.raises(ConfigError) as info:
@@ -131,12 +122,23 @@ def test_readme_config_block_parses():
     assert cfg.oracle.grid_points == 20001
 
 
-def test_oracle_padding_key_is_unknown(tmp_path, capsys):
-    cfg = tmp_path / "padded.cfg"
-    cfg.write_text(MINIMAL + "\n[oracle]\npadding_A = 0\n")
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("oracle", "padding_A", "0"),
+        ("solver", "refine_tol_eV", "1e-9"),
+        ("solver", "max_levels", "5"),
+        ("output", "formats", "json, table"),
+    ],
+    ids=["padding_A", "refine_tol_eV", "max_levels", "formats"],
+)
+def test_removed_keys_are_unknown(tmp_path, capsys, section, key, value):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(MINIMAL + f"\n[{section}]\n{key} = {value}\n")
     assert main(["cascade", "--config", str(cfg), "--output-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert err == "config error: unknown key 'padding_A' in section [oracle]\n"
+    assert err == f"config error: unknown key '{key}' in section [{section}]\n"
+    assert not (tmp_path / "report.json").exists()
 
 
 @pytest.mark.parametrize(

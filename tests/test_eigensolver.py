@@ -19,9 +19,9 @@ from wellcascade.eigensolver import (
     uniform_grid,
 )
 from wellcascade.oracle import FdConfig, fd_levels
-from wellcascade.potential import WellPair, cascade_profile, pair_profile
+from wellcascade.potential import WellPair, cascade_profile, pair_profile, pair_segments
 from wellcascade.quantities import CODATA2018
-from wellcascade.transcendental import characteristic, grid_scan
+from wellcascade.transcendental import characteristic, count_below, grid_scan
 
 
 def random_pairs(n, seed):
@@ -56,7 +56,8 @@ def test_levels_sorted_unique_and_converged(pair1):
     for i, lv in enumerate(result.levels):
         assert lv.index == i
         assert lv.residual <= result.config.residual_tol
-        assert lv.bracket[1] - lv.bracket[0] <= result.config.refine_tol
+        # report.json states 1e-9 eV as the bracket width
+        assert lv.bracket[1] - lv.bracket[0] <= 1e-9
 
 
 def test_brackets_close_to_adjacent_floats(pair1, pair2, pair3):
@@ -87,10 +88,13 @@ def test_grid_zero_is_a_level_and_infinite_bracket_is_skipped(monkeypatch):
         return g + 2.0, one, 2.0 * one, one
 
     def fake_count(segments, energies, constants):
-        # the roots of the sine, a level at grid[10], and one in (grid[69], grid[70])
+        # the roots of the sine, a level at grid[10], one in (grid[69], grid[70]),
+        # and one between the grid's last point and the barrier top, where the
+        # sine keeps its sign
         e = np.asarray(energies)
         sine = np.floor((37.0 * e + 0.3) / np.pi)
-        return (sine + (e >= grid[10]) + (e > 0.5 * (grid[69] + grid[70]))).astype(np.int64)
+        levels = sine + (e >= grid[10]) + (e > 0.5 * (grid[69] + grid[70])) + (e > 0.995)
+        return levels.astype(np.int64)
 
     monkeypatch.setattr(transcendental, "_cleared_terms", fake_terms)
     monkeypatch.setattr(eigensolver, "count_below", fake_count)
@@ -99,8 +103,11 @@ def test_grid_zero_is_a_level_and_infinite_bracket_is_skipped(monkeypatch):
     assert energies == sorted(set(energies))
     zero = [lv for lv in result.levels if lv.energy == grid[10]]
     assert len(zero) == 1 and zero[0].residual == 0.0 and zero[0].bracket == (grid[10], grid[10])
-    # the count's level at an infinite cell end is reported, not dropped
-    assert result.diagnostics.skipped_intervals == ((grid[69], grid[70]),)
+    # the count's levels at an infinite cell end and in the end cell up to the
+    # barrier top are reported, not dropped
+    assert result.diagnostics.skipped_intervals == (
+        (grid[69], grid[70]), (grid[-1], np.nextafter(1.0, 0.0))
+    )
     assert result.diagnostics.sign_changes == len(result.levels) - 1 == 11
 
 
@@ -404,19 +411,11 @@ def test_near_degenerate_doublet_resolved(pair3):
     assert 0.0 < splitting < 10 * SolverConfig().grid_step
 
 
-def test_max_levels_truncation(pair1):
-    levels = find_levels(pair1, SolverConfig(max_levels=3))
-    assert len(levels) == 3
-    assert [lv.index for lv in levels] == [0, 1, 2]
-
-
 def test_solver_config_validation():
     with pytest.raises(ValueError):
-        SolverConfig(grid_step=1e-9, refine_tol=1e-9)
+        SolverConfig(grid_step=0.0)
     with pytest.raises(ValueError):
         SolverConfig(residual_tol=-1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(max_levels=-1)
 
 
 def test_calibrate_distance_reference_pair(pair1):
@@ -680,6 +679,38 @@ def test_windowed_solve_consistency(pair1):
 
 def test_empty_window_is_valid(pair1):
     assert find_levels(pair1, e_min=1.50, e_max=1.40) == []
+
+
+def test_level_above_the_last_grid_point_is_found():
+    # a level 8.9e-6 eV below the barrier top, above the grid's last point v_deep - step
+    pair = WellPair(34.55155007224434, 35.97733132224434, 0.24008508127406605, 1.247388557673338)
+    result = solve_pair(pair)
+    assert len(result.levels) == count_below(pair_segments(pair), [pair.v_deep])[0] == 9
+    assert pair.v_deep - 2e-5 < result.levels[-1].energy < pair.v_deep
+    assert result.diagnostics.skipped_intervals == () == result.diagnostics.discarded_candidates
+    assert result.diagnostics.grid_points == uniform_grid(2e-5, pair.v_deep - 2e-5, 2e-5).size
+
+
+def test_level_below_the_first_grid_point_is_found():
+    # wells 2000 A wide: the ground state lies below the grid's first point, 2e-5 eV
+    pair = WellPair(2000.0, 2100.0, 0.1, 0.2)
+    result = solve_pair(pair)
+    assert len(result.levels) == count_below(pair_segments(pair), [pair.v_deep])[0] == 249
+    assert 0.0 < result.levels[0].energy < 2e-5 < result.levels[1].energy
+    assert [lv.index for lv in result.levels] == list(range(249))
+    assert result.diagnostics.skipped_intervals == () == result.diagnostics.discarded_candidates
+
+
+@pytest.mark.parametrize("below, above", [(None, 1e-6), (7e-6, 7e-6)],
+                         ids=["window-top", "one-grid-point"])
+def test_level_near_a_window_end_is_found(pair1, below, above):
+    # a window ending 1e-6 eV above level 10, and one 1.4e-5 eV wide around it
+    # with a single grid point: the count at the window's ends holds the level
+    level = solve_pair(pair1).levels[10]
+    e_min = 1.40 if below is None else level.energy - below
+    result = solve_pair(pair1, e_min=e_min, e_max=level.energy + above)
+    assert [(lv.energy, lv.bracket) for lv in result.levels] == [(level.energy, level.bracket)]
+    assert result.diagnostics.skipped_intervals == ()
 
 
 def test_diagnostics_populated(pair1):
