@@ -9,7 +9,7 @@ center.
 """
 
 from .cascade import solve_cascade
-from .eigensolver import find_levels, solve_pair
+from .eigensolver import solve_pair
 from .oracle import fd_solve
 from .potential import CascadeSpec, WellPair
 from .wavefunctions import build_wavefunction
@@ -21,7 +21,6 @@ __all__ = [
     "WellPair",
     "build_wavefunction",
     "fd_solve",
-    "find_levels",
     "solve_cascade",
     "solve_pair",
 ]

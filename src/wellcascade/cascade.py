@@ -8,7 +8,9 @@ absorption from the first well's ground state into the first resonant
 doublet, then for each pair a tunnel step timed by the doublet splitting
 followed by an intra-well decay to the next well's ground-class level.  The
 closing pair is solved for information only and produces no transfer step.
-The report is plain data; ``wellcascade.cli`` turns it into ``report.json``.
+Each step is compared with the measured reaction-center step of
+``EXPERIMENT_REFERENCE``.  The report is plain data; ``wellcascade.cli`` turns
+it into ``report.json``.
 """
 
 from __future__ import annotations
@@ -33,8 +35,6 @@ __all__ = [
     "REFERENCE_TIMES_PS",
     "REFERENCE_LEVELS_EV",
     "solve_cascade",
-    "compare_to_experiment",
-    "tunneling_vs_decay",
 ]
 
 # Published reference solution of this four-well model (for comparison output).
@@ -108,7 +108,27 @@ class Absorption:
 
 
 @dataclass(frozen=True)
+class ComparisonRow:
+    """One transfer step of the model beside its measured counterpart."""
+
+    step: int
+    sites: str
+    model_time_ps: float
+    reference_time_ps: float
+    time_ratio: float
+    same_order: bool  # time_ratio within 0.1-10
+    model_energy_from_ev: float
+    model_energy_to_ev: float
+    reference_energy_from_ev: float
+    reference_energy_to_ev: float
+
+
+@dataclass(frozen=True)
 class CascadeReport:
+    """The solved cascade: per-well and per-pair levels, the schedule, and
+    ``comparison``, one :class:`ComparisonRow` per step against
+    ``EXPERIMENT_REFERENCE``."""
+
     spec: CascadeSpec
     solver: SolverConfig
     wells: tuple[WellSummary, ...]
@@ -116,6 +136,7 @@ class CascadeReport:
     resonances: tuple[ResonantPair, ...]
     absorption: Absorption
     steps: tuple[TransferStep, ...]
+    comparison: tuple[ComparisonRow, ...]
     notes: tuple[str, ...]
 
 
@@ -252,61 +273,27 @@ def solve_cascade(
         resonances=tuple(doublets),
         absorption=absorption,
         steps=tuple(steps),
+        comparison=tuple(_compare(i + 1, step, ref) for i, (step, ref) in
+                         enumerate(zip(steps, EXPERIMENT_REFERENCE))),
         notes=notes,
     )
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    step: int
-    sites: str
-    model_time_ps: float
-    reference_time_ps: float
-    time_ratio: float
-    same_order: bool
-    model_energy_from_ev: float
-    model_energy_to_ev: float
-    reference_energy_from_ev: float
-    reference_energy_to_ev: float
-    energy_from_deviation_ev: float
-    energy_to_deviation_ev: float
-
-
-def compare_to_experiment(
-    report: CascadeReport,
-    reference: tuple[StepReference, ...] = EXPERIMENT_REFERENCE,
-) -> tuple[ComparisonRow, ...]:
-    """Model schedule against a per-step reference (experiment by default)."""
-    if len(reference) != len(report.steps):
-        raise ValueError(
-            f"reference has {len(reference)} steps, report has {len(report.steps)}"
-        )
-    rows = []
-    for i, (step, ref) in enumerate(zip(report.steps, reference)):
-        model_time_ps = step.tunneling_time_s * 1e12
-        start = step.resonance.e_plus
-        end = start - step.decay_gap_ev
-        ratio = model_time_ps / ref.time_ps
-        rows.append(
-            ComparisonRow(
-                step=i + 1,
-                sites=f"{step.from_site}->{step.to_site}",
-                model_time_ps=model_time_ps,
-                reference_time_ps=ref.time_ps,
-                time_ratio=ratio,
-                same_order=0.1 <= ratio <= 10.0,
-                model_energy_from_ev=start,
-                model_energy_to_ev=end,
-                reference_energy_from_ev=ref.energy_from_ev,
-                reference_energy_to_ev=ref.energy_to_ev,
-                energy_from_deviation_ev=start - ref.energy_from_ev,
-                energy_to_deviation_ev=end - ref.energy_to_ev,
-            )
-        )
-    return tuple(rows)
-
-
-def tunneling_vs_decay(report: CascadeReport) -> list[float]:
-    """Per-step ratio tunneling_time / decay_time."""
-    return [s.tunneling_vs_decay_ratio for s in report.steps]
+def _compare(index: int, step: TransferStep, ref: StepReference) -> ComparisonRow:
+    """Model step ``index`` against its measured reference: tunneling time and energy span."""
+    model_time_ps = step.tunneling_time_s * 1e12
+    start = step.resonance.e_plus
+    ratio = model_time_ps / ref.time_ps
+    return ComparisonRow(
+        step=index,
+        sites=f"{step.from_site}->{step.to_site}",
+        model_time_ps=model_time_ps,
+        reference_time_ps=ref.time_ps,
+        time_ratio=ratio,
+        same_order=0.1 <= ratio <= 10.0,
+        model_energy_from_ev=start,
+        model_energy_to_ev=start - step.decay_gap_ev,
+        reference_energy_from_ev=ref.energy_from_ev,
+        reference_energy_to_ev=ref.energy_to_ev,
+    )
 

@@ -112,7 +112,6 @@ _KEYWORDS = {
     },
     "solver": {
         "grid_step_eV": ("grid_step", _float),
-        "residual_tol": ("residual_tol", _float),
     },
     "oracle": {
         "grid_points": ("grid_points", _int),
@@ -257,12 +256,13 @@ def _sig9(x: float) -> float:
 
 
 def _solver_dict(cfg: SolverConfig) -> dict:
-    # schema 1 keeps two fixed entries: every bracket closes at adjacent
-    # doubles, inside 1e-9 eV, and nothing caps the level count
+    # schema 1 keeps three fixed entries: every bracket closes at adjacent
+    # doubles, inside 1e-9 eV, the residual filter is the solver's constant,
+    # and nothing caps the level count
     return {
         "grid_step_eV": _sig9(cfg.grid_step),
         "refine_tol_eV": 1e-09,
-        "residual_tol": _sig9(cfg.residual_tol),
+        "residual_tol": 1e-08,
         "max_levels": None,
     }
 
@@ -409,7 +409,7 @@ def report_to_dict(report: cascade_mod.CascadeReport) -> dict:
                     "reference_energy_from_eV": _sig9(row.reference_energy_from_ev),
                     "reference_energy_to_eV": _sig9(row.reference_energy_to_ev),
                 }
-                for row in cascade_mod.compare_to_experiment(report)
+                for row in report.comparison
             ],
         },
         "notes": list(report.notes),
@@ -604,7 +604,7 @@ def _print_cascade_table(report) -> None:
               f"{s.decay_time_s * 1e12:>10.5f} {s.tunneling_vs_decay_ratio:>8.1f}")
     print("\ncomparison with the measured reaction-center steps:")
     print(f"{'step':>4} {'model_ps':>10} {'exp_ps':>8} {'ratio':>9} {'same_order':>10}")
-    for row in cascade_mod.compare_to_experiment(report):
+    for row in report.comparison:
         print(f"{row.step:>4} {row.model_time_ps:>10.4f} {row.reference_time_ps:>8.4g} "
               f"{row.time_ratio:>9.4f} {str(row.same_order).lower():>10}")
     for note in report.notes:

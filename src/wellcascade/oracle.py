@@ -72,7 +72,6 @@ __all__ = [
     "FdConfig",
     "FdResult",
     "fd_solve",
-    "fd_levels",
     "fd_states",
     "count_nodes",
     "SturmCountError",
@@ -359,15 +358,6 @@ def fd_solve(
     levels = tuple(float(e) for e in levels_all[keep])
     est = tuple(float(e) for e in estimates[keep]) if estimates is not None else None
     return FdResult(levels=levels, truncated=len(levels) < n_levels, error_estimates=est)
-
-
-def fd_levels(
-    profile: PotentialProfile,
-    n_levels: int,
-    config: FdConfig | None = None,
-    constants: PhysicalConstants = CODATA2018,
-) -> list[float]:
-    return list(fd_solve(profile, n_levels, config, constants).levels)
 
 
 def fd_states(

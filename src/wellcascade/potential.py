@@ -95,6 +95,9 @@ class CascadeSpec:
         object.__setattr__(self, "distances", tuple(float(d) for d in self.distances))
         object.__setattr__(self, "depths", tuple(float(v) for v in self.depths))
         object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
+        for name in ("widths", "depths", "distances"):
+            values = getattr(self, name)
+            _require(all(map(math.isfinite, values)), f"{name} must be finite, got {values}")
         _require(len(self.widths) == 4, "cascade needs exactly 4 well widths")
         _require(len(self.depths) == 4, "cascade needs exactly 4 well depths")
         _require(len(self.labels) == 4, "cascade needs exactly 4 site labels")

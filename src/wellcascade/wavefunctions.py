@@ -69,7 +69,6 @@ class PiecewiseWavefunction:
     module notes that ``above`` selects.
     """
 
-    pair: WellPair
     energy: float
     region_bounds: tuple[float, ...]
     pieces: tuple[tuple[float, float, float, bool, float, float], ...]
@@ -153,7 +152,6 @@ def build_wavefunction(
         raw.append((x0, x1, k, energy > v, a, b))
     scale = sign / math.sqrt(norm_sq)
     return PiecewiseWavefunction(
-        pair=pair,
         energy=energy,
         region_bounds=(segments[0][0], *(x1 for _, x1, _ in segments)),
         pieces=tuple((x0, x1, k, above, a * scale, b * scale) for x0, x1, k, above, a, b in raw),

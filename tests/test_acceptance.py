@@ -9,15 +9,15 @@ import math
 import numpy as np
 import pytest
 
-from wellcascade.cascade import solve_cascade, tunneling_vs_decay
+from wellcascade.cascade import solve_cascade
 from wellcascade.dynamics import (
     ResonantPair,
     first_maximum_time,
     rabi_probability,
     tunneling_time,
 )
-from wellcascade.eigensolver import calibrate_distance, find_levels
-from wellcascade.oracle import FdConfig, count_nodes, fd_levels, fd_solve
+from wellcascade.eigensolver import calibrate_distance, solve_pair
+from wellcascade.oracle import FdConfig, count_nodes, fd_solve
 from wellcascade.potential import WellPair, pair_profile
 from wellcascade.quantities import CODATA2018
 from wellcascade.wavefunctions import build_wavefunction, sample_wavefunction
@@ -111,8 +111,8 @@ def test_criterion_06_oracle_equivalence(pair1, pair2, pair3):
     pairs = random_pairs(25, RANDOM_PAIR_SEED) + [pair1, pair2, pair3]
     worst = 0.0
     for pair in pairs:
-        levels = [lv.energy for lv in find_levels(pair)]
-        fd = fd_levels(pair_profile(pair), max(len(levels), 1) + 2, FdConfig())
+        levels = [lv.energy for lv in solve_pair(pair).levels]
+        fd = fd_solve(pair_profile(pair), max(len(levels), 1) + 2, FdConfig()).levels
         assert len(fd) == len(levels)
         for mine, ref in zip(levels, fd):
             assert abs(mine - ref) <= 5e-3
@@ -120,7 +120,7 @@ def test_criterion_06_oracle_equivalence(pair1, pair2, pair3):
     # doublet splittings on the three reference pairs, default then Richardson
     doublet_targets = ((1.445, 1.460), (0.268, 0.274), (0.4432, 0.4434))
     for pair, (t_lo, t_hi) in zip((pair1, pair2, pair3), doublet_targets):
-        energies = [lv.energy for lv in find_levels(pair)]
+        energies = [lv.energy for lv in solve_pair(pair).levels]
         i = min(range(len(energies)), key=lambda j: abs(energies[j] - t_lo))
         j = min(range(len(energies)), key=lambda k: abs(energies[k] - t_hi))
         exact = energies[j] - energies[i]
@@ -164,7 +164,7 @@ def test_criterion_07_rabi_properties():
 
 
 def test_criterion_08_tunneling_vs_decay(report):
-    ratios = tunneling_vs_decay(report)
+    ratios = [s.tunneling_vs_decay_ratio for s in report.steps]
     assert all(r >= 50.0 for r in ratios)
     assert 50.0 <= ratios[0] <= 60.0
     assert any("two orders of magnitude" in note for note in report.notes)
@@ -176,7 +176,7 @@ def test_criterion_09_wavefunction_reconstruction(pair1, pair2, pair3):
     worst_resid = 0.0
     worst_norm = 0.0
     for pair in (pair1, pair2, pair3):
-        for level in find_levels(pair)[:5]:
+        for level in solve_pair(pair).levels[:5]:
             wf = build_wavefunction(pair, level)
             assert wf.wall_residual < 1e-8
             x, psi = sample_wavefunction(wf, 10001)

@@ -6,13 +6,10 @@ import pytest
 from wellcascade.cascade import (
     EXPERIMENT_REFERENCE,
     ResonanceNotFoundError,
-    StepReference,
-    compare_to_experiment,
     solve_cascade,
-    tunneling_vs_decay,
 )
 from wellcascade.cli import report_to_dict
-from wellcascade.oracle import FdConfig, fd_levels
+from wellcascade.oracle import FdConfig, fd_solve
 from wellcascade.potential import CascadeSpec, cascade_profile
 
 
@@ -66,7 +63,7 @@ def test_well_floors(report):
 
 
 def test_global_shift_consistency_with_full_profile_oracle(reference_spec, report):
-    fd = fd_levels(cascade_profile(reference_spec), 8, FdConfig(grid_points=20001))
+    fd = fd_solve(cascade_profile(reference_spec), 8, FdConfig(grid_points=20001)).levels
     for target in (report.wells[0].ground_ev, report.wells[3].ground_ev):
         assert min(abs(e - target) for e in fd) <= 5e-3
 
@@ -79,34 +76,27 @@ def test_report_is_deterministic(reference_spec, report):
 
 
 def test_comparison_against_experiment(report):
-    rows = compare_to_experiment(report)
-    assert len(rows) == 3
+    rows = report.comparison
+    assert len(rows) == len(report.steps) == len(EXPERIMENT_REFERENCE) == 3
+    for i, (row, step, ref) in enumerate(zip(rows, report.steps, EXPERIMENT_REFERENCE)):
+        assert (row.step, row.sites) == (i + 1, f"{step.from_site}->{step.to_site}")
+        assert row.model_time_ps == step.tunneling_time_s * 1e12
+        assert row.reference_time_ps == ref.time_ps
+        assert row.time_ratio == row.model_time_ps / row.reference_time_ps
+        assert row.same_order == (0.1 <= row.time_ratio <= 10.0)
+        assert row.model_energy_from_ev == step.resonance.e_plus
+        assert row.model_energy_to_ev == step.resonance.e_plus - step.decay_gap_ev
+        assert (row.reference_energy_from_ev, row.reference_energy_to_ev) == (
+            ref.energy_from_ev, ref.energy_to_ev)
     # step 3: the model is far faster than the measured 200 ps
     assert rows[2].reference_time_ps == 200.0
     assert not rows[2].same_order
-    assert rows[2].time_ratio == pytest.approx(rows[2].model_time_ps / 200.0, rel=1e-12)
     assert rows[0].reference_time_ps == 3.0
     assert rows[0].model_time_ps == pytest.approx(0.137, abs=0.01)
 
 
-def test_comparison_identity_is_zero(report):
-    mirror = tuple(
-        StepReference(
-            time_ps=s.tunneling_time_s * 1e12,
-            energy_from_ev=s.resonance.e_plus,
-            energy_to_ev=s.resonance.e_plus - s.decay_gap_ev,
-        )
-        for s in report.steps
-    )
-    for row in compare_to_experiment(report, mirror):
-        assert row.time_ratio == pytest.approx(1.0, rel=1e-12)
-        assert row.same_order
-        assert row.energy_from_deviation_ev == pytest.approx(0.0, abs=1e-12)
-        assert row.energy_to_deviation_ev == pytest.approx(0.0, abs=1e-12)
-
-
 def test_tunneling_vs_decay_ratios(report):
-    ratios = tunneling_vs_decay(report)
+    ratios = [s.tunneling_vs_decay_ratio for s in report.steps]
     assert all(r > 1.0 for r in ratios)
     assert all(r >= 50.0 for r in ratios)
     assert 50.0 <= ratios[0] <= 60.0

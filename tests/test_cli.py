@@ -9,7 +9,7 @@ import pytest
 
 import wellcascade
 from wellcascade.cli import ConfigError, load_config, main, parse_config
-from wellcascade.potential import cascade_profile
+from wellcascade.potential import CascadeSpec, cascade_profile
 
 GOLDEN_REPORT = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "report.json"
 
@@ -65,6 +65,34 @@ def test_geometry_validation_at_parse_time():
     assert "geometry" in str(info.value)
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "line, field, values",
+    [
+        ("widths_A = nan", "widths", (NAN,) * 4),
+        ("depths_eV = nan, 0.272, 0.524, 0.95", "depths", (NAN, 0.272, 0.524, 0.95)),
+        ("depths_eV = 1.585, 0.272, 0.524, nan", "depths", (1.585, 0.272, 0.524, NAN)),
+        ("distances_A = 60.19, nan, 60.0", "distances", (60.19, NAN, 60.0)),
+    ],
+    ids=["width", "first-depth", "last-depth", "distance"],
+)
+def test_non_finite_geometry_names_its_field(line, field, values):
+    # the check must come first: a NaN fails every comparison of the later checks
+    message = f"{field} must be finite, got {values}"
+    key = line.split(" = ")[0]
+    config = "\n".join(line if row.startswith(key) else row for row in MINIMAL.splitlines())
+    with pytest.raises(ConfigError) as info:
+        parse_config(config)
+    assert str(info.value) == f"[wells] invalid geometry or schedule: {message}"
+    geometry = {"widths": (43.85,) * 4, "depths": (1.585, 0.272, 0.524, 0.95),
+                "distances": (60.19, 60.0, 60.0), field: values}
+    with pytest.raises(ValueError) as info:
+        CascadeSpec(**geometry)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("key", ["absorption_target_eV", "resonance_window_eV"])
 @pytest.mark.parametrize("value", ["0", "-0.1", "nan", "inf"])
 def test_schedule_input_must_be_positive(tmp_path, capsys, key, value):
@@ -90,10 +118,10 @@ def test_constant_overrides_flow_through():
 def test_solver_and_oracle_keys_reach_their_configs():
     cfg = parse_config(
         MINIMAL
-        + "\n[solver]\ngrid_step_eV = 1e-4\nresidual_tol = 1e-6\n"
+        + "\n[solver]\ngrid_step_eV = 1e-4\n"
         "[oracle]\ngrid_points = 1001\nextrapolate = yes\n"
     )
-    assert (cfg.solver.grid_step, cfg.solver.residual_tol) == (1e-4, 1e-6)
+    assert cfg.solver.grid_step == 1e-4
     assert (cfg.oracle.grid_points, cfg.oracle.extrapolate) == (1001, True)
 
 
@@ -102,11 +130,10 @@ def test_solver_and_oracle_keys_reach_their_configs():
     [
         ("[oracle]\ngrid_points = lots", "[oracle] grid_points: expected an integer"),
         ("[oracle]\ngrid_points = 1000", "[oracle] invalid configuration: grid_points"),
-        ("[solver]\nresidual_tol = 0", "[solver] invalid configuration: residual_tol must be"),
         ("[solver]\ngrid_step_eV = inf", "[solver] invalid configuration: grid_step must be finite"),
         ("[constants]\nhc_eV_nm = -1", "[constants] invalid override: constant hc_eV_nm"),
     ],
-    ids=["oracle-int", "oracle-value", "solver-value", "solver-step-inf", "constants-value"],
+    ids=["oracle-int", "oracle-value", "solver-step-inf", "constants-value"],
 )
 def test_section_value_errors_name_the_key(section, message):
     with pytest.raises(ConfigError) as info:
@@ -122,6 +149,18 @@ def test_readme_config_block_parses():
     assert cfg.oracle.grid_points == 20001
 
 
+README_PYTHON = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+    encoding="utf-8").split("```python\n")[1:]
+
+
+@pytest.mark.parametrize("block", [b.split("```", 1)[0] for b in README_PYTHON],
+                         ids=[f"block{i}" for i in range(len(README_PYTHON))])
+def test_readme_python_examples_run(tmp_path, monkeypatch, capsys, block):
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "section, key, value",
     [
@@ -129,8 +168,9 @@ def test_readme_config_block_parses():
         ("solver", "refine_tol_eV", "1e-9"),
         ("solver", "max_levels", "5"),
         ("output", "formats", "json, table"),
+        ("solver", "residual_tol", "1e-8"),
     ],
-    ids=["padding_A", "refine_tol_eV", "max_levels", "formats"],
+    ids=["padding_A", "refine_tol_eV", "max_levels", "formats", "residual_tol"],
 )
 def test_removed_keys_are_unknown(tmp_path, capsys, section, key, value):
     cfg = tmp_path / "old.cfg"

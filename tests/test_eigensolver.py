@@ -14,11 +14,10 @@ from wellcascade.eigensolver import (
     SolverConfig,
     calibrate_depth,
     calibrate_distance,
-    find_levels,
     solve_pair,
     uniform_grid,
 )
-from wellcascade.oracle import FdConfig, fd_levels
+from wellcascade.oracle import FdConfig, fd_solve
 from wellcascade.potential import WellPair, cascade_profile, pair_profile, pair_segments
 from wellcascade.quantities import CODATA2018
 from wellcascade.transcendental import characteristic, count_below, grid_scan
@@ -38,13 +37,13 @@ def random_pairs(n, seed):
 
 
 def test_pair1_contains_reference_resonances(pair1):
-    energies = [lv.energy for lv in find_levels(pair1)]
+    energies = [lv.energy for lv in solve_pair(pair1).levels]
     assert min(abs(e - 1.445) for e in energies) <= 5e-3
     assert min(abs(e - 1.460) for e in energies) <= 5e-3
 
 
 def test_pair1_ground_state(pair1):
-    ground = find_levels(pair1)[0]
+    ground = solve_pair(pair1).levels[0]
     assert ground.energy == pytest.approx(0.01828, abs=5e-4)
 
 
@@ -55,21 +54,22 @@ def test_levels_sorted_unique_and_converged(pair1):
     assert len(set(energies)) == len(energies)
     for i, lv in enumerate(result.levels):
         assert lv.index == i
-        assert lv.residual <= result.config.residual_tol
+        assert lv.residual <= eigensolver._RESIDUAL_TOL
         # report.json states 1e-9 eV as the bracket width
         assert lv.bracket[1] - lv.bracket[0] <= 1e-9
 
 
 def test_brackets_close_to_adjacent_floats(pair1, pair2, pair3):
     for pair in (pair1, pair2, pair3):
-        for lv in find_levels(pair):
+        for lv in solve_pair(pair).levels:
             lo, hi = lv.bracket
             assert lo == hi or np.nextafter(lo, math.inf) == hi
 
 
-def test_strict_residual_tol_discards_every_root(pair1):
-    energies = tuple(lv.energy for lv in find_levels(pair1))
-    strict = solve_pair(pair1, SolverConfig(residual_tol=1e-300))
+def test_strict_residual_tol_discards_every_root(pair1, monkeypatch):
+    energies = tuple(lv.energy for lv in solve_pair(pair1).levels)
+    monkeypatch.setattr(eigensolver, "_RESIDUAL_TOL", 1e-300)
+    strict = solve_pair(pair1)
     assert strict.levels == ()
     assert strict.diagnostics.discarded_candidates == energies
 
@@ -157,7 +157,7 @@ def test_levels_on_grid_points_keep_the_scan_brackets(reference_spec, monkeypatc
     # within rounding of a grid point, where the count and the cleared form
     # can place it in adjacent cells; the solve must take the scan's cell
     pairs = [reference_spec.pair(i) for i in range(4)]
-    levels = [find_levels(pair) for pair in pairs]
+    levels = [solve_pair(pair).levels for pair in pairs]
     scans = []
 
     def recording(*args, **kwargs):
@@ -366,16 +366,17 @@ def test_calibration_cost_follows_refinement_not_coarse_points(pair1, monkeypatc
 
 def test_oracle_equivalence_on_random_pairs():
     for pair in random_pairs(5, seed=11):
-        levels = [lv.energy for lv in find_levels(pair)]
-        fd = fd_levels(pair_profile(pair), max(len(levels), 1) + 2, FdConfig(grid_points=10001))
+        levels = [lv.energy for lv in solve_pair(pair).levels]
+        fd = fd_solve(pair_profile(pair), max(len(levels), 1) + 2,
+                      FdConfig(grid_points=10001)).levels
         assert len(fd) == len(levels)
         for mine, ref in zip(levels, fd):
             assert mine == pytest.approx(ref, abs=5e-3)
 
 
 def test_count_matches_oracle_on_pair1(pair1):
-    n = len(find_levels(pair1))
-    fd = fd_levels(pair_profile(pair1), n + 3)
+    n = len(solve_pair(pair1).levels)
+    fd = fd_solve(pair_profile(pair1), n + 3).levels
     assert len(fd) == n
 
 
@@ -383,21 +384,21 @@ def test_count_monotone_in_depth():
     counts = []
     for v_deep in (0.3, 0.6, 0.9, 1.2, 1.5, 1.8):
         pair = WellPair(width=20.0, distance=30.0, v_shallow=0.2, v_deep=v_deep)
-        counts.append(len(find_levels(pair)))
+        counts.append(len(solve_pair(pair).levels))
     assert counts == sorted(counts)
     assert counts[-1] > counts[0]
 
 
 def test_no_bound_state_for_tiny_well():
     pair = WellPair(width=1.0, distance=3.0, v_shallow=0.01, v_deep=0.02)
-    assert find_levels(pair) == []
-    fd = fd_levels(pair_profile(pair), 1, FdConfig(grid_points=2001))
-    assert fd == []
+    assert solve_pair(pair).levels == ()
+    fd = fd_solve(pair_profile(pair), 1, FdConfig(grid_points=2001)).levels
+    assert fd == ()
 
 
 def test_monotone_discovery_under_grid_refinement(pair1):
-    coarse = [lv.energy for lv in find_levels(pair1, SolverConfig(grid_step=4e-5))]
-    fine = [lv.energy for lv in find_levels(pair1, SolverConfig(grid_step=2e-5))]
+    coarse = [lv.energy for lv in solve_pair(pair1, SolverConfig(grid_step=4e-5)).levels]
+    fine = [lv.energy for lv in solve_pair(pair1, SolverConfig(grid_step=2e-5)).levels]
     assert len(fine) >= len(coarse)
     for e in coarse:
         assert min(abs(e - f) for f in fine) < 1e-8
@@ -405,7 +406,7 @@ def test_monotone_discovery_under_grid_refinement(pair1):
 
 def test_near_degenerate_doublet_resolved(pair3):
     # pair 3 carries the narrowest doublet (~1.5e-4 eV, under 10 grid steps)
-    levels = [lv.energy for lv in find_levels(pair3, e_min=0.42, e_max=0.47)]
+    levels = [lv.energy for lv in solve_pair(pair3, e_min=0.42, e_max=0.47).levels]
     assert len(levels) == 2
     splitting = levels[1] - levels[0]
     assert 0.0 < splitting < 10 * SolverConfig().grid_step
@@ -414,8 +415,6 @@ def test_near_degenerate_doublet_resolved(pair3):
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(grid_step=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(residual_tol=-1.0)
 
 
 def test_calibrate_distance_reference_pair(pair1):
@@ -428,7 +427,7 @@ def test_calibrate_distance_reference_pair(pair1):
 
 def test_calibrate_distance_fixed_point(pair1):
     at_mid = replace(pair1, distance=62.0)
-    targets = [lv.energy for lv in find_levels(at_mid, e_min=1.43, e_max=1.47)]
+    targets = [lv.energy for lv in solve_pair(at_mid, e_min=1.43, e_max=1.47).levels]
     result = calibrate_distance(pair1, targets, (61.0, 63.0))
     assert result.value == pytest.approx(62.0, abs=1e-2)
     assert result.misfit < 1e-6
@@ -605,7 +604,8 @@ def test_implicit_level_slopes_match_solved_levels(reference_spec, role):
     make_pair = _vary(template, role)
 
     def levels(at):
-        return np.array([lv.energy for lv in find_levels(make_pair(at), e_min=e_lo, e_max=e_hi)])
+        levels = solve_pair(make_pair(at), e_min=e_lo, e_max=e_hi).levels
+        return np.array([lv.energy for lv in levels])
 
     energies = levels(x)
     h = 1e-2 * step
@@ -631,8 +631,8 @@ def test_implicit_level_slopes_match_solved_levels(reference_spec, role):
 )
 def test_calibration_recovers_off_grid_hidden_value(pair1, pair2, role, hidden, x_range, window):
     pair = pair1 if role == "distance" else pair2
-    targets = [lv.energy for lv in find_levels(_vary(pair, role)(hidden), e_min=window[0],
-                                               e_max=window[1])]
+    targets = [lv.energy for lv in solve_pair(_vary(pair, role)(hidden), e_min=window[0],
+                                              e_max=window[1]).levels]
     assert len(targets) == 2
     if role == "distance":
         result, step = calibrate_distance(pair, targets, x_range), 0.01
@@ -671,14 +671,14 @@ def test_calibration_logs_one_debug_record(pair1, caplog, capsys):
 
 
 def test_windowed_solve_consistency(pair1):
-    full = [lv.energy for lv in find_levels(pair1)]
-    windowed = [lv.energy for lv in find_levels(pair1, e_min=1.40, e_max=1.50)]
+    full = [lv.energy for lv in solve_pair(pair1).levels]
+    windowed = [lv.energy for lv in solve_pair(pair1, e_min=1.40, e_max=1.50).levels]
     expected = [e for e in full if 1.40 <= e <= 1.50]
     assert windowed == pytest.approx(expected, abs=1e-10)
 
 
 def test_empty_window_is_valid(pair1):
-    assert find_levels(pair1, e_min=1.50, e_max=1.40) == []
+    assert solve_pair(pair1, e_min=1.50, e_max=1.40).levels == ()
 
 
 def test_level_above_the_last_grid_point_is_found():
@@ -733,6 +733,6 @@ def test_doublet_inside_one_grid_cell_is_found(reference_spec, index, count):
     assert coarse.diagnostics.skipped_intervals == () == coarse.diagnostics.discarded_candidates
     for mine, ref in zip(coarse.levels, fine.levels):
         assert mine.energy == pytest.approx(ref.energy, abs=1e-12)
-        assert mine.residual <= coarse.config.residual_tol
+        assert mine.residual <= eigensolver._RESIDUAL_TOL
         lo, hi = mine.bracket
         assert lo == hi or np.nextafter(lo, math.inf) == hi

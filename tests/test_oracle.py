@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wellcascade import oracle
-from wellcascade.eigensolver import SolverConfig, find_levels, solve_pair
+from wellcascade.eigensolver import SolverConfig, solve_pair
 from wellcascade.oracle import FdConfig, count_nodes, fd_solve, fd_states
 from wellcascade.potential import PotentialProfile, WellPair, cascade_profile, pair_profile
 from wellcascade.quantities import CODATA2018
@@ -61,7 +61,7 @@ def test_cascade_profile_contains_global_ground(reference_spec):
 
 def test_step_halving_convergence(pair1):
     profile = pair_profile(pair1)
-    reference = [lv.energy for lv in find_levels(pair1)]
+    reference = [lv.energy for lv in solve_pair(pair1).levels]
     n = len(reference)
     coarse = np.array(fd_solve(profile, n, FdConfig(grid_points=5001)).levels)
     mid = np.array(fd_solve(profile, n, FdConfig(grid_points=10003)).levels)
@@ -78,7 +78,7 @@ def test_step_halving_convergence(pair1):
 
 
 def test_splitting_of_reference_pair(pair1):
-    levels = find_levels(pair1)
+    levels = solve_pair(pair1).levels
     energies = [lv.energy for lv in levels]
     i = min(range(len(energies)), key=lambda j: abs(energies[j] - 1.445))
     j = min(range(len(energies)), key=lambda k: abs(energies[k] - 1.460))
@@ -101,7 +101,7 @@ def test_symmetric_well_splitting_shrinks_with_barrier():
 
 def test_extrapolated_splitting_within_error_estimate(pair3):
     profile = pair_profile(pair3)
-    energies = [lv.energy for lv in find_levels(pair3)]
+    energies = [lv.energy for lv in solve_pair(pair3).levels]
     i = min(range(len(energies)), key=lambda j: abs(energies[j] - 0.4432))
     plain = fd_solve(profile, i + 2, FdConfig(grid_points=10001))
     rich = fd_solve(profile, i + 2, FdConfig(grid_points=10001, extrapolate=True))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wellcascade import eigensolver
-from wellcascade.eigensolver import find_levels
+from wellcascade.eigensolver import solve_pair
 from wellcascade.potential import WellPair
 from wellcascade.quantities import CODATA2018
 from wellcascade import transcendental
@@ -120,7 +120,7 @@ def test_rhs_at_cot_zero_reduces_to_barrier_decay(pair1):
 
 
 def test_mismatch_small_at_resonance_roots(pair1):
-    levels = find_levels(pair1, e_min=1.40, e_max=1.50)
+    levels = solve_pair(pair1, e_min=1.40, e_max=1.50).levels
     energies = [lv.energy for lv in levels]
     assert len(energies) == 2
     for e in energies:
@@ -128,7 +128,7 @@ def test_mismatch_small_at_resonance_roots(pair1):
 
 
 def test_mismatch_sign_change_around_isolated_root(pair1):
-    (root,) = [lv.energy for lv in find_levels(pair1, e_min=1.43, e_max=1.45)]
+    (root,) = [lv.energy for lv in solve_pair(pair1, e_min=1.43, e_max=1.45).levels]
     before = _mismatch(pair1, root - 1e-6)
     after = _mismatch(pair1, root + 1e-6)
     assert math.isfinite(before) and math.isfinite(after)
@@ -156,7 +156,7 @@ def test_mismatch_sign_changes_only_at_roots_or_poles(pair1):
     energies = e_lo + step * np.arange(n)
     scan = grid_scan(pair1, energies)
     mism = scan.mismatch
-    roots = [lv.energy for lv in find_levels(pair1, e_min=e_lo, e_max=e_hi)]
+    roots = [lv.energy for lv in solve_pair(pair1, e_min=e_lo, e_max=e_hi).levels]
     flips = np.nonzero(np.sign(mism[:-1]) * np.sign(mism[1:]) < 0)[0]
     assert len(flips) > 0
     for i in flips:
@@ -228,14 +228,14 @@ def test_roots_unchanged_by_rescaling(pair1):
                 hi = mid
         raw_roots.append(0.5 * (lo + hi))
 
-    solver_roots = [lv.energy for lv in find_levels(pair1, e_min=1.40, e_max=1.50)]
+    solver_roots = [lv.energy for lv in solve_pair(pair1, e_min=1.40, e_max=1.50).levels]
     assert len(raw_roots) == len(solver_roots)
     for raw_e, ref_e in zip(sorted(raw_roots), solver_roots):
         assert raw_e == pytest.approx(ref_e, abs=1e-9)
 
 
 def test_all_roots_inside_open_interval(pair1):
-    for lv in find_levels(pair1):
+    for lv in solve_pair(pair1).levels:
         assert 0.0 < lv.energy < pair1.v_deep
 
 

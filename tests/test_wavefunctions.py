@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wellcascade.cli import main
-from wellcascade.eigensolver import Level, find_levels, solve_pair
+from wellcascade.eigensolver import Level, solve_pair
 from wellcascade.oracle import FdConfig, count_nodes, fd_states
 from wellcascade.potential import WellPair, pair_profile, pair_segments
 from wellcascade.transcendental import Regime
@@ -21,7 +21,7 @@ def wide_pair(distance):
 
 @pytest.fixture(scope="module")
 def pair1_levels(pair1):
-    return find_levels(pair1)
+    return solve_pair(pair1).levels
 
 
 @pytest.fixture(scope="module")
@@ -134,7 +134,7 @@ def test_non_eigenvalue_rejected(pair1, pair1_levels, paper_states):
     # every level of paper.cfg and of the wide pairs, shifted by 1e-8 eV
     shifted = [(pair, level) for pair, level, _ in paper_states]
     for d in WIDE_DISTANCES:
-        shifted += [(wide_pair(d), level) for level in find_levels(wide_pair(d))]
+        shifted += [(wide_pair(d), level) for level in solve_pair(wide_pair(d)).levels]
     assert len(shifted) == 76
     for pair, level in shifted:
         with pytest.raises(ValueError, match="far-wall residual"):
@@ -144,7 +144,7 @@ def test_non_eigenvalue_rejected(pair1, pair1_levels, paper_states):
 @pytest.mark.parametrize("distance", WIDE_DISTANCES)
 def test_wide_barrier_builds_every_level(distance):
     pair = wide_pair(distance)
-    levels = find_levels(pair)
+    levels = solve_pair(pair).levels
     assert len(levels) == 13
     x_fd, _, vectors = fd_states(pair_profile(pair), 13, FdConfig(grid_points=10001))
     with warnings.catch_warnings():
