@@ -15,7 +15,7 @@ it into ``report.json``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dynamics import ResonantPair, TransferStep, decay_time, tunneling_time
 from .eigensolver import SolveResult, SolverConfig, _solve_all
@@ -50,8 +50,7 @@ REFERENCE_LEVELS_EV = {
 }
 
 
-@dataclass(frozen=True)
-class StepReference:
+class StepReference(NamedTuple):
     """One reference row: transfer time and energy span of a step."""
 
     time_ps: float
@@ -73,8 +72,7 @@ class ResonanceNotFoundError(RuntimeError):
     """No doublet close enough to the incoming electron energy."""
 
 
-@dataclass(frozen=True)
-class PairLevels:
+class PairLevels(NamedTuple):
     """Solved levels of one pair, with the shift onto the global reference."""
 
     index: int  # 1-based pair number; 4 = closing pair
@@ -90,8 +88,7 @@ class PairLevels:
         return tuple(lv.energy + self.offset_ev for lv in self.result.levels)
 
 
-@dataclass(frozen=True)
-class WellSummary:
+class WellSummary(NamedTuple):
     label: str
     width: float
     depth_ev: float
@@ -99,16 +96,14 @@ class WellSummary:
     ground_ev: float  # global energy of the well's own ground-class level
 
 
-@dataclass(frozen=True)
-class Absorption:
+class Absorption(NamedTuple):
     from_ev: float
     to_ev: float
     delta_ev: float
     wavelength_nm: float
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
     """One transfer step of the model beside its measured counterpart."""
 
     step: int
@@ -123,8 +118,7 @@ class ComparisonRow:
     reference_energy_to_ev: float
 
 
-@dataclass(frozen=True)
-class CascadeReport:
+class CascadeReport(NamedTuple):
     """The solved cascade: per-well and per-pair levels, the schedule, and
     ``comparison``, one :class:`ComparisonRow` per step against
     ``EXPERIMENT_REFERENCE``."""

@@ -15,6 +15,9 @@ report and solve-pair dictionaries are built here) and every CSV through
 ``_write_csv``, numbers at 9 significant digits, LF line ends on every
 platform.  All file outputs are deterministic for a given config: no
 timestamps or host information is ever written into data files.
+
+The oracle and wavefunction modules are imported inside the commands that
+run them, so ``cascade`` and the other commands start without them.
 """
 
 from __future__ import annotations
@@ -25,26 +28,26 @@ import dataclasses
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import cascade as cascade_mod
 from .dynamics import ResonantPair, decay_time, tunneling_time
 from .eigensolver import (
     CalibrationError,
+    FdConfig,
     Level,
     SolveResult,
     SolverConfig,
+    SturmCountError,
     calibrate_depth,
     calibrate_distance,
     solve_pair,
     uniform_grid,
 )
-from .oracle import FdConfig, SturmCountError, fd_solve, fd_states
 from .potential import CascadeSpec, WellPair, cascade_profile, pair_profile
 from .quantities import PhysicalConstants, make_constants
 from .transcendental import GridScan, grid_scan
-from .wavefunctions import build_wavefunction, sample_wavefunction
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config", "report_to_dict", "main"]
 
@@ -57,8 +60,7 @@ class ConfigError(ValueError):
     """Configuration rejected before any computation ran."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     spec: CascadeSpec
     solver: SolverConfig
     oracle: FdConfig
@@ -477,6 +479,8 @@ def _cmd_scan_pair(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracle import fd_solve, fd_states
+
     config = load_config(args.config)
     if args.cascade:
         profile = cascade_profile(config.spec)
@@ -637,6 +641,8 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_wavefunction(args) -> int:
+    from .wavefunctions import build_wavefunction, sample_wavefunction
+
     config = load_config(args.config)
     pair, offset, name = _resolve_pair(config, args.pair)
     result = solve_pair(pair, config.solver, constants=config.constants)

@@ -54,6 +54,15 @@ target is matched to its nearest level; the slope of a level follows from
 the cleared form F(x, E) = 0 as dE/dx = -F_x/F_E, both partials by differences of one
 :func:`characteristic` call, and a Gauss-Newton step (halved until the
 misfit drops) costs one windowed solve, so a fit takes about two solves.
+
+The finite-difference oracle's :class:`FdConfig` and :class:`SturmCountError`
+are defined here too, beside :class:`SolverConfig`: the CLI parses a config's
+``[oracle]`` section and catches the error without loading
+:mod:`wellcascade.oracle`, which imports both back.  The result records
+(:class:`Level`, :class:`SolveDiagnostics`, :class:`SolveResult`,
+:class:`CalibrationResult`) only carry fields, so they are ``NamedTuple``
+classes, cheaper to create at import than frozen dataclasses; derive a
+changed copy with ``._replace``.
 """
 
 from __future__ import annotations
@@ -71,6 +80,8 @@ from .transcendental import Regime, characteristic, classify_regime, count_below
 
 __all__ = [
     "SolverConfig",
+    "FdConfig",
+    "SturmCountError",
     "Level",
     "SolveDiagnostics",
     "SolveResult",
@@ -129,7 +140,25 @@ class SolverConfig:
 
 
 @dataclass(frozen=True)
-class Level:
+class FdConfig:
+    """Grid resolution and refinement switches for the oracle; 1001 to 10**7 grid points."""
+
+    grid_points: int = 20001
+    extrapolate: bool = False
+
+    def __post_init__(self) -> None:
+        if not 1001 <= self.grid_points <= _MAX_GRID_POINTS or self.grid_points % 2 == 0:
+            raise ValueError(
+                f"grid_points must be odd and in [1001, {_MAX_GRID_POINTS}], "
+                f"got {self.grid_points}"
+            )
+
+
+class SturmCountError(ArithmeticError):
+    """The oracle's count of its levels disagrees with LAPACK's."""
+
+
+class Level(NamedTuple):
     """One bound state: pair-local energy plus solver bookkeeping.
 
     ``residual`` is the relative size of the cleared matching function at the
@@ -143,16 +172,14 @@ class Level:
     index: int
 
 
-@dataclass(frozen=True)
-class SolveDiagnostics:
+class SolveDiagnostics(NamedTuple):
     grid_points: int
     sign_changes: int
     skipped_intervals: tuple[tuple[float, float], ...]
     discarded_candidates: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     pair: WellPair
     config: SolverConfig
     levels: tuple[Level, ...]
@@ -578,8 +605,7 @@ def solve_pair(
     return _solve_all([pair], config or SolverConfig(), e_min, e_max, constants)[0]
 
 
-@dataclass(frozen=True)
-class CalibrationResult:
+class CalibrationResult(NamedTuple):
     """Best parameter value found, its misfit, and the levels of its solve.
 
     ``levels`` holds every kept level of the solve window, which runs from

@@ -53,18 +53,23 @@ leaves 5.3e-9 eV on pair 2, where the raw levels are off by 9.4e-10 eV.
 ROADMAP.md ("An oracle that converges at a known order") plans a grid with a
 node on every breakpoint.
 
-scipy is imported inside the functions that call it, so importing the
-package, and running every CLI command but ``oracle``, does not load it.
+scipy is imported inside the functions that call it, and the CLI imports
+this module only in its ``oracle`` command, so importing the package, and
+running every CLI command but ``oracle``, loads neither.  :class:`FdConfig`
+and :class:`SturmCountError` are defined in :mod:`wellcascade.eigensolver`,
+beside :class:`~wellcascade.eigensolver.SolverConfig`, so that reading a
+config needs nothing of this module; they are imported here, so
+``wellcascade.oracle.FdConfig`` and ``.SturmCountError`` name them still.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .eigensolver import _MAX_GRID_POINTS, _multisect
+from .eigensolver import FdConfig, SturmCountError, _multisect
 from .potential import PotentialProfile
 from .quantities import CODATA2018, PhysicalConstants
 
@@ -84,27 +89,7 @@ _NODE_FLOOR = 1e-9
 _KAPPA_FLOOR = 1e-150
 
 
-class SturmCountError(ArithmeticError):
-    """The oracle's count of its levels disagrees with LAPACK's."""
-
-
-@dataclass(frozen=True)
-class FdConfig:
-    """Grid resolution and refinement switches for the oracle; 1001 to 10**7 grid points."""
-
-    grid_points: int = 20001
-    extrapolate: bool = False
-
-    def __post_init__(self) -> None:
-        if not 1001 <= self.grid_points <= _MAX_GRID_POINTS or self.grid_points % 2 == 0:
-            raise ValueError(
-                f"grid_points must be odd and in [1001, {_MAX_GRID_POINTS}], "
-                f"got {self.grid_points}"
-            )
-
-
-@dataclass(frozen=True)
-class FdResult:
+class FdResult(NamedTuple):
     """Eigenvalues below the barrier top, with optional Richardson data."""
 
     levels: tuple[float, ...]

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import pickle
 
 import pytest
 
@@ -9,8 +10,9 @@ from wellcascade.cascade import (
     solve_cascade,
 )
 from wellcascade.cli import report_to_dict
+from wellcascade.eigensolver import solve_pair
 from wellcascade.oracle import FdConfig, fd_solve
-from wellcascade.potential import CascadeSpec, cascade_profile
+from wellcascade.potential import CascadeSpec, cascade_profile, pair_profile
 
 
 @pytest.fixture(scope="module")
@@ -149,3 +151,33 @@ def test_invalid_parameters_rejected(reference_spec):
         solve_cascade(dataclasses.replace(reference_spec, absorption_target_ev=-1.0))
     with pytest.raises(ValueError):
         solve_cascade(dataclasses.replace(reference_spec, resonance_window_ev=0.0))
+
+
+# each result, and (record, field) pairs of it and of the records it holds
+RESULT_RECORDS = {
+    "cascade": (
+        solve_cascade,
+        lambda r: [(r, "spec"), (r.pairs[0], "offset_ev"), (r.wells[0], "ground_ev"),
+                   (r.absorption, "delta_ev"), (r.comparison[0], "time_ratio"),
+                   (EXPERIMENT_REFERENCE[0], "time_ps")],
+    ),
+    "pair": (
+        lambda spec: solve_pair(spec.pair(0)),
+        lambda r: [(r, "levels"), (r.levels[0], "energy"), (r.diagnostics, "grid_points")],
+    ),
+    "oracle": (
+        lambda spec: fd_solve(pair_profile(spec.pair(0)), 4),
+        lambda r: [(r, "levels")],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", RESULT_RECORDS)
+def test_result_records_survive_pickling_and_stay_frozen(reference_spec, kind):
+    solve, fields = RESULT_RECORDS[kind]
+    result = solve(reference_spec)
+    again = pickle.loads(pickle.dumps(result))
+    assert type(again) is type(result) and again == result
+    for record, name in fields(result):
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))

@@ -683,15 +683,61 @@ def test_level_out_of_range_exits_1(tmp_path, reference_config_file):
     assert rc == 1
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def _fresh_python(code: str, *args: str) -> str:
+    """Standard output of ``code`` run in a new interpreter on this checkout's source."""
     env = dict(os.environ)
     src = str(Path(wellcascade.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    code = (
-        "import sys, wellcascade.cli; "
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out.strip() == "[]"
+
+
+def test_cli_import_leaves_scipy_unloaded(reference_config_file, tmp_path):
+    # importing the CLI loads no scipy, and the cascade command loads neither
+    # scipy nor the oracle or the wavefunctions
+    code = (
+        "import sys, wellcascade.cli\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')\n"
+        "                  or m in ('wellcascade.oracle', 'wellcascade.wavefunctions'))\n"
+        "after_import = loaded()\n"
+        "status = wellcascade.cli.main(sys.argv[1:])\n"
+        "print(after_import, loaded(), status)\n"
+    )
+    out = _fresh_python(
+        code, "cascade", "--config", str(reference_config_file), "--output-dir", str(tmp_path)
+    )
+    assert out.splitlines()[-1] == "[] [] 0"
+    assert (tmp_path / "report.json").read_bytes() == GOLDEN_REPORT.read_bytes()
+
+
+def test_package_names_load_on_first_use():
+    homes = {
+        "CascadeSpec": "wellcascade.potential",
+        "WellPair": "wellcascade.potential",
+        "build_wavefunction": "wellcascade.wavefunctions",
+        "fd_solve": "wellcascade.oracle",
+        "solve_cascade": "wellcascade.cascade",
+        "solve_pair": "wellcascade.eigensolver",
+    }
+    code = (
+        "import importlib, json, sys, wellcascade\n"
+        "submodules = sorted(m for m in sys.modules if m.startswith('wellcascade.'))\n"
+        "names = {}\n"
+        "exec('from wellcascade import *', names)\n"
+        "homes = json.loads(sys.argv[1])\n"
+        "print(json.dumps({\n"
+        "    'submodules': submodules,\n"
+        "    'bound': sorted(n for n in names if not n.startswith('__')),\n"
+        "    'home': sorted(n for n in names if n in homes\n"
+        "                   and names[n] is getattr(importlib.import_module(homes[n]), n)),\n"
+        "    'dir': sorted(set(homes) & set(dir(wellcascade))),\n"
+        "}))\n"
+    )
+    seen = json.loads(_fresh_python(code, json.dumps(homes)))
+    assert seen["submodules"] == []
+    assert sorted(wellcascade.__all__) == sorted(homes)
+    assert seen["bound"] == seen["home"] == seen["dir"] == sorted(homes)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        wellcascade.no_such_name

@@ -1,4 +1,3 @@
-import dataclasses
 import warnings
 from collections import Counter
 
@@ -138,7 +137,7 @@ def test_non_eigenvalue_rejected(pair1, pair1_levels, paper_states):
     assert len(shifted) == 76
     for pair, level in shifted:
         with pytest.raises(ValueError, match="far-wall residual"):
-            build_wavefunction(pair, dataclasses.replace(level, energy=level.energy + 1e-8))
+            build_wavefunction(pair, level._replace(energy=level.energy + 1e-8))
 
 
 @pytest.mark.parametrize("distance", WIDE_DISTANCES)
