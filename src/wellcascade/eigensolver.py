@@ -25,9 +25,10 @@ lockstep spans every solve of a batch.  A batch is one geometry of
 parameter arrays (one pair per element) solved with one
 :class:`SolverConfig` over one energy window: a single :func:`solve_pair`
 is a batch of one, the cascade solves its four pairs as one batch, and
-calibration solves its whole coarse grid as one batch, the template's
-geometry with the searched parameter set to an array.  So numpy's per-call
-overhead is paid once per round rather than once per round and candidate.
+calibration solves the candidates of its coarse grid that can win as one
+or two batches, the template's geometry with the searched parameter set to
+an array.  So numpy's per-call overhead is paid once per round rather than
+once per round and candidate.
 Bisection is unconditionally safe here because the cleared form is
 continuous and free of poles; it always runs down to machine resolution, so
 every reported bracket closes at adjacent doubles (or at an exact zero) and
@@ -47,10 +48,17 @@ where the raw mismatch is ill-conditioned beyond double precision.
 
 Calibration searches one geometry parameter (center distance or one depth)
 so that the pair's levels best match a set of target energies: a
-deterministic coarse batch (the whole grid solved as one batch, every misfit
-read from its level arrays at once; no pair object is built per candidate),
-then Newton refinement on implicit level slopes inside the best cell.  Each
-target is matched to its nearest level; the slope of a level follows from
+deterministic coarse search, then Newton refinement on implicit level
+slopes inside the best cell.  The coarse search first screens its grid by
+the count alone: a ladder of windows ``t +- delta`` around each target,
+``delta`` falling by decades from ``_SEARCH_PAD``, drops every candidate
+that has no level in some window, and that window proves a lower bound on
+its misfit.  The candidates left at the last rung are solved as one batch,
+then those whose bound does not exceed the best misfit found; every misfit
+is read from the level arrays at once, and no pair object is built per
+candidate.  The others cannot win, so the best coarse point is that of
+solving the whole grid, bit for bit.  Each target is matched to its
+nearest level; the slope of a level follows from
 the cleared form F(x, E) = 0 as dE/dx = -F_x/F_E, both partials by differences of one
 :func:`characteristic` call, and a Gauss-Newton step (halved until the
 misfit drops) costs one windowed solve, so a fit takes about two solves.
@@ -673,12 +681,50 @@ def _level_slopes(template, field, x, energies, x_range, h, h_e, constants) -> n
         return -((f[1] - f[0]) / (x_hi - x_lo)) / ((f[3] - f[2]) / (e_hi - e_lo))
 
 
+def _screen(geometry, targets, constants):
+    """Prove lower bounds on the coarse candidates' misfits by the count alone.
+
+    A ladder of rungs ``delta = _SEARCH_PAD, _SEARCH_PAD/10, ...``: each rung
+    is one :func:`count_below` call at ``t - delta`` and ``t + delta`` for
+    every target ``t`` of every candidate still passing.  A candidate without
+    a level between those ends for some target leaves the ladder: each of its
+    levels lies at least ``gap``, the nearer end's distance, from that target,
+    so its misfit is at least ``gap`` as :func:`_misfits` rounds it, whatever
+    the solver keeps of the levels the count sees.  The descent stops when at
+    most one candidate passes, or before a rung that none passes.  Returns the
+    candidates passing at the last rung, each candidate's bound (0 for those
+    passing) and the number of rungs.
+    """
+    t = np.array(targets)
+    bound = np.zeros(geometry.width.size)
+    passing, delta, rungs = np.arange(bound.size), _SEARCH_PAD, 0
+    while passing.size > 1:
+        ends = np.concatenate([t - delta, t + delta])
+        segments = pair_segments(geometry.take(np.repeat(passing, ends.size)))
+        n = count_below(segments, np.tile(ends, passing.size), constants)
+        n = n.reshape(passing.size, 2, t.size)
+        rungs += 1
+        inside = (n[:, 1] > n[:, 0]).all(axis=1)
+        if not inside.any():
+            break
+        gap = np.minimum(t - ends[: t.size], ends[t.size :] - t).min()
+        bound[passing[~inside]] = np.sqrt(np.float_power(gap, 2))
+        passing, delta = passing[inside], delta / 10.0
+    return passing, bound, rungs
+
+
 def _calibrate_1d(template, field, targets, lo, hi, step, cfg, constants, what):
     """Fit ``template``'s parameter ``field`` over ``[lo, hi]`` to the target energies.
 
-    Every solve, the coarse batch and each Newton trial alike, is a
-    :func:`_solve_batch` of parameter arrays; the callers' range checks keep
-    every pair in the range valid, so no :class:`WellPair` is built."""
+    The coarse grid is screened by the count (:func:`_screen`); the
+    candidates still passing are solved as one batch, and their smallest
+    misfit M* then leaves one more batch: the screened-out candidates whose
+    proven bound does not exceed M*.  Every other candidate's misfit is
+    above M*, so the best coarse point and its levels are those of solving
+    the whole grid, bit for bit (a candidate's levels do not depend on its
+    batch).  Every solve, the coarse batches and each Newton trial alike, is
+    a :func:`_solve_batch` of parameter arrays; the callers' range checks
+    keep every pair in the range valid, so no :class:`WellPair` is built."""
     targets = [float(t) for t in targets]
     if not targets:
         raise ValueError("calibration needs at least one target energy")
@@ -716,13 +762,29 @@ def _calibrate_1d(template, field, targets, lo, hi, step, cfg, constants, what):
     grid = uniform_grid(lo, hi, step).tolist()
     if grid[-1] < hi - 1e-12 * max(1.0, abs(hi)):
         grid.append(hi)
-    # the whole coarse grid is one batch, its misfits taken from the level arrays
-    batch = _solve_batch(_Geometry.varied(template, field, grid), cfg, e_min, e_max, constants)
-    energies = batch.energy[batch.kept]
-    counts = np.bincount(batch.owner[batch.kept], minlength=len(grid))
-    b = int(np.argmin(_misfits(energies, counts, targets)))
-    first = int(counts[:b].sum())
-    best = coarse_best = fit(grid[b], energies[first : first + counts[b]])
+    # the coarse grid: the screen's last passing set, then the candidates that
+    # can still win, each one batch with its misfits taken from the level arrays
+    geometry = _Geometry.varied(template, field, grid)
+    passing, bound, rungs = _screen(geometry, targets, constants)
+    misfit = np.full(len(grid), math.inf)
+    first, counts, pool = np.zeros(len(grid), dtype=int), np.zeros(len(grid), dtype=int), []
+
+    def solve(which):
+        batch = _solve_batch(geometry.take(which), cfg, e_min, e_max, constants)
+        energies = batch.energy[batch.kept]
+        counts[which] = np.bincount(batch.owner[batch.kept], minlength=which.size)
+        first[which] = sum(e.size for e in pool) + np.cumsum(counts[which]) - counts[which]
+        misfit[which] = _misfits(energies, counts[which], targets)
+        pool.append(energies)
+
+    solve(passing)
+    bound[passing] = math.inf
+    rest = np.flatnonzero(bound <= misfit.min())
+    if rest.size:
+        solve(rest)
+    b = int(np.argmin(misfit))
+    energies = np.concatenate(pool)[first[b] : first[b] + counts[b]]
+    best = coarse_best = fit(grid[b], energies)
     iterates, solves = [], 0
     if 1e-12 < best.misfit < math.inf and len(grid) > 1:
         # Gauss-Newton from the best coarse point, kept inside its grid cell; a
@@ -752,7 +814,14 @@ def _calibrate_1d(template, field, targets, lo, hi, step, cfg, constants, what):
             fine = trial
         if fine.misfit <= best.misfit:
             best = fine
-    _log_calibration(what, coarse_best, len(grid), iterates, solves)
+    _log_calibration(what, coarse_best, len(grid), rungs, passing.size + rest.size, iterates,
+                     solves)
+    if best.misfit == math.inf:
+        raise CalibrationError(
+            f"calibration failed: no {what} in [{lo:.6g}, {hi:.6g}] has a level in the "
+            f"solve window [{e_min:.6g}, {e_max:.6g}] eV",
+            best=best,
+        )
     if best.misfit > _MISFIT_TOL:
         raise CalibrationError(
             f"calibration failed: best {what} {best.value:.6g} leaves misfit "
@@ -762,7 +831,7 @@ def _calibrate_1d(template, field, targets, lo, hi, step, cfg, constants, what):
     return best
 
 
-def _log_calibration(what, start, points, iterates, solves) -> None:
+def _log_calibration(what, start, points, rungs, solved, iterates, solves) -> None:
     # imported here: only calibration logs, and the other commands start without logging
     import logging
 
@@ -771,8 +840,9 @@ def _log_calibration(what, start, points, iterates, solves) -> None:
         steps = "; ".join(f"x={x:.9g} misfit={m:.3e} dx={dx:.3e}" for x, m, dx in iterates)
         log.debug(
             "calibrate %s: best of %d coarse points %s=%.9g (misfit %.3e eV); "
-            "newton [%s]; %d refinement solves",
-            what, points, what, start.value, start.misfit, steps or "none", solves,
+            "%d screen rungs, %d coarse points solved; newton [%s]; %d refinement solves",
+            what, points, what, start.value, start.misfit, rungs, solved, steps or "none",
+            solves,
         )
 
 
@@ -787,9 +857,10 @@ def calibrate_distance(
 ) -> CalibrationResult:
     """Find the center distance whose levels best match ``targets`` (eV).
 
-    Searches ``l_range`` on a ``step`` grid (0.01 Angstrom by default) as one
-    coarse batch, then refines the best cell by Newton steps on implicit
-    level slopes.  Raises :class:`CalibrationError` (carrying the best
+    Searches ``l_range`` on a ``step`` grid (0.01 Angstrom by default),
+    solving only the points that the count screen leaves able to win (see
+    :func:`_calibrate_1d`), then refines the best cell by Newton steps on
+    implicit level slopes.  Raises :class:`CalibrationError` (carrying the best
     candidate) if the final misfit exceeds 5e-3 eV.  Each solve spans the
     targets with 0.05 eV to spare on either side.  Target energies must be
     finite.
@@ -817,8 +888,10 @@ def calibrate_depth(
     """Search one well depth with the other held fixed.
 
     ``fixed_role`` names the depth that stays at its template value,
-    ``"shallow"`` or ``"deep"``; the other one is varied over ``depth_range``.
-    Target energies are pair-local (measured from the deep-well bottom).
+    ``"shallow"`` or ``"deep"``; the other one is varied over ``depth_range``
+    on a ``step`` grid (5e-4 eV by default), screened, solved and refined as
+    in :func:`calibrate_distance`.  Target energies are pair-local (measured
+    from the deep-well bottom).
     """
     lo, hi = float(depth_range[0]), float(depth_range[1])
     if fixed_role not in ("shallow", "deep"):

@@ -610,6 +610,19 @@ def test_calibrate_rejects_non_finite_target(reference_config_file, capsys):
     assert captured.err.startswith("error: ") and "nan" in captured.err
 
 
+def test_calibrate_names_an_empty_solve_window(reference_config_file, capsys):
+    # pair 1's barrier top lies below 1.95 eV: no distance has a level in the window
+    rc = main(["calibrate", "--config", str(reference_config_file), "--pair", "1",
+               "--targets", "2.0,2.1", "--range", "60,61"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "computation error: calibration failed: no distance in [60, 61] has a level "
+        "in the solve window [1.95, 2.15] eV\n"
+    )
+
+
 def test_wavefunction_command(tmp_path, reference_config_file, reference_run_config):
     rc = main(
         [

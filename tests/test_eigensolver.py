@@ -321,7 +321,9 @@ def test_calibration_coarse_batch_scans_cell_ends_once(pair1, monkeypatch):
         scans.clear()
         batches.clear()
         calibrate_distance(pair1, [1.445, 1.460], l_range)
-        # one scan for the coarse batch and one for each one-pair refinement batch
+        # the misfit of these targets is flat at the count screen's resolution, so
+        # every coarse point passes its last rung and the whole grid is one batch:
+        # one scan for that coarse batch and one for each one-pair refinement batch
         assert batches[0] == points and set(batches[1:]) == {1}
         assert len(scans) == len(batches) > 1
         # on grid points only: two cell ends per level in the window, which
@@ -358,8 +360,10 @@ def test_calibration_cost_follows_refinement_not_coarse_points(pair1, monkeypatc
         result = calibrate_distance(pair1, [1.445, 1.460], l_range)
         assert result.value == pytest.approx(60.1888, abs=1e-3)
         coarse, *refinement = batches
-        # the coarse batch costs no more than one plain bisection, whatever its
-        # size; a refinement solve bisects its two brackets six halvings per call
+        # these flat targets leave every coarse point passing the count screen, so
+        # the whole grid is one coarse batch, which costs no more than one plain
+        # bisection, whatever its size; a refinement solve bisects its two
+        # brackets six halvings per call
         assert coarse <= plain, batches
         assert refinement and max(refinement) <= math.ceil(halvings / 6) + 1, batches
 
@@ -548,7 +552,7 @@ def test_calibrate_rejects_arguments_that_disable_the_fit(pair1, pair2, argument
 
 def test_calibration_without_levels_reports_infinite_misfit():
     tiny = WellPair(width=1.0, distance=3.0, v_shallow=0.01, v_deep=0.02)
-    with pytest.raises(CalibrationError) as info:
+    with pytest.raises(CalibrationError, match=r"solve window \[-0.035, 0.065\] eV") as info:
         calibrate_distance(tiny, [0.015], (3.0, 3.1))
     assert info.value.best.misfit == math.inf
 
@@ -653,10 +657,102 @@ def test_calibration_refines_in_a_few_solves(pair1, monkeypatch):
     monkeypatch.setattr(eigensolver, "_solve_batch", batching)
     result = calibrate_distance(pair1, [1.445, 1.460], (60.0, 60.5))
     assert f"{result.value:.6f}" == "60.188796"
-    # one coarse batch of the 51 grid points, then refinement batches of one
-    # pair each; golden section made ~34 solves
+    # one coarse batch of the 51 grid points (the flat targets pass the count
+    # screen everywhere), then refinement batches of one pair each; golden
+    # section made ~34 solves
     assert batches[0] == 51 and set(batches[1:]) == {1}
     assert 1 < len(batches) <= 1 + 6
+
+
+def _exhaustive_coarse_best(template, field, targets, x_range, step):
+    """The best coarse point of the whole grid solved as one batch, as a CalibrationResult."""
+    lo, hi = x_range
+    grid = uniform_grid(lo, hi, step).tolist()
+    if grid[-1] < hi - 1e-12 * max(1.0, abs(hi)):
+        grid.append(hi)
+    pad = eigensolver._SEARCH_PAD
+    batch = eigensolver._solve_batch(eigensolver._Geometry.varied(template, field, grid),
+                                     SolverConfig(), min(targets) - pad, max(targets) + pad,
+                                     CODATA2018)
+    energies = batch.energy[batch.kept]
+    counts = np.bincount(batch.owner[batch.kept], minlength=len(grid))
+    misfits = eigensolver._misfits(energies, counts, targets)
+    b = int(np.argmin(misfits))
+    first = int(counts[:b].sum())
+    levels = tuple(energies[first : first + counts[b]].tolist())
+    return eigensolver.CalibrationResult(value=grid[b], misfit=float(misfits[b]), levels=levels)
+
+
+# id -> (role, pair index, targets, or the seed of a hidden value drawn from the
+# middle of the range whose levels in the window are the targets, range, window)
+SCREEN_CASES = {
+    # an exact fit on the grid point 60.23; the CI pins its output
+    "exact-grid-point": ("distance", 0, [1.4448517161, 1.4599071581], (60.0, 61.0), None),
+    # 60.03 alone passes the last rung, with misfit 6.15e-6 eV; 60.02 left at the
+    # 5e-6 eV rung, but its misfit, 6.07e-6 eV, is the smallest
+    "survivor-wins": ("distance", 0, [1.4448416472, 1.4599365446], (60.0, 61.0), None),
+    "distance-seed-1": ("distance", 0, 1, (60.0, 61.0), (1.43, 1.47)),
+    "distance-seed-2": ("distance", 0, 2, (61.0, 62.0), (1.43, 1.47)),
+    "shallow-seed-1": ("shallow", 1, 1, (0.50, 0.55), (0.26, 0.32)),
+    "shallow-seed-2": ("shallow", 1, 2, (0.50, 0.55), (0.26, 0.28)),
+    "deep-seed-1": ("deep", 1, 1, (0.25, 0.30), (0.26, 0.32)),
+    "deep-seed-2": ("deep", 1, 2, (0.25, 0.30), (0.26, 0.28)),
+    # the README's inexact fit, flat at the screen's resolution over 501 points
+    "readme-flat": ("distance", 0, [1.445, 1.460], (60.0, 65.0), None),
+}
+
+
+@pytest.mark.parametrize("case", SCREEN_CASES)
+def test_calibration_screen_equals_the_exhaustive_search(reference_spec, monkeypatch, case):
+    role, index, targets, x_range, window = SCREEN_CASES[case]
+    template = reference_spec.pair(index)
+    step = 0.01 if role == "distance" else 5e-4
+    if window is not None:
+        u = np.random.default_rng(targets).uniform(0.2, 0.8)
+        hidden = _vary(template, role)(x_range[0] + u * (x_range[1] - x_range[0]))
+        targets = [lv.energy for lv in solve_pair(hidden, e_min=window[0],
+                                                  e_max=window[1]).levels]
+        assert targets
+
+    def calibrate():
+        if role == "distance":
+            return calibrate_distance(template, targets, x_range)
+        return calibrate_depth(template, role, targets, x_range)
+
+    sizes, logged = [], []
+    solve_batch, log_calibration = eigensolver._solve_batch, eigensolver._log_calibration
+
+    def batching(geometry, *args):
+        sizes.append(geometry.width.size)
+        return solve_batch(geometry, *args)
+
+    def log_recording(*args):
+        logged.append(args)
+        log_calibration(*args)
+
+    monkeypatch.setattr(eigensolver, "_solve_batch", batching)
+    monkeypatch.setattr(eigensolver, "_log_calibration", log_recording)
+    screened = calibrate()
+    ((_, start, points, rungs, solved, _, solves),) = logged
+    # the coarse batches come before the refinement solves
+    coarse = sizes[: len(sizes) - solves]
+    assert sum(coarse) == solved <= points
+    assert start == _exhaustive_coarse_best(template, FIELDS[role], targets, x_range, step)
+    if case == "exact-grid-point":
+        assert points == 101 and solved <= 3 and rungs > 1
+        assert f"{screened.value:.6f}" == "60.230000"
+    if case == "survivor-wins":
+        assert coarse[0] == 1 and len(coarse) == 2 and start.value == 60.02
+
+    # the exhaustive search: every coarse point passes the screen, one batch solves them all
+    def passing_all(geometry, *args):
+        n = geometry.width.size
+        return np.arange(n), np.zeros(n), 0
+
+    monkeypatch.setattr(eigensolver, "_screen", passing_all)
+    sizes.clear()
+    assert calibrate() == screened
+    assert sizes[0] == points
 
 
 def test_calibration_logs_one_debug_record(pair1, caplog, capsys):
@@ -666,6 +762,8 @@ def test_calibration_logs_one_debug_record(pair1, caplog, capsys):
     assert record.name == "wellcascade" and record.levelno == logging.DEBUG
     message = record.getMessage()
     assert "best of 51 coarse points distance=60.19" in message
+    # the flat targets leave every coarse point passing the screen
+    assert "4 screen rungs, 51 coarse points solved" in message
     assert "x=60.19 misfit=" in message and "refinement solves" in message
     assert capsys.readouterr().out == ""
 
