@@ -31,11 +31,11 @@ an array.  So numpy's per-call overhead is paid once per round rather than
 once per round and candidate.
 Bisection is unconditionally safe here because the cleared form is
 continuous and free of poles; it always runs down to machine resolution, so
-every reported bracket closes at adjacent doubles (or at an exact zero) and
-no tolerance stops it early.  A one-level cell is
-the bracket that scanning the whole grid for sign changes finds (see
-:func:`_solve_batch` for a level within rounding of a grid point), so the
-energies and residuals are the scan's bit for bit.
+every bisected bracket closes at adjacent doubles (or at an exact zero) and
+no tolerance stops it early.  A one-level cell with a sign change is the
+bracket that scanning the whole grid for sign changes finds, so its energy
+and residual are the scan's bit for bit; a level within rounding of a grid
+point is reported at that point (see :func:`_solve_batch`).
 
 A level's ``residual`` is the magnitude of the cleared matching function at
 the refined energy divided by its larger magnitude at the two ends of the
@@ -163,7 +163,7 @@ class FdConfig:
 
 
 class SturmCountError(ArithmeticError):
-    """The oracle's count of its levels disagrees with LAPACK's."""
+    """A level count contradicts itself, or the oracle's count disagrees with LAPACK's."""
 
 
 class Level(NamedTuple):
@@ -347,12 +347,7 @@ def _grids(geometry, step, e_min, e_max):
     return bottom, top, lo, np.where(sized, np.floor(span) + 1, 0).astype(int)
 
 
-def _sign_change(f_lo, f_hi):
-    """Where the cleared form changes sign across a bracket: both ends finite and nonzero."""
-    return np.isfinite(f_lo) & np.isfinite(f_hi) & (np.sign(f_lo) * np.sign(f_hi) < 0.0)
-
-
-def _cells(count, grid, size, bottom, top):
+def _cells(count, grid, size, bottom, top, geometry):
     """Number every level inside each pair's window and find its cell.
 
     Returns per level its pair, its index ``k`` among all levels of that
@@ -367,7 +362,9 @@ def _cells(count, grid, size, bottom, top):
     Brackets of two levels are the same or disjoint, so levels in one bracket
     (adjacent in the arrays) share its count points.  A round spends about
     ``_ROUND_POINTS`` points: a few brackets get many sections each, a large
-    batch is bisected.
+    batch is bisected.  A window whose count falls from its bottom to its top
+    raises :class:`SturmCountError`, naming the pair of ``geometry`` and both
+    ends.
     """
     cells = np.flatnonzero(top > bottom)
     length = size[cells] + 1  # from index -1 to size
@@ -379,6 +376,14 @@ def _cells(count, grid, size, bottom, top):
     at = np.repeat(cells, sections + 1)
     counts = count(at, energies.ravel()).reshape(points.shape)
     per = counts[:, -1] - counts[:, 0]
+    if (per < 0).any():
+        i = np.argmax(per < 0)
+        width, distance, v_shallow, v_deep = (x[cells[i]] for x in geometry)
+        raise SturmCountError(
+            f"the oscillation count of the pair (width {width} A, distance {distance} A, depths "
+            f"{v_shallow}/{v_deep} eV) falls from {counts[i, 0]} at {energies[i, 0]} eV to "
+            f"{counts[i, -1]} at {energies[i, -1]} eV"
+        )
     owner = np.repeat(cells, per)
     k = np.arange(per.sum()) - np.repeat(np.cumsum(per) - per - counts[:, 0], per)
     row = np.repeat(np.arange(cells.size), per)
@@ -426,38 +431,6 @@ def _isolate(count, owner, k, lo, hi, n_a, n_b):
     return (n_a == k) & (n_b == k + 1)
 
 
-def _neighbour_cells(scan, cell_end, size, owner, a, stray, lo, hi, f_lo, f_hi):
-    """Move stray one-level brackets to the neighbour cell that changes sign, in place.
-
-    A level within rounding of a grid point lies on either side of it for the
-    count and for the cleared form alike, so the cell the count gives can show
-    no sign change while the next one does; scanning the whole grid finds the
-    level there.  The neighbour ``[a-1, a]`` or ``[a+1, a+2]`` is taken when it
-    is a grid cell, no other level's count places it there and the cleared
-    form changes sign across it; with both, the side whose shared end is
-    nearer zero.  ``cell_end(owner, index)`` gives the energy of a cell end.
-    Returns the levels moved.
-    """
-    r, i = owner[stray], a[stray]
-    before, after = np.maximum(stray - 1, 0), np.minimum(stray + 1, a.size - 1)
-    taken_left = (before != stray) & (owner[before] == r) & (a[before] == i - 1)
-    taken_right = (after != stray) & (owner[after] == r) & (a[after] == i + 1)
-    both = np.tile(r, 2)
-    outer, _ = scan(both, cell_end(both, np.concatenate([i - 1, i + 2])))
-    f_left, f_right = outer.reshape(2, -1)
-    left = (i >= 1) & ~taken_left & _sign_change(f_left, f_lo[stray])
-    right = (i + 2 < size[r]) & ~taken_right & _sign_change(f_hi[stray], f_right)
-    right &= ~left | (np.abs(f_hi[stray]) <= np.abs(f_lo[stray]))
-    left &= ~right
-    go = stray[right]
-    lo[go], hi[go] = hi[go], cell_end(owner[go], a[go] + 2)
-    f_lo[go], f_hi[go] = f_hi[go], f_right[right]
-    go = stray[left]
-    lo[go], hi[go] = cell_end(owner[go], a[go] - 1), lo[go]
-    f_lo[go], f_hi[go] = f_left[left], f_lo[go]
-    return stray[left | right]
-
-
 class _Batch(NamedTuple):
     """Per-level arrays of a solve batch, grouped by pair in batch order."""
 
@@ -491,14 +464,17 @@ def _solve_batch(geometry: _Geometry, cfg: SolverConfig, e_min, e_max, constants
     (:func:`_isolate`).  One :func:`grid_scan` call evaluates the cleared form
     at every bracket end, and every bracket with a sign change goes to
     :func:`_bisect`, all together, several halvings per call.  A one-level
-    cell is the bracket the full-grid scan would find, so its level is the
-    scan's bit for bit.  A level within rounding of a grid point may show its
-    sign change in the next cell instead, as on the full grid: that cell is
-    taken when no other level's count places it there.  Every other bracket
-    without a sign change of the cleared form is reported in
-    ``skipped_intervals``.  Returns per-level arrays, which
-    :func:`_solve_all` assembles into one :class:`SolveResult` per pair and
-    calibration reads directly.
+    cell with a sign change is the bracket the full-grid scan would find, so
+    its level is the scan's bit for bit.  A bracket without one has its level
+    at the end nearer zero (the upper one at a tie) when the cleared form
+    there passes the residual filter and is no zero of all its terms
+    (``char_scale`` 0): exactly zero on any bracket, or within
+    ``_RESIDUAL_TOL`` of a one-level grid cell's finite scale.  The latter is
+    a level within rounding of a grid point, which the count can place on the
+    other side of that point than the cleared form.  Every other bracket
+    without a sign change is reported in ``skipped_intervals``.  Returns
+    per-level arrays, which :func:`_solve_all` assembles into one
+    :class:`SolveResult` per pair and calibration reads directly.
     """
     step = cfg.grid_step
     bottom, top, first, size = _grids(geometry, step, e_min, e_max)
@@ -511,51 +487,46 @@ def _solve_batch(geometry: _Geometry, cfg: SolverConfig, e_min, e_max, constants
         return first + step * index
 
     def cell_end(owner, index):
-        """A cell end's energy: the window's ends lie at -1 and from ``size`` on."""
+        """A cell end's energy: the window's ends lie at -1 and ``size``."""
         energy = grid(index)
         energy[index < 0] = bottom
         above = index >= size[owner]
         energy[above] = ceiling[owner[above]]
         return energy
 
-    def scan(owner, energies):
-        scanned = grid_scan(geometry.take(owner), energies, constants)
-        return scanned.char, scanned.char_scale
-
-    owner, k, a, n_a, n_b = _cells(count, grid, size, bottom, top)
+    owner, k, a, n_a, n_b = _cells(count, grid, size, bottom, top, geometry)
     cell_lo, cell_hi = cell_end(owner, a), cell_end(owner, a + 1)
     lo, hi = cell_lo.copy(), cell_hi.copy()
     isolated = _isolate(count, owner, k, lo, hi, n_a, n_b)
     split = np.flatnonzero((lo != cell_lo) | (hi != cell_hi))
 
     # the cleared form at every bracket end, and at the cell ends of split cells
-    char, char_scale = scan(
-        np.concatenate([owner, owner, owner[split], owner[split]]),
+    scan = grid_scan(
+        geometry.take(np.concatenate([owner, owner, owner[split], owner[split]])),
         np.concatenate([lo, hi, cell_lo[split], cell_hi[split]]),
+        constants,
     )
     # rows of a reshape, not np.split, whose Python-level slicing costs more per solve
-    f_lo, f_hi = char[: 2 * k.size].reshape(2, -1)
-    s_lo, s_hi = char_scale[: 2 * k.size].reshape(2, -1)
-    f_cell = char[2 * k.size :]
-    # a sign change is bisected; a zero at a bracket end is a level already
-    change = isolated & _sign_change(f_lo, f_hi)
-    zero_hi = isolated & ~change & (f_hi == 0.0) & (s_hi != 0.0)
-    zero_lo = isolated & ~change & ~zero_hi & (f_lo == 0.0) & (s_lo != 0.0)
-
-    stray = np.flatnonzero(isolated & ~(change | zero_hi | zero_lo))
-    stray = stray[~np.isin(stray, split)]
-    if stray.size:
-        change[_neighbour_cells(scan, cell_end, size, owner, a, stray, lo, hi, f_lo, f_hi)] = True
-
+    f_lo, f_hi = scan.char[: 2 * k.size].reshape(2, -1)
+    s_lo, s_hi = scan.char_scale[: 2 * k.size].reshape(2, -1)
+    m_lo, m_hi = np.abs(f_lo), np.abs(f_hi)
     # residual scale: the cleared form's size at the ends of the level's grid cell
-    scale = np.maximum(np.abs(f_lo), np.abs(f_hi))
-    scale[split] = np.maximum(*np.abs(f_cell).reshape(2, -1))
-    scale[zero_hi], scale[zero_lo] = s_hi[zero_hi], s_lo[zero_lo]
-    r_lo, r_hi = np.where(zero_hi, hi, lo), np.where(zero_lo, lo, hi)
+    scale = np.maximum(m_lo, m_hi)
+    # a sign change between finite ends is bisected; without one, the level is at an end
+    finite = np.isfinite(scale)
+    change = isolated & finite & (np.sign(f_lo) * np.sign(f_hi) < 0.0)
+    tol = np.where(finite, _RESIDUAL_TOL * scale, 0.0)
+    tol[split] = 0.0
+    scale[split] = np.maximum(*np.abs(scan.char[2 * k.size :]).reshape(2, -1))
+    upper = m_hi <= m_lo
+    end = np.where(upper, hi, lo)
+    at_end = isolated & ~change & (np.minimum(m_lo, m_hi) <= tol)
+    at_end &= np.where(upper, s_hi, s_lo) != 0.0
+    r_lo, r_hi = np.where(at_end, end, lo), np.where(at_end, end, hi)
     r_lo[change], r_hi[change] = _bisect(
         geometry.take(owner[change]), lo[change], hi[change], f_lo[change], constants
     )
-    found = change | zero_hi | zero_lo
+    found = change | at_end
     energy = 0.5 * (r_lo + r_hi)
     residual = np.full(k.size, np.nan)
     residual[found] = (

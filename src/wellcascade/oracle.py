@@ -180,16 +180,20 @@ def _oscillating(x, m, psi, step):
     There ``a = 2 cos(theta)`` with ``sin(theta/2)**2 = x``, and the
     sequence is ``R sin(chi + j theta)`` for ``j = -1, 0, ..., m``, where
     ``chi`` is the phase of ``psi``: a sign change lies wherever the phase
-    crosses a multiple of pi.  ``chi`` takes the sign of ``psi`` exactly.
+    crosses a multiple of pi.  ``chi`` takes the sign of ``psi`` exactly, and
+    the run's last entry takes the sign of the turns counted: within rounding
+    of a multiple of pi, ``sin`` can keep the sign from before a change that
+    ``floor`` counts, and the next run would count it again.
     """
     half = np.sqrt(x)  # sin(theta/2)
     theta = 2.0 * np.arcsin(half)
     # R cos(chi) sin(theta) = psi cos(theta) - psi_prev, with cos(theta) = 1 - 2x
     chi = np.arctan2(psi * 2.0 * half * np.sqrt(1.0 - x), step - 2.0 * x * psi)
     end = chi + m * theta
-    changes = np.floor(end / np.pi) - np.floor(chi / np.pi)
+    turns = np.floor(end / np.pi)
+    psi = np.copysign(np.sin(end), 0.5 - (turns.astype(np.int64) & 1))
     # sin(end) - sin(end - theta) = 2 sin(theta/2) cos(end - theta/2)
-    return changes, np.sin(end), 2.0 * half * np.cos(end - 0.5 * theta)
+    return turns - np.floor(chi / np.pi), psi, 2.0 * half * np.cos(end - 0.5 * theta)
 
 
 def _decaying(x, m, psi, step):

@@ -257,13 +257,17 @@ def _oscillate(k, length, psi, slope):
 
     The Prüfer phase ``theta = atan2(k psi, psi')``, taken in [0, pi], grows
     by ``k * length``; a zero lies wherever it crosses a multiple of pi.  The
-    state leaves with ``(psi, psi'/k)`` at unit length.
+    state leaves with ``(psi, psi'/k)`` at unit length, psi with the sign of
+    the turns counted: within rounding of a multiple of pi, ``sin`` can keep
+    the sign from before a zero that ``floor`` counts, and the next region
+    would count it again.
     """
     theta = np.arctan2(k * psi, slope)
     theta = np.where(theta < 0.0, theta + np.pi, theta)
     end = theta + k * length
-    zeros = np.floor(end / np.pi) - np.floor(theta / np.pi)
-    return zeros, np.sin(end), k * np.cos(end)
+    turns = np.floor(end / np.pi)
+    psi = np.copysign(np.sin(end), 0.5 - (turns.astype(np.int64) & 1))
+    return turns - np.floor(theta / np.pi), psi, k * np.cos(end)
 
 
 def _decay(kappa, length, psi, slope):
@@ -298,7 +302,10 @@ def count_below(segments, energies, constants: PhysicalConstants = CODATA2018) -
     number of zeros inside the domain of the solution that starts at the left
     wall with ``psi = 0``, ``psi' = 1``, propagated region by region (see
     :func:`_oscillate` and :func:`_decay`).  A branch is evaluated only when
-    some energy needs it.  An energy exactly at a level may count it or not.
+    some energy needs it.  N does not fall as the energy rises, at a segment
+    edge included (a phase that ends within rounding of a multiple of pi
+    counts its zero once); only an energy exactly at a level may count it or
+    not.
     """
     e = np.asarray(energies, dtype=float)
     f = constants.wavenumber_factor

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import wellcascade
+from wellcascade import eigensolver
 from wellcascade.cli import ConfigError, load_config, main, parse_config
 from wellcascade.potential import CascadeSpec, cascade_profile
 
@@ -402,6 +403,41 @@ def test_solve_pair_reports_min_spacing_over_step(tmp_path, reference_config_fil
     one = solve("--emin", "0.01", "--emax", "0.05")
     assert len(one["levels"]) == 1
     assert one["diagnostics"]["min_spacing_over_step"] is None
+
+
+@pytest.mark.parametrize("window, levels", [
+    (["--emin", "1.4890054014035836"], [1.56676828]),
+    (["--emin", "1.40", "--emax", "1.4890054014035836"], [1.44484885, 1.4599121]),
+    (["--emin", "1.4890054014035836", "--emax", "1.5"], []),
+])
+def test_window_end_where_the_shallow_well_holds_whole_half_waves(tmp_path, reference_config_file,
+                                                                  capsys, window, levels):
+    # k1 a = 3 pi at 1.4890054014035836 eV: the count there is that of its
+    # neighbourhood, so no level is lost, none is skipped and the window opens
+    rc = main(["solve-pair", "--config", str(reference_config_file), "--output-dir",
+               str(tmp_path), "--pair", "1", *window])
+    assert rc == 0
+    assert f"{len(levels)} bound state(s)" in capsys.readouterr().out.splitlines()
+    payload = json.loads((tmp_path / "solve_pair1.json").read_text())
+    assert [lv["energy_eV"] for lv in payload["levels"]] == levels
+    assert payload["diagnostics"]["skipped_intervals"] == []
+
+
+def test_a_falling_count_is_one_error_line_naming_the_pair(tmp_path, reference_config_file,
+                                                          capsys, monkeypatch):
+    def falling(segments, energies, constants):
+        return 20 - np.searchsorted([0.5, 1.0], energies)
+
+    monkeypatch.setattr(eigensolver, "count_below", falling)
+    rc = main(["solve-pair", "--config", str(reference_config_file), "--output-dir",
+               str(tmp_path), "--pair", "1", "--emin", "0.25", "--emax", "1.25"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "computation error: the oscillation count of the pair (width 43.85 A, distance "
+        "60.19 A, depths 0.272/1.585 eV) falls from 20 at 0.25 eV to 18 at 1.25 eV\n"
+    )
+    assert not (tmp_path / "solve_pair1.json").exists()
 
 
 def test_solve_pair_closing_pair_needs_closing_distance(tmp_path, capsys):

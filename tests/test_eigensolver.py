@@ -80,20 +80,23 @@ def test_grid_zero_is_a_level_and_infinite_bracket_is_skipped(monkeypatch):
     grid = uniform_grid(0.01, 0.99, 0.01)
 
     def fake_terms(pair, energies, constants):
-        # cleared form (g + 2)*1 - 2*1 = g, exactly 0 at grid[10] and -inf at
-        # grid[70]; elsewhere g = sin(37 e + 0.3)
+        # cleared form (g + 2)*1 - 2*1 = g, exactly 0 at grid[10], within
+        # rounding of 0 at grid[30] (with the sine's sign on both sides) and
+        # -inf at grid[70]; elsewhere g = sin(37 e + 0.3)
         e = np.asarray(energies)
-        g = np.where(e == grid[10], 0.0, np.where(e == grid[70], -np.inf, np.sin(37.0 * e + 0.3)))
+        g = np.select([e == grid[10], e == grid[30], e == grid[70]], [0.0, -1e-15, -np.inf],
+                      np.sin(37.0 * e + 0.3))
         one = np.ones_like(e)
         return g + 2.0, one, 2.0 * one, one
 
     def fake_count(segments, energies, constants):
-        # the roots of the sine, a level at grid[10], one in (grid[69], grid[70]),
-        # and one between the grid's last point and the barrier top, where the
-        # sine keeps its sign
+        # the roots of the sine, a level at grid[10], one just above grid[30], one
+        # in (grid[69], grid[70]), and one between the grid's last point and the
+        # barrier top, where the sine keeps its sign
         e = np.asarray(energies)
         sine = np.floor((37.0 * e + 0.3) / np.pi)
-        levels = sine + (e >= grid[10]) + (e > 0.5 * (grid[69] + grid[70])) + (e > 0.995)
+        levels = (sine + (e >= grid[10]) + (e > grid[30]) + (e > 0.5 * (grid[69] + grid[70]))
+                  + (e > 0.995))
         return levels.astype(np.int64)
 
     monkeypatch.setattr(transcendental, "_cleared_terms", fake_terms)
@@ -103,12 +106,16 @@ def test_grid_zero_is_a_level_and_infinite_bracket_is_skipped(monkeypatch):
     assert energies == sorted(set(energies))
     zero = [lv for lv in result.levels if lv.energy == grid[10]]
     assert len(zero) == 1 and zero[0].residual == 0.0 and zero[0].bracket == (grid[10], grid[10])
+    # the count's cell above grid[30] shows no sign change: its level is that end
+    near = [lv for lv in result.levels if lv.energy == grid[30]]
+    assert len(near) == 1 and 0.0 < near[0].residual <= 1e-14
+    assert near[0].bracket == (grid[30], grid[30])
     # the count's levels at an infinite cell end and in the end cell up to the
     # barrier top are reported, not dropped
     assert result.diagnostics.skipped_intervals == (
         (grid[69], grid[70]), (grid[-1], np.nextafter(1.0, 0.0))
     )
-    assert result.diagnostics.sign_changes == len(result.levels) - 1 == 11
+    assert result.diagnostics.sign_changes == len(result.levels) - 2 == 11
 
 
 def _bisect_one(pair, lo, hi, f_lo):
@@ -155,7 +162,8 @@ def _sign_changes(pair, lo=2e-5, hi=None, step=2e-5):
 def test_levels_on_grid_points_keep_the_scan_brackets(reference_spec, monkeypatch):
     # a calibration's window starts 0.05 eV below a level, so the level sits
     # within rounding of a grid point, where the count and the cleared form
-    # can place it in adjacent cells; the solve must take the scan's cell
+    # can place it in adjacent cells: the solve then reports it at that grid
+    # point, an end of the scan's bracket, and never scans a second time
     pairs = [reference_spec.pair(i) for i in range(4)]
     levels = [solve_pair(pair).levels for pair in pairs]
     scans = []
@@ -165,17 +173,22 @@ def test_levels_on_grid_points_keep_the_scan_brackets(reference_spec, monkeypatc
         return grid_scan(*args, **kwargs)
 
     monkeypatch.setattr(eigensolver, "grid_scan", recording)
-    solves = 0
+    strays = 0
     for pair, found in zip(pairs, levels):
         for level in found:
             lo, hi = level.energy - 0.05, level.energy + 0.05
+            scans.clear()
             result = solve_pair(pair, e_min=lo, e_max=hi)
-            solves += 1
+            assert len(scans) == 1
             assert result.diagnostics.skipped_intervals == ()
             scanned = _sign_changes(pair, max(lo, 2e-5), min(hi, pair.v_deep - 2e-5))
-            assert [lv.bracket for lv in result.levels] == [_bisect_one(*b) for b in scanned]
-    # some of those levels took the neighbour cell, at the cost of a second scan
-    assert len(scans) > solves
+            assert len(result.levels) == len(scanned)
+            for lv, bracket in zip(result.levels, scanned):
+                if lv.bracket != _bisect_one(*bracket):
+                    strays += 1
+                    assert lv.bracket[0] == lv.bracket[1] in bracket[1:3]
+                    assert lv.residual <= 1e-8
+    assert strays > 0
 
 
 def test_lockstep_bisection_matches_one_bracket_at_a_time(pair1, pair3):
@@ -391,6 +404,22 @@ def test_count_monotone_in_depth():
         counts.append(len(solve_pair(pair).levels))
     assert counts == sorted(counts)
     assert counts[-1] > counts[0]
+
+
+def test_count_is_monotone_where_the_shallow_well_holds_whole_half_waves(reference_spec):
+    # at k1 a = n pi the shallow well's Prüfer phase ends within rounding of a
+    # multiple of pi, and the zero at its edge must be counted once, not again
+    # by the barrier; first paper.cfg's pairs 1, 3 and 4 at such energies
+    # (pair 1's is k1 a = 3 pi), then every such energy of random pairs
+    paper = [(reference_spec.pair(i), np.array([e])) for i, e in [
+        (0, 1.4890054014035836), (2, 0.6020054014035836), (3, 0.8110054014035837)]]
+    f = CODATA2018.wavenumber_factor
+    n = np.arange(1, 200)
+    for pair, edges in paper + [(p, p.shallow_floor + (n * np.pi / (f * p.width)) ** 2)
+                                for p in random_pairs(40, seed=5)]:
+        edges = edges[edges < pair.v_deep - 1e-6]
+        counts = count_below(pair_segments(pair), np.stack([edges - 1e-9, edges, edges + 1e-9], 1))
+        assert np.all(np.diff(counts, axis=1) >= 0), pair
 
 
 def test_no_bound_state_for_tiny_well():

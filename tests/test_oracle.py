@@ -291,6 +291,8 @@ def test_cells_inside_one_segment_take_its_value(reference_spec):
         assert len(oracle._runs(diag, off)[0]) == 2 * len(values) - 1
 
 
+# the middle energy ends a run's phase within rounding of a multiple of pi
+@example(width=5.0, barrier=1.5, v_deep=1.0, share=0.5, half_rows=1322, fractions=[0.5])
 @settings(max_examples=30, deadline=None)
 @given(
     width=st.floats(5.0, 50.0),
