@@ -11,9 +11,11 @@ The potential is piecewise constant, so the matrix is a few runs of equal
 rows (five for a pair, one per segment and one per cell that straddles a
 breakpoint).  Within a run the Sturm sequence has a closed form, a sine or
 a pair of exponentials, so the count at an energy costs one step per run,
-not per row (:func:`_sturm_count`).  A call sorts its energies once, so
-each run's regimes are contiguous slices; on a pair's five runs it costs
-about 110 us plus 0.3 us per energy (2-CPU x86-64 host, numpy 2.4).  Every
+not per row (:func:`_sturm_count`).  The cells that straddle a breakpoint
+are runs of one row, and take one step of the recurrence itself instead
+(:func:`_one_row`).  A call sorts its energies once, so each long run's
+regimes are contiguous slices; on a pair's five runs it costs about 95 us
+plus 0.25 us per energy (2-CPU x86-64 host, numpy 2.4).  Every
 level is located by index, all levels together, with the program's one
 multisection, :func:`~wellcascade.eigensolver._multisect`, walked by that
 count: at most six halvings per count call, until each bracket is two
@@ -87,6 +89,8 @@ _NODE_FLOOR = 1e-9
 # floor of a run's decay rate per row: the rate of every |E - V| above about
 # 1e-300 c exceeds it, so it acts only at E = V
 _KAPPA_FLOOR = 1e-150
+# magnitude that an exact zero of a one-row run takes (see _one_row)
+_PIVOT_FLOOR = np.finfo(float).tiny
 
 
 class FdResult(NamedTuple):
@@ -231,6 +235,24 @@ def _alternating(x, m, psi, step):
     return m - changes, end, 2.0 * end - end_step
 
 
+def _one_row(x, psi, step):
+    """Sign changes across a run of one row and the state at its end.
+
+    One step of the recurrence, ``psi_(i+1) = (2 - 4x) psi_i - psi_(i-1)``,
+    in every regime: a few array operations where a closed form takes about
+    fifteen.  An entry that comes out exactly zero counts as a sign change,
+    as a zero pivot does in LAPACK's count.  It is replaced by the smallest
+    normal double of the sign opposite to ``psi``, as LAPACK replaces the
+    pivot by ``-pivmin``, so the runs after it see a definite sign and do
+    not count the change a second time.
+    """
+    after = psi + step - 4.0 * x * psi
+    if not after.all():
+        zero = after == 0.0
+        after[zero] = np.copysign(_PIVOT_FLOOR, -psi[zero])
+    return psi * after < 0.0, after, after - psi
+
+
 def _sturm_count(runs, energies) -> np.ndarray:
     """Number of eigenvalues below each energy: the sign changes of the Sturm sequence.
 
@@ -239,7 +261,10 @@ def _sturm_count(runs, energies) -> np.ndarray:
     from ``psi_0 = 1`` and ``psi_(-1) = 0``.  Over a run of equal rows it has
     a closed form (see :func:`_oscillating`, :func:`_decaying` and
     :func:`_alternating`, by ``x = (E - V) / 4c``), so the cost is per run,
-    not per row.  The state is ``psi_i`` and the step ``psi_i - psi_(i-1)``,
+    not per row.  A run of one row, a cell that straddles a breakpoint,
+    takes one step of the recurrence instead (:func:`_one_row`), which is
+    cheaper than any closed form and counts as LAPACK does where its entry
+    is exactly zero.  The state is ``psi_i`` and the step ``psi_i - psi_(i-1)``,
     kept apart so that a slowly varying sequence keeps its slope to full
     precision, and it leaves each run at unit length.  The energies may come
     in any order and shape; the counts come back in the same.
@@ -253,12 +278,16 @@ def _sturm_count(runs, energies) -> np.ndarray:
     psi, step, count = np.ones(e.size), np.ones(e.size), np.zeros(e.size)
     for value, m in zip(values.tolist(), lengths.tolist()):
         x = (sorted_e - value) / (4.0 * c)
-        i, j = np.searchsorted(x, 0.0, side="right"), np.searchsorted(x, 1.0)
-        for branch, part in ((_decaying, slice(0, i)), (_oscillating, slice(i, j)),
-                             (_alternating, slice(j, x.size))):
-            if part.start < part.stop:
-                changes, psi[part], step[part] = branch(x[part], m, psi[part], step[part])
-                count[part] += changes
+        if m == 1:
+            changes, psi, step = _one_row(x, psi, step)
+            count += changes
+        else:
+            i, j = np.searchsorted(x, 0.0, side="right"), np.searchsorted(x, 1.0)
+            for branch, part in ((_decaying, slice(0, i)), (_oscillating, slice(i, j)),
+                                 (_alternating, slice(j, x.size))):
+                if part.start < part.stop:
+                    changes, psi[part], step[part] = branch(x[part], m, psi[part], step[part])
+                    count[part] += changes
         norm = np.hypot(psi, step)
         psi, step = psi / norm, step / norm
     counts = np.empty(e.size, dtype=np.int64)

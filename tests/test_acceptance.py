@@ -12,7 +12,6 @@ import pytest
 from wellcascade.cascade import solve_cascade
 from wellcascade.dynamics import (
     ResonantPair,
-    first_maximum_time,
     rabi_probability,
     tunneling_time,
 )
@@ -22,6 +21,8 @@ from wellcascade.potential import WellPair, pair_profile
 from wellcascade.quantities import CODATA2018
 from wellcascade.wavefunctions import build_wavefunction, sample_wavefunction
 from wellcascade.cli import main
+
+from helpers import first_maximum_time
 
 RANDOM_PAIR_SEED = 20260810
 

@@ -7,11 +7,12 @@ from wellcascade.dynamics import (
     ResonantPair,
     TransferStep,
     decay_time,
-    first_maximum_time,
     rabi_probability,
     tunneling_time,
 )
 from wellcascade.quantities import CODATA2018
+
+from helpers import first_maximum_time
 
 HBAR = CODATA2018.hbar_eV_s
 

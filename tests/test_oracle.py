@@ -316,6 +316,71 @@ def test_closed_form_count_equals_lapack(width, barrier, v_deep, share, half_row
     assert counts.tolist() == [oracle._bound_count(diag, off, e, floor) for e in energies]
 
 
+@pytest.mark.parametrize("index", range(4))
+def test_one_row_step_equals_the_closed_form_of_a_one_row_run(reference_spec, index):
+    # each pair's two straddling cells are runs of one row; at energies in all
+    # three regimes and from states all round the circle, one step of the
+    # recurrence and the closed form with m = 1 agree on the count and, once
+    # normalised, on the state
+    _, _, diag, off = oracle._tridiagonal(pair_profile(reference_spec.pair(index)), 20001,
+                                          CODATA2018)
+    values, lengths, c = oracle._runs(diag, off)
+    assert lengths.tolist().count(1) == 2
+    angles = np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False) + 0.1
+    psi, step = np.cos(angles), np.sin(angles)
+    for value in values[lengths == 1]:
+        energies = value + 4.0 * c * np.array([-3.0, -0.4, -1e-6, 1e-6, 0.3, 0.8, 1.0, 1.7, 5.0])
+        # and the bound range, where x is about 1e-5
+        energies = np.concatenate([energies, np.linspace(0.01, 1.6, 9)])
+        for x in (energies - value) / (4.0 * c):
+            branch = (oracle._decaying if x <= 0.0
+                      else oracle._oscillating if x < 1.0 else oracle._alternating)
+            xs = np.full(psi.size, x)
+            changes, after, after_step = oracle._one_row(xs, psi, step)
+            closed, end, end_step = branch(xs, 1, psi, step)
+            # away from a level: the entry is far from zero, so its sign is sure
+            assert np.all(np.abs(after) > 1e-3 * np.hypot(after, after_step))
+            assert np.array_equal(changes, np.asarray(closed, dtype=bool))
+            state = np.array([after, after_step]) / np.hypot(after, after_step)
+            expected = np.array([end, end_step]) / np.hypot(end, end_step)
+            if branch is oracle._alternating:
+                expected = expected * np.sign(end * after)  # up to an overall sign
+            np.testing.assert_allclose(state, expected, rtol=0.0, atol=1e-12)
+
+
+def test_an_exact_zero_of_a_one_row_run_counts_like_lapack():
+    # the first run is one row at x = (E - V) / 4c = 0.5, so its entry
+    # psi + step - 4x psi = 1 + 1 - 2 is exactly zero; LAPACK's count takes
+    # that zero pivot as a sign change, and so must the next runs, whatever
+    # their regime, count it no second time
+    _, after, _ = oracle._one_row(np.array([0.5]), np.ones(1), np.ones(1))
+    assert after[0] < 0.0  # the zero, on the far side of psi
+    for rest in ([3.0] * 3 + [0.5] * 3, [-1.0] * 3, [-1.0] * 3 + [2.0] + [3.0] * 2):
+        diag = np.array([2.0] + rest)
+        off = -np.ones(diag.size - 1)
+        runs = oracle._runs(diag, off)
+        assert runs[1][0] == 1 and runs[0][0] == 0.0 and runs[2] == 1.0
+        floor = oracle._gershgorin(diag, off)[0]
+        energies = np.unique(np.concatenate([diag, [2.0 - 1e-9, 2.0 + 1e-9]]))
+        counts = oracle._sturm_count(runs, energies)
+        assert counts.tolist() == [oracle._bound_count(diag, off, e, floor) for e in energies]
+
+
+def test_no_closed_form_runs_over_one_row(reference_spec, monkeypatch):
+    lengths = []
+    for name in ("_decaying", "_oscillating", "_alternating"):
+        real = getattr(oracle, name)
+
+        def spy(x, m, psi, step, real=real):
+            lengths.append(m)
+            return real(x, m, psi, step)
+
+        monkeypatch.setattr(oracle, name, spy)
+    for index in range(4):
+        fd_solve(pair_profile(reference_spec.pair(index)), 20)
+    assert lengths and min(lengths) > 1
+
+
 def test_sturm_count_is_the_same_whatever_the_order_and_shape_of_its_energies(reference_spec):
     # the count sorts its energies and takes each run's regimes as slices:
     # every arrangement of one set of energies must give each the count it
