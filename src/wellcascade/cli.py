@@ -26,7 +26,6 @@ import argparse
 import configparser
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -50,8 +49,6 @@ from .quantities import PhysicalConstants, make_constants
 from .transcendental import GridScan, grid_scan
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config", "report_to_dict", "main"]
-
-OUTPUT_DIR_ENV = "WELLCASCADE_OUTDIR"
 
 _REQUIRED_KEYS = (("wells", "widths_A"), ("wells", "depths_eV"), ("wells", "distances_A"))
 
@@ -237,8 +234,7 @@ def reference_config_path() -> Path:
 
 
 def _output_dir(config: RunConfig, override: str | None) -> Path:
-    directory = override or os.environ.get(OUTPUT_DIR_ENV) or config.output_dir
-    path = Path(directory)
+    path = Path(override or config.output_dir)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -703,7 +699,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", required=True, help="path to the INI configuration file")
         p.add_argument("--output-dir", default=None,
-                       help=f"override output directory (also via ${OUTPUT_DIR_ENV})")
+                       help="override output directory")
 
     p = sub.add_parser("solve-pair", help="find all bound states of one pair")
     add_common(p)

@@ -14,15 +14,19 @@ step sets how each residual is scaled, not which levels are found.
 The cleared matching function (see :mod:`.transcendental`) is then evaluated
 at every bracket end in one call, and every bracket is refined on it by
 bisection.  All brackets are bisected in lockstep, several halvings per
-round, by :func:`_multisect`, the program's one multisection (the oracle
-locates its levels with it too, walked by its own count): a round evaluates
-the cleared form once, at every midpoint of bisection's own tree a few
-levels below each open bracket (six levels for a few brackets, one for a
-few hundred), and each bracket descends its tree by the signs.  Each
-bracket carries its own pair's geometry and still sees its own midpoint
-sequence, so the roots are those of bisecting one bracket at a time.  The
-lockstep spans every solve of a batch.  A batch is one geometry of
-parameter arrays (one pair per element) solved with one
+round, each round one evaluation of the cleared form.  Up to 32 brackets
+walk paths (:func:`_paths`): a round evaluates, per open bracket, the
+midpoints bisection visits if the root lies on the side of a regula-falsi
+guess, and each bracket follows its path while the signs agree with the
+guess, so a 2e-5 eV cell closes in about three rounds.  A larger batch is
+multisected by :func:`_multisect` (the oracle locates its levels with it
+too, walked by its own count): a round evaluates every midpoint of
+bisection's own tree a few levels below each open bracket (six levels for a
+few brackets, one for a few hundred), and each bracket descends its tree by
+the signs.  Either way each bracket carries its own pair's geometry and
+takes its own midpoint sequence, so the roots are those of bisecting one
+bracket at a time.  The lockstep spans every solve of a batch.  A batch is
+one geometry of parameter arrays (one pair per element) solved with one
 :class:`SolverConfig` over one energy window: a single :func:`solve_pair`
 is a batch of one, the cascade solves its four pairs as one batch, and
 calibration solves the candidates of its coarse grid that can win as one
@@ -113,13 +117,17 @@ _SEARCH_PAD = 0.05
 # most points of one grid: 125x the 79k energies of a full-range solve at 2e-5 eV; it
 # also bounds the oracle's rows and a sampled wavefunction's points
 _MAX_GRID_POINTS = 10_000_000
-# points per multisection round of a solve batch (count or cleared form), and most
-# sections of one bracket: a call costs about as much as a few hundred energies (the
+# points per round of a solve batch (count or cleared form), and most sections or path
+# points of one bracket: a call costs about as much as a few hundred energies (the
 # cleared form 16 us plus 60 ns per energy, the count 50 us plus 125 ns per energy, on
-# a 2-CPU x86-64 host with numpy 2.4), so a few brackets are cut in many sections and
-# a large batch is bisected
+# a 2-CPU x86-64 host with numpy 2.4), so a few brackets are cut in many sections or
+# walk long paths, and a large batch is bisected
 _ROUND_POINTS = 512
 _SECTIONS = 64
+# most brackets that _bisect walks along paths (_paths) rather than multisects: a path
+# step in Python floats costs about 0.3 us, so at 1 002 brackets the paths took 48 ms
+# against the tree's 3.6 ms, and the two cross between 32 and 64 brackets (same host)
+_PATH_BRACKETS = 32
 # largest residual of a reported level: a level that is no root of the cleared form
 # cannot shrink its residual, and over the 768 solves and 72 calibrations of the
 # benchmark's pair-crosscheck and calibrate-sweep (seeds 1-3) the largest residual
@@ -239,12 +247,14 @@ class _Geometry(NamedTuple):
 
 
 def _multisect(lo, hi, decide):
-    """Shrink brackets down to machine resolution, together: the program's one multisection.
+    """Shrink brackets down to machine resolution, together, by multisection.
 
-    A round descends ``depth`` levels of bisection's own midpoint tree with
-    one ``decide(live, points)`` call, on the midpoints ``0.5*(a + b)`` of
-    every node down to that depth of every bracket still open: ``live``
-    holds the indices of those brackets, ``points[i]`` their tree in order.
+    The oracle walks its count with it, and :func:`_bisect` the cleared form
+    of batches too large for :func:`_paths`.  A round descends ``depth``
+    levels of bisection's own midpoint tree with one ``decide(live,
+    points)`` call, on the midpoints ``0.5*(a + b)`` of every node down to
+    that depth of every bracket still open: ``live`` holds the indices of
+    those brackets, ``points[i]`` their tree in order.
     ``depth`` is as large as ``_ROUND_POINTS`` and ``_SECTIONS`` allow (one
     level for a few hundred brackets, six for a few).  ``decide`` returns
     the move at each node: 1 to its right child, -1 to its left one, and 0
@@ -300,26 +310,86 @@ def _multisect(lo, hi, decide):
     return lo, hi
 
 
-def _bisect(geometry, lo, hi, f_lo, constants):
+def _paths(lo, hi, f_lo, f_hi, value):
+    """Bisect sign-change brackets ``[lo, hi]`` of f to machine resolution, along guessed paths.
+
+    Bisection's result depends only on the signs of f at the midpoints it
+    visits.  A round guesses them with one ``value(live, points)`` call,
+    which returns f at ``points[i]``, the path of open bracket ``live[i]``:
+    its midpoints ``0.5*(a + b)`` on the side of the regula-falsi guess from
+    f at its ends, as many as ``_ROUND_POINTS`` and ``_SECTIONS`` allow.
+    Each bracket follows its path while f agrees with the guessed side,
+    takes the real move at the first disagreement, and starts the next round
+    there with f known at both ends.  Every move is bisection's own: right
+    where f has ``f_lo``'s sign (NaN counts as negative), and an exact zero
+    collapses the bracket to ``(mid, mid)``.  So the brackets are
+    :func:`_multisect`'s bit for bit.  A bracket closes when its midpoint is
+    no longer strictly inside it, or after 200 halvings.  Paths are built and
+    walked in Python floats, cheaper per step than a numpy call.
+    """
+    state = list(zip(lo.tolist(), hi.tolist(), f_lo.tolist(), f_hi.tolist(), [0] * lo.size))
+    up, live = (f_lo > 0.0).tolist(), range(lo.size)
+    while True:
+        length, paths = min(_SECTIONS, _ROUND_POINTS // max(len(live), 1)), []
+        for i in live:
+            a, b, f_a, f_b, halvings = state[i]
+            guess = a - f_a * (b - a) / (f_b - f_a) if f_b != f_a else math.nan
+            guess = guess if a <= guess <= b else 0.5 * (a + b)
+            path = []
+            for _ in range(min(length, 200 - halvings)):
+                mid = 0.5 * (a + b)
+                if not a < mid < b:
+                    break
+                path.append(mid)
+                a, b = (mid, b) if guess >= mid else (a, mid)
+            paths.append((i, guess, path))
+        paths = [p for p in paths if p[2]]
+        if not paths:
+            return np.array([s[0] for s in state]), np.array([s[1] for s in state])
+        live, width = [p[0] for p in paths], max(len(p[2]) for p in paths)
+        points = np.array([path + path[-1:] * (width - len(path)) for _, _, path in paths])
+        for (i, guess, path), f in zip(paths, value(np.array(live), points).tolist()):
+            a, b, f_a, f_b, halvings = state[i]
+            for mid, f_mid in zip(path, f):
+                halvings += 1
+                if f_mid == 0.0:
+                    a = b = mid
+                    break
+                right = (f_mid > 0.0) == up[i]
+                a, b, f_a, f_b = (mid, b, f_mid, f_b) if right else (a, mid, f_a, f_mid)
+                if right != (guess >= mid):
+                    break
+            state[i] = a, b, f_a, f_b, halvings
+
+
+def _bisect(geometry, lo, hi, f_lo, f_hi, constants):
     """Shrink verified sign-change brackets of the cleared form, together.
 
     ``geometry`` holds each bracket's pair parameters, so the brackets may
-    come from different pairs.  :func:`_multisect` walks each bracket by the
-    sign of one :func:`characteristic` call per round: to the right child
-    where f has lo's sign, else to the left one, and it stops at an exact
-    zero.  The open brackets' geometry and signs are gathered only when some
-    bracket closes.
+    come from different pairs.  Up to ``_PATH_BRACKETS`` brackets are walked
+    along regula-falsi paths (:func:`_paths`), a larger batch by
+    :func:`_multisect`; both take bisection's steps, by the sign of one
+    :func:`characteristic` call per round: to the right half where f has
+    lo's sign, else to the left one, stopping at an exact zero.  The open
+    brackets' geometry is gathered only when some bracket closes.
     """
+    columns = _Geometry(*(x[:, None] for x in geometry))
+    open_columns = columns
+
+    def value(live, points):
+        nonlocal open_columns
+        if live.size != open_columns.width.size:
+            open_columns = columns.take(live)
+        return characteristic(open_columns, points, constants)
+
+    if lo.size <= _PATH_BRACKETS:
+        return _paths(lo, hi, f_lo, f_hi, value)
     # f > 0 at lo: a halving keeps lo on its side of the root, so this never changes
-    columns, up = _Geometry(*(x[:, None] for x in geometry)), (f_lo > 0.0)[:, None]
-    open_columns, open_up = columns, up
+    up = (f_lo > 0.0)[:, None]
 
     def decide(live, points):
-        nonlocal open_columns, open_up
-        if live.size != open_up.size:
-            open_columns, open_up = columns.take(live), up[live]
-        f = characteristic(open_columns, points, constants)
-        move = np.where((f > 0.0) == open_up, 1, -1)
+        f = value(live, points)
+        move = np.where((f > 0.0) == up[live], 1, -1)
         move[f == 0.0] = 0
         return move
 
@@ -362,28 +432,40 @@ def _cells(count, grid, size, bottom, top, geometry):
     Brackets of two levels are the same or disjoint, so levels in one bracket
     (adjacent in the arrays) share its count points.  A round spends about
     ``_ROUND_POINTS`` points: a few brackets get many sections each, a large
-    batch is bisected.  A window whose count falls from its bottom to its top
-    raises :class:`SturmCountError`, naming the pair of ``geometry`` and both
-    ends.
+    batch is bisected.  A count that falls along the points of a round, its
+    bracket's ends included, raises :class:`SturmCountError`, naming the pair
+    of ``geometry`` and the ends of the row's largest fall.
     """
+
+    def energy(pairs, index):
+        """Energy of grid index ``index`` of each pair: -1 is the window's bottom,
+        ``size`` its top."""
+        return np.where(index < 0, bottom, np.where(index >= size[pairs], top[pairs], grid(index)))
+
+    def rising(pairs, points, counts):
+        """Raise where the counts along a row fall: from the first point of the largest
+        fall's high count to the last point of its low one."""
+        drop = np.maximum.accumulate(counts, axis=1) - counts
+        if drop.any():
+            r = np.argmax(drop.any(axis=1))
+            j = drop.shape[1] - 1 - np.argmax(drop[r, ::-1] == drop[r].max())
+            i = np.argmax(counts[r] == counts[r, :j].max())
+            e_i, e_j = energy(pairs[r], points[r, [i, j]])
+            width, distance, v_shallow, v_deep = (x[pairs[r]] for x in geometry)
+            raise SturmCountError(
+                f"the oscillation count of the pair (width {width} A, distance {distance} A, "
+                f"depths {v_shallow}/{v_deep} eV) falls from {counts[r, i]} at {e_i} eV to "
+                f"{counts[r, j]} at {e_j} eV"
+            )
+
     cells = np.flatnonzero(top > bottom)
     length = size[cells] + 1  # from index -1 to size
     sections = max(1, min(_SECTIONS, _ROUND_POINTS // max(cells.size, 1), int(length.max(initial=1))))
     points = length[:, None] * np.arange(sections + 1) // sections - 1
-    energies = grid(points)
-    energies[points < 0] = bottom
-    energies[:, -1] = top[cells]
     at = np.repeat(cells, sections + 1)
-    counts = count(at, energies.ravel()).reshape(points.shape)
+    counts = count(at, energy(cells[:, None], points).ravel()).reshape(points.shape)
+    rising(cells, points, counts)
     per = counts[:, -1] - counts[:, 0]
-    if (per < 0).any():
-        i = np.argmax(per < 0)
-        width, distance, v_shallow, v_deep = (x[cells[i]] for x in geometry)
-        raise SturmCountError(
-            f"the oscillation count of the pair (width {width} A, distance {distance} A, depths "
-            f"{v_shallow}/{v_deep} eV) falls from {counts[i, 0]} at {energies[i, 0]} eV to "
-            f"{counts[i, -1]} at {energies[i, -1]} eV"
-        )
     owner = np.repeat(cells, per)
     k = np.arange(per.sum()) - np.repeat(np.cumsum(per) - per - counts[:, 0], per)
     row = np.repeat(np.arange(cells.size), per)
@@ -407,6 +489,7 @@ def _cells(count, grid, size, bottom, top, geometry):
         t = np.count_nonzero(counts[which] <= k[live, None], axis=1)
         points = np.concatenate((a[head, None], points, b[head, None]), axis=1)
         counts = np.concatenate((n_a[head, None], counts, n_b[head, None]), axis=1)
+        rising(owner[head], points, counts)
         a[live], b[live] = points[which, t], points[which, t + 1]
         n_a[live], n_b[live] = counts[which, t], counts[which, t + 1]
 
@@ -524,7 +607,7 @@ def _solve_batch(geometry: _Geometry, cfg: SolverConfig, e_min, e_max, constants
     at_end &= np.where(upper, s_hi, s_lo) != 0.0
     r_lo, r_hi = np.where(at_end, end, lo), np.where(at_end, end, hi)
     r_lo[change], r_hi[change] = _bisect(
-        geometry.take(owner[change]), lo[change], hi[change], f_lo[change], constants
+        geometry.take(owner[change]), lo[change], hi[change], f_lo[change], f_hi[change], constants
     )
     found = change | at_end
     energy = 0.5 * (r_lo + r_hi)

@@ -685,14 +685,6 @@ def test_wavefunction_command(tmp_path, reference_config_file, reference_run_con
     assert float(first[1]) == 0.0
 
 
-def test_env_var_output_dir(tmp_path, reference_config_file, monkeypatch):
-    target = tmp_path / "from_env"
-    monkeypatch.setenv("WELLCASCADE_OUTDIR", str(target))
-    rc = main(["solve-pair", "--config", str(reference_config_file), "--pair", "2"])
-    assert rc == 0
-    assert (target / "solve_pair2.json").is_file()
-
-
 def test_unknown_subcommand_exits_2():
     assert main(["frobnicate"]) == 2
 

@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 from dataclasses import replace
 from unittest import mock
 
@@ -12,6 +13,7 @@ from wellcascade import eigensolver, oracle, transcendental
 from wellcascade.eigensolver import (
     CalibrationError,
     SolverConfig,
+    SturmCountError,
     calibrate_depth,
     calibrate_distance,
     solve_pair,
@@ -134,6 +136,14 @@ def _bisect_one(pair, lo, hi, f_lo):
     return lo, hi
 
 
+def _bisect_batch(brackets):
+    """``_bisect`` on brackets ``(pair, lo, hi, f_lo)``, with f at each ``hi`` too."""
+    pairs, lo, hi, f_lo = zip(*brackets)
+    geometry, hi = eigensolver._Geometry.of(pairs), np.array(hi)
+    f_hi = characteristic(geometry, hi)
+    return eigensolver._bisect(geometry, np.array(lo), hi, np.array(f_lo), f_hi, CODATA2018)
+
+
 def _count_one(grid, top, k):
     """Level ``k`` of an oracle grid by bisecting its count alone, from the
     bracket the oracle opens: below or above the barrier top ``top``."""
@@ -197,11 +207,7 @@ def test_lockstep_bisection_matches_one_bracket_at_a_time(pair1, pair3):
     mixed = [b for both in zip(one, three) for b in both] + one[len(three):] + three[len(one):]
     assert {b[0] for b in mixed} == {pair1, pair3}
     for brackets in (one, three, mixed):
-        pairs, lo, hi, f_lo = zip(*brackets)
-        geometry = eigensolver._Geometry.of(pairs)
-        r_lo, r_hi = eigensolver._bisect(
-            geometry, np.array(lo), np.array(hi), np.array(f_lo), CODATA2018
-        )
+        r_lo, r_hi = _bisect_batch(brackets)
         expected = [_bisect_one(*b) for b in brackets]
         assert list(zip(r_lo.tolist(), r_hi.tolist())) == expected
 
@@ -222,20 +228,33 @@ def test_bisect_collapses_only_the_bracket_with_an_exact_zero(pair1, monkeypatch
         )
 
     monkeypatch.setattr(eigensolver, "characteristic", fake)
-    lo, hi = eigensolver._bisect(
-        eigensolver._Geometry.of([pair1, pair1, pair1]),
-        np.array([0.0, 1.0, 2.0]),
-        np.array([1.0, 2.0, 3.0]),
-        np.array([-0.5, -1.0, -0.375]),
-        CODATA2018,
-    )
-    assert (lo[0], hi[0]) == (0.5, 0.5)
-    assert lo[1] < 1.3 <= hi[1] and np.nextafter(lo[1], math.inf) == hi[1]
-    assert (lo[2], hi[2]) == (2.375, 2.375)
-    # each call evaluates a tree of 2**6 - 1 midpoints per open bracket: all
-    # three in the first round, then only the second, whose 52 halvings down
-    # to adjacent doubles take 9 rounds
-    assert shapes == [(3, 63)] + [(1, 63)] * 8
+    # along paths, then by multisection, forced for these three brackets
+    for limit in (eigensolver._PATH_BRACKETS, 0):
+        shapes.clear()
+        monkeypatch.setattr(eigensolver, "_PATH_BRACKETS", limit)
+        lo, hi = eigensolver._bisect(
+            eigensolver._Geometry.of([pair1, pair1, pair1]),
+            np.array([0.0, 1.0, 2.0]),
+            np.array([1.0, 2.0, 3.0]),
+            np.array([-0.5, -1.0, -0.375]),
+            np.array([0.5, 1.0, 0.625]),
+            CODATA2018,
+        )
+        assert (lo[0], hi[0]) == (0.5, 0.5)
+        assert lo[1] < 1.3 <= hi[1] and np.nextafter(lo[1], math.inf) == hi[1]
+        assert (lo[2], hi[2]) == (2.375, 2.375)
+        if limit:
+            # one path per open bracket and call: the regula-falsi guesses are
+            # the zeros, so the first and third brackets close in the first call;
+            # on the jump each guess, from f = -1 and 1, is its bracket's
+            # midpoint, a path agrees for about four halvings, and the second
+            # bracket takes 13 more calls
+            assert shapes == [(3, 53)] + [(1, 51 - 4 * i) for i in range(13)]
+        else:
+            # each call evaluates a tree of 2**6 - 1 midpoints per open bracket:
+            # all three in the first round, then only the second, whose 52
+            # halvings down to adjacent doubles take 9 rounds
+            assert shapes == [(3, 63)] + [(1, 63)] * 8
 
 
 # open brackets -> depth of the first round: both sides of every step of the rule
@@ -262,15 +281,21 @@ def test_multisection_equals_one_bracket_at_a_time(width, barrier, v_deep, share
     done = [(pair, r_lo, r_hi, characteristic(pair, np.array([r_lo]))[0])
             for r_lo, r_hi in expected if r_lo < r_hi]
     batch = [brackets[i] for i in which] + done
-    pairs, lo, hi, f_lo = zip(*batch)
-    with mock.patch.object(eigensolver, "characteristic", wraps=characteristic) as spy:
-        r_lo, r_hi = eigensolver._bisect(
-            eigensolver._Geometry.of(pairs), np.array(lo), np.array(hi), np.array(f_lo), CODATA2018
+    # by the size switch, and with multisection forced for a batch small enough for paths
+    paths = eigensolver._PATH_BRACKETS
+    for limit in (paths, 0) if len(batch) <= paths else (paths,):
+        with mock.patch.object(eigensolver, "_PATH_BRACKETS", limit), \
+                mock.patch.object(eigensolver, "characteristic", wraps=characteristic) as spy:
+            r_lo, r_hi = _bisect_batch(batch)
+        assert list(zip(r_lo.tolist(), r_hi.tolist())) == (
+            [expected[i] for i in which] + [(b[1], b[2]) for b in done]
         )
-    assert list(zip(r_lo.tolist(), r_hi.tolist())) == (
-        [expected[i] for i in which] + [(b[1], b[2]) for b in done]
-    )
-    assert spy.call_args_list[0].args[1].shape == (size, 2 ** _DEPTHS[size] - 1)
+        first = spy.call_args_list[0].args[1].shape
+        if len(batch) <= limit:
+            # one path per open bracket, as long as the round affords
+            assert first[0] == size and first[1] <= min(64, 512 // size)
+        else:
+            assert first == (size, 2 ** _DEPTHS[size] - 1)
     # driven by the oracle's count: ``size`` levels of the pair's matrix open
     # ``size`` brackets, those above the barrier top included; the highest is
     # checked alone (every level is, in the next test)
@@ -279,6 +304,158 @@ def test_multisection_equals_one_bracket_at_a_time(width, barrier, v_deep, share
         levels = oracle._levels(grid, size, v_deep)
     assert spy.call_args_list[0].args[1].shape == (size, 2 ** _DEPTHS[size] - 1)
     assert levels[-1] == _count_one(grid, v_deep, size - 1)
+
+
+def _walks_agree(lo, hi, f_lo, f_hi, value):
+    """The paths' brackets, after checking them against multisection's bit for bit.
+
+    ``value(live, points)`` is f at ``points[i]`` of bracket ``live[i]``; the
+    multisection moves by it as ``_bisect`` does by the cleared form.
+    """
+    lo, hi, f_lo, f_hi = (np.array(x, dtype=float) for x in (lo, hi, f_lo, f_hi))
+    up = (f_lo > 0.0)[:, None]
+
+    def decide(live, points):
+        f = value(live, points)
+        move = np.where((f > 0.0) == up[live], 1, -1)
+        move[f == 0.0] = 0
+        return move
+
+    paths = [x.tolist() for x in eigensolver._paths(lo, hi, f_lo, f_hi, value)]
+    assert paths == [x.tolist() for x in eigensolver._multisect(lo, hi, decide)]
+    return paths
+
+
+def _cleared_walks_agree(brackets):
+    """:func:`_walks_agree` on the cleared form, for brackets ``(pair, lo, hi, f_lo)``."""
+    pairs, lo, hi, f_lo = zip(*brackets)
+    geometry, hi = eigensolver._Geometry.of(pairs), np.array(hi)
+    columns = eigensolver._Geometry(*(x[:, None] for x in geometry))
+    return _walks_agree(lo, hi, f_lo, characteristic(geometry, hi),
+                        lambda live, points: characteristic(columns.take(live), points))
+
+
+@pytest.mark.parametrize("step", [2e-5, 5e-4])
+def test_paths_equal_multisection_on_every_bracket_of_the_paper(reference_spec, step):
+    brackets = [b for i in range(4) for b in _sign_changes(reference_spec.pair(i), step, step=step)]
+    assert len(brackets) >= 46
+    # all together, a few points per path and round, then each alone, 64
+    together = _cleared_walks_agree(brackets)
+    alone = [_cleared_walks_agree([b]) for b in brackets]
+    assert together == [[x for one in alone for x in one[i]] for i in range(2)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    width=st.floats(5.0, 50.0),
+    barrier=st.floats(0.5, 20.0),
+    v_deep=st.floats(0.3, 2.0),
+    share=st.floats(0.1, 0.9),
+    step=st.sampled_from([2e-5, 1e-4, 1e-3, 5e-3]),
+    cut=st.floats(0.0, 0.999),
+)
+def test_paths_equal_multisection_on_random_pairs(width, barrier, v_deep, share, step, cut):
+    pair = WellPair(width=width, distance=width + barrier, v_shallow=share * v_deep, v_deep=v_deep)
+    brackets = _sign_changes(pair, lo=step, step=step)
+    assume(brackets)
+    # each bracket's lower part cut by ``cut`` where the sign stays, so ends sit off the grid
+    cut_brackets = []
+    for b in brackets:
+        lo = b[1] + cut * (b[2] - b[1])
+        f = characteristic(pair, np.array([lo]))[0]
+        cut_brackets.append((pair, lo, b[2], f) if f * b[3] > 0.0 else b)
+    _cleared_walks_agree(brackets)
+    _cleared_walks_agree(cut_brackets)
+
+
+def test_paths_follow_bisection_where_f_flips_sign_within_ulps_of_its_root():
+    # f = x - 0.7, but within 6 ulp of 0.7 its sign alternates from ulp to ulp:
+    # the regula-falsi guesses are 0.7, and the paths go wrong near the end
+    root = 0.7
+    ulp = math.ulp(root)
+
+    def value(live, points):
+        d = np.round((points - root) / ulp)
+        return np.where(np.abs(d) <= 6, np.where(d % 2 == 0, 1e-15, -1e-15), points - root)
+
+    lo = np.array([root - 1e-3, root - 1e-9, root - 2e-5, root - 7 * ulp, root - 3 * ulp])
+    hi = np.array([root + 2e-3, root + 1e-5, root + 5 * ulp, root + 7 * ulp, root + 3 * ulp])
+    paths = _walks_agree(lo, hi, value(None, lo), value(None, hi), value)
+    assert all(b - a == ulp for a, b in zip(*paths))
+
+
+def test_paths_stop_after_200_halvings():
+    # from the smallest positive double to 1, a root at 1e-300 lies ~1000 halvings down
+    lo, hi = np.array([5e-324]), np.array([1.0])
+    paths = _walks_agree(lo, hi, lo - 1e-300, hi - 1e-300, lambda live, points: points - 1e-300)
+    assert paths == [[5e-324], [2.0**-200]]
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_paths_take_a_nan_for_a_negative_value_as_multisection_does(sign):
+    # f = sign*(x - 0.6) is NaN on (0.55, 0.65): bisection reads NaN as negative,
+    # so it ends at 0.65 when f rises, and at 0.55 when it falls
+    def value(live, points):
+        return np.where((0.55 < points) & (points < 0.65), math.nan, sign * ((points - 0.6) - 1e-17))
+
+    ends = np.array([0.0, 1.0])
+    f_lo, f_hi = value(None, ends[:, None])
+    paths = _walks_agree(ends[:1], ends[1:], f_lo, f_hi, value)
+    assert paths[1][0] == np.nextafter(paths[0][0], 1.0)
+    assert (0.65 if sign > 0 else 0.55) in (paths[0][0], paths[1][0])
+
+
+def test_paths_at_an_exact_zero_adjacent_doubles_and_a_binade():
+    calls = []
+
+    def line(root, offset=0.0):
+        """f = x - (root + offset) without rounding ``root + offset`` to a double."""
+        def value(live, points):
+            calls.append(points.shape)
+            return (points - root) - offset
+        return value
+
+    # the zero 0.375 is the third midpoint of the path to the guess, 0.375 itself
+    assert _walks_agree([0.0], [1.0], [-0.375], [0.625], line(0.375)) == [[0.375], [0.375]]
+    # a bracket of two adjacent doubles is returned with no evaluation
+    calls.clear()
+    below = np.nextafter(0.3, 1.0)
+    assert _walks_agree([0.3], [below], [-1.0], [1.0], line(0.3, 1e-17)) == [[0.3], [below]]
+    assert calls == []
+    # roots just below and above 0.5 eV, where the ulp doubles, in brackets across it
+    for offset, bracket in ((-3e-17, [np.nextafter(0.5, 0.0), 0.5]),
+                            (3e-17, [0.5, np.nextafter(0.5, 1.0)])):
+        f = line(0.5, offset)
+        lo, hi = np.array([0.5 - 1e-5, 0.5 - 1e-12]), np.array([0.5 + 1e-5, 0.5 + 3e-12])
+        paths = _walks_agree(lo, hi, f(None, lo), f(None, hi), f)
+        assert paths == [[bracket[0]] * 2, [bracket[1]] * 2]
+
+
+@pytest.mark.parametrize("f_lo, f_hi", [
+    (-0.6, -0.6),  # equal ends: no guess
+    (-0.6, math.nan),  # a NaN end
+    (-0.6, -0.1),  # ends of one sign: the guess lies above the bracket
+    (-math.inf, math.inf),  # infinite ends: inf/inf
+    (-0.6, math.inf),  # the guess is the bracket's bottom
+])
+def test_paths_with_a_guess_that_is_no_number_inside_the_bracket(f_lo, f_hi):
+    # the root lies 1e-17 above the double 0.6, so no midpoint is an exact zero
+    paths = _walks_agree([0.0], [1.0], [f_lo], [f_hi], lambda live, points: (points - 0.6) - 1e-17)
+    assert paths == [[0.6], [np.nextafter(0.6, 1.0)]]
+
+
+def test_a_batch_at_the_path_limit_and_one_above_give_the_same_levels(reference_spec):
+    brackets = [b for i in range(4) for b in _sign_changes(reference_spec.pair(i))]
+    limit = eigensolver._PATH_BRACKETS
+    assert len(brackets) > limit
+    with mock.patch.object(eigensolver, "_multisect", wraps=eigensolver._multisect) as spy:
+        at = _bisect_batch(brackets[:limit])
+        assert not spy.called
+        above = _bisect_batch(brackets[: limit + 1])
+        assert spy.call_count == 1
+    assert [x.tolist() for x in at] == [x[:limit].tolist() for x in above]
+    assert [x.tolist() for x in above] == [list(x) for x in zip(*(
+        _bisect_one(*b) for b in brackets[: limit + 1]))]
 
 
 def test_oracle_levels_equal_one_bracket_at_a_time(reference_spec):
@@ -375,10 +552,11 @@ def test_calibration_cost_follows_refinement_not_coarse_points(pair1, monkeypatc
         coarse, *refinement = batches
         # these flat targets leave every coarse point passing the count screen, so
         # the whole grid is one coarse batch, which costs no more than one plain
-        # bisection, whatever its size; a refinement solve bisects its two
-        # brackets six halvings per call
+        # bisection, whatever its size; a refinement solve walks its two
+        # brackets along regula-falsi paths in three calls, where multisection
+        # six halvings per call took seven
         assert coarse <= plain, batches
-        assert refinement and max(refinement) <= math.ceil(halvings / 6) + 1, batches
+        assert refinement and max(refinement) <= 3 + 1 < math.ceil(halvings / 6) + 1, batches
 
 
 def test_oracle_equivalence_on_random_pairs():
@@ -420,6 +598,40 @@ def test_count_is_monotone_where_the_shallow_well_holds_whole_half_waves(referen
         edges = edges[edges < pair.v_deep - 1e-6]
         counts = count_below(pair_segments(pair), np.stack([edges - 1e-9, edges, edges + 1e-9], 1))
         assert np.all(np.diff(counts, axis=1) >= 0), pair
+
+
+@pytest.mark.parametrize("dip", [(0.5, 0.52), (0.69995, 0.7)])
+def test_a_count_that_falls_along_a_row_raises(pair1, monkeypatch, dip):
+    # a count of levels at 0.3, 0.7 and 1.1 eV, one too low on ``dip``: the wide
+    # dip holds points of the first round, which cuts the window 0.0156 eV apart;
+    # the narrow one, just below a level, is seen only inside that level's
+    # bracket, below the count at the bracket's low end
+    def falling(segments, energies, constants):
+        inside = (dip[0] <= energies) & (energies < dip[1])
+        return np.searchsorted([0.3, 0.7, 1.1], energies) - inside
+
+    monkeypatch.setattr(eigensolver, "count_below", falling)
+    with pytest.raises(SturmCountError) as error:
+        solve_pair(pair1, e_min=0.25, e_max=1.25)
+    fall = re.fullmatch(
+        r"the oscillation count of the pair \(width 43.85 A, distance 60.19 A, depths "
+        r"0.272/1.585 eV\) falls from 1 at (\S+) eV to 0 at (\S+) eV", str(error.value)
+    )
+    assert fall
+    assert 0.3 <= float(fall[1]) < dip[0] <= float(fall[2]) < dip[1]
+
+
+def test_a_count_below_its_brackets_low_end_raises(pair1):
+    # grid index i at i eV over 130 points, one level at 4.5 eV: the first round
+    # cuts the window at 3 and 5, and the next at 4 alone, where the count falls
+    # below the 5 at the bracket's low end; the bracket's ends are in the check
+    def count(owner, energies):
+        return 5 + (energies > 4.5) - ((3.5 < energies) & (energies < 4.5))
+
+    geometry = eigensolver._Geometry.of([pair1])
+    with pytest.raises(SturmCountError, match=r"falls from 5 at 3.0 eV to 4 at 4.0 eV$"):
+        eigensolver._cells(count, lambda index: 1.0 * index, np.array([130]), -1.0,
+                           np.array([130.0]), geometry)
 
 
 def test_no_bound_state_for_tiny_well():
