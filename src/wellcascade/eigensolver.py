@@ -6,7 +6,13 @@ levels below any energy, so the levels inside a solve window are numbered
 by N at its two ends, and each one is placed on the uniform energy grid
 ``lo + step*i`` by narrowing an index bracket on N until it is one grid cell.
 The grid is never built: N is evaluated only at the bracket points, about a
-thousand energies for a full-range pair where a full scan took 79 000.  A cell where N
+thousand energies in two or three calls for a full-range pair, where a full
+scan took 79 000.  The first call cuts each window into as many sections as
+one call affords (512 for a single pair).  A calibration trial cuts it into
+64 instead and adds the grid points around the cell where it predicts each
+level, so that it finds every cell in that one call.  Any first-round points
+that include the window ends give the same cells, so a prediction changes no
+result.  A cell where N
 rises by two or more holds a doublet narrower than the step; it is halved on
 N in continuous energy until each level has a bracket of its own, so the
 step sets how each residual is scaled, not which levels are found.
@@ -65,7 +71,10 @@ solving the whole grid, bit for bit.  Each target is matched to its
 nearest level; the slope of a level follows from
 the cleared form F(x, E) = 0 as dE/dx = -F_x/F_E, both partials by differences of one
 :func:`characteristic` call, and a Gauss-Newton step (halved until the
-misfit drops) costs one windowed solve, so a fit takes about two solves.
+misfit drops) costs one windowed solve, a trial.  The step takes the slope
+of every level of its iterate, so a trial at ``x + dx`` predicts each level
+at ``E + slope*dx``; where the predictions hold, the trial finds every cell
+in one count call (see :func:`_cells`), and a fit takes about two trials.
 
 The finite-difference oracle's :class:`FdConfig` and :class:`SturmCountError`
 are defined here too, beside :class:`SolverConfig`: the CLI parses a config's
@@ -121,7 +130,8 @@ _MAX_GRID_POINTS = 10_000_000
 # points of one bracket: a call costs about as much as a few hundred energies (the
 # cleared form 16 us plus 60 ns per energy, the count 50 us plus 125 ns per energy, on
 # a 2-CPU x86-64 host with numpy 2.4), so a few brackets are cut in many sections or
-# walk long paths, and a large batch is bisected
+# walk long paths, and a large batch is bisected.  The count's first round spends all
+# _ROUND_POINTS on its windows, or _SECTIONS on each and _SECTIONS per predicted cell
 _ROUND_POINTS = 512
 _SECTIONS = 64
 # most brackets that _bisect walks along paths (_paths) rather than multisects: a path
@@ -417,7 +427,17 @@ def _grids(geometry, step, e_min, e_max):
     return bottom, top, lo, np.where(sized, np.floor(span) + 1, 0).astype(int)
 
 
-def _cells(count, grid, size, bottom, top, geometry):
+def _count_falls(geometry, pair, n_i, e_i, n_j, e_j) -> SturmCountError:
+    """The error of a count that falls from ``n_i`` at ``e_i`` to ``n_j`` at ``e_j`` eV, for
+    the pair ``pair`` of ``geometry``."""
+    width, distance, v_shallow, v_deep = (x[pair] for x in geometry)
+    return SturmCountError(
+        f"the oscillation count of the pair (width {width} A, distance {distance} A, "
+        f"depths {v_shallow}/{v_deep} eV) falls from {n_i} at {e_i} eV to {n_j} at {e_j} eV"
+    )
+
+
+def _cells(count, grid, size, bottom, top, geometry, predicted=()):
     """Number every level inside each pair's window and find its cell.
 
     Returns per level its pair, its index ``k`` among all levels of that
@@ -426,9 +446,16 @@ def _cells(count, grid, size, bottom, top, geometry):
     window's bottom and ``size`` for its top: the end cells ``[-1, 0]`` and
     ``[size - 1, size]`` run from the grid's end points out to the window's
     ends (a window without grid points is the one cell ``[-1, 0]``).  The
-    first round cuts each whole window, its ends included, and the counts at
-    the ends number the levels; then the index brackets ``[a, b]`` shrink by
+    first round cuts each whole window, its ends included, into
+    ``_ROUND_POINTS`` sections shared among the pairs, and the counts at the
+    ends number the levels; then the index brackets ``[a, b]`` shrink by
     multisection over the grid, every level of every pair together.
+    ``predicted`` holds grid positions (``(E - grid(0)) / step``) where the
+    caller expects levels: the first round then adds the ``_SECTIONS`` grid
+    points around each predicted cell, inside the window, and cuts the window
+    into ``_SECTIONS`` sections only.  A level's cell is unique, so any
+    first-round points that include the window's ends give the same cells: a
+    wrong prediction, or no number, costs only rounds.
     Brackets of two levels are the same or disjoint, so levels in one bracket
     (adjacent in the arrays) share its count points.  A round spends about
     ``_ROUND_POINTS`` points: a few brackets get many sections each, a large
@@ -451,18 +478,22 @@ def _cells(count, grid, size, bottom, top, geometry):
             j = drop.shape[1] - 1 - np.argmax(drop[r, ::-1] == drop[r].max())
             i = np.argmax(counts[r] == counts[r, :j].max())
             e_i, e_j = energy(pairs[r], points[r, [i, j]])
-            width, distance, v_shallow, v_deep = (x[pairs[r]] for x in geometry)
-            raise SturmCountError(
-                f"the oscillation count of the pair (width {width} A, distance {distance} A, "
-                f"depths {v_shallow}/{v_deep} eV) falls from {counts[r, i]} at {e_i} eV to "
-                f"{counts[r, j]} at {e_j} eV"
-            )
+            raise _count_falls(geometry, pairs[r], counts[r, i], e_i, counts[r, j], e_j)
 
     cells = np.flatnonzero(top > bottom)
     length = size[cells] + 1  # from index -1 to size
-    sections = max(1, min(_SECTIONS, _ROUND_POINTS // max(cells.size, 1), int(length.max(initial=1))))
+    share = min(_ROUND_POINTS // max(cells.size, 1), int(length.max(initial=1)))
+    sections = max(1, min(_SECTIONS, share) if predicted else share)
     points = length[:, None] * np.arange(sections + 1) // sections - 1
-    at = np.repeat(cells, sections + 1)
+    if predicted and cells.size:
+        near = {c + j for c in map(math.floor, filter(math.isfinite, predicted))
+                for j in range(1 - _SECTIONS // 2, 1 + _SECTIONS // 2)}
+        rows = [sorted({*row, *(i for i in near if -1 <= i <= n)})
+                for row, n in zip(points.tolist(), size[cells].tolist())]
+        # rows of unequal length repeat their last point, which counts nothing new
+        width = max(map(len, rows))
+        points = np.array([row + row[-1:] * (width - len(row)) for row in rows])
+    at = np.repeat(cells, points.shape[1])
     counts = count(at, energy(cells[:, None], points).ravel()).reshape(points.shape)
     rising(cells, points, counts)
     per = counts[:, -1] - counts[:, 0]
@@ -531,7 +562,8 @@ class _Batch(NamedTuple):
     hi: np.ndarray
 
 
-def _solve_batch(geometry: _Geometry, cfg: SolverConfig, e_min, e_max, constants) -> _Batch:
+def _solve_batch(geometry: _Geometry, cfg: SolverConfig, e_min, e_max, constants,
+                 predicted=()) -> _Batch:
     """Solve every pair of ``geometry`` with one config and one window, every level by its index.
 
     ``geometry`` holds the pairs' parameters as arrays.  The grid of a pair
@@ -539,10 +571,11 @@ def _solve_batch(geometry: _Geometry, cfg: SolverConfig, e_min, e_max, constants
     own barrier top, but it is never built.  The oscillation count
     :func:`count_below` at the two window ends numbers the levels inside, and
     each level's cell follows by multisection of the count over the grid
-    index (:func:`_cells`).  The cells beyond the grid's end points run out
-    to the window's ends; an open window's bracket ends there are the
-    smallest positive double and the double below ``v_deep``, inside the
-    range :func:`grid_scan` takes.  A cell that holds two or more levels is halved
+    index (:func:`_cells`), whose first round also counts around the energies
+    ``predicted`` for levels; they change no cell.  The cells beyond the
+    grid's end points run out to the window's ends; an open window's bracket
+    ends there are the smallest positive double and the double below
+    ``v_deep``, inside the range :func:`grid_scan` takes.  A cell that holds two or more levels is halved
     on the count in continuous energy until each has a bracket of its own
     (:func:`_isolate`).  One :func:`grid_scan` call evaluates the cleared form
     at every bracket end, and every bracket with a sign change goes to
@@ -577,7 +610,8 @@ def _solve_batch(geometry: _Geometry, cfg: SolverConfig, e_min, e_max, constants
         energy[above] = ceiling[owner[above]]
         return energy
 
-    owner, k, a, n_a, n_b = _cells(count, grid, size, bottom, top, geometry)
+    owner, k, a, n_a, n_b = _cells(count, grid, size, bottom, top, geometry,
+                                   [(e - first) / step for e in predicted])
     cell_lo, cell_hi = cell_end(owner, a), cell_end(owner, a + 1)
     lo, hi = cell_lo.copy(), cell_hi.copy()
     isolated = _isolate(count, owner, k, lo, hi, n_a, n_b)
@@ -689,9 +723,9 @@ class CalibrationError(ValueError):
         self.best = best
 
 
-def _nearest(levels: Sequence[float], targets: list[float]) -> list[float]:
-    """The level nearest each target; two targets may share a level."""
-    return [min(levels, key=lambda e: abs(t - e)) for t in targets]
+def _nearest(levels: Sequence[float], targets: list[float]) -> list[int]:
+    """The index of the level nearest each target; two targets may share a level."""
+    return [min(range(len(levels)), key=lambda i: abs(t - levels[i])) for t in targets]
 
 
 def _misfits(energies: np.ndarray, counts: np.ndarray, targets: list[float]) -> np.ndarray:
@@ -745,9 +779,11 @@ def _screen(geometry, targets, constants):
     levels lies at least ``gap``, the nearer end's distance, from that target,
     so its misfit is at least ``gap`` as :func:`_misfits` rounds it, whatever
     the solver keeps of the levels the count sees.  The descent stops when at
-    most one candidate passes, or before a rung that none passes.  Returns the
-    candidates passing at the last rung, each candidate's bound (0 for those
-    passing) and the number of rungs.
+    most one candidate passes, or before a rung that none passes.  A count
+    that falls from ``t - delta`` to ``t + delta`` proves no bound: it raises
+    :class:`SturmCountError`, naming the candidate and both energies.  Returns
+    the candidates passing at the last rung, each candidate's bound (0 for
+    those passing) and the number of rungs.
     """
     t = np.array(targets)
     bound = np.zeros(geometry.width.size)
@@ -757,6 +793,11 @@ def _screen(geometry, targets, constants):
         segments = pair_segments(geometry.take(np.repeat(passing, ends.size)))
         n = count_below(segments, np.tile(ends, passing.size), constants)
         n = n.reshape(passing.size, 2, t.size)
+        fall = np.argwhere(n[:, 1] < n[:, 0])
+        if fall.size:
+            c, j = fall[0]
+            raise _count_falls(geometry, passing[c], n[c, 0, j], ends[j], n[c, 1, j],
+                               ends[t.size + j])
         rungs += 1
         inside = (n[:, 1] > n[:, 0]).all(axis=1)
         if not inside.any():
@@ -778,7 +819,11 @@ def _calibrate_1d(template, field, targets, lo, hi, step, cfg, constants, what):
     the whole grid, bit for bit (a candidate's levels do not depend on its
     batch).  Every solve, the coarse batches and each Newton trial alike, is
     a :func:`_solve_batch` of parameter arrays; the callers' range checks
-    keep every pair in the range valid, so no :class:`WellPair` is built."""
+    keep every pair in the range valid, so no :class:`WellPair` is built.
+    A Newton step takes the slope of every level of its iterate, and each
+    trial passes the levels it predicts from them to :func:`_solve_batch`,
+    whose count then finds every cell in one call where they hold; the
+    trial's levels are those of a solve without predictions, bit for bit."""
     targets = [float(t) for t in targets]
     if not targets:
         raise ValueError("calibration needs at least one target energy")
@@ -796,21 +841,24 @@ def _calibrate_1d(template, field, targets, lo, hi, step, cfg, constants, what):
         misfit = _misfits(energies, np.array([energies.size]), targets)[0]
         return CalibrationResult(value=x, misfit=float(misfit), levels=tuple(energies.tolist()))
 
-    def evaluate(x: float) -> CalibrationResult:
-        batch = _solve_batch(_Geometry.varied(template, field, [x]), cfg, e_min, e_max, constants)
+    def evaluate(x: float, predicted) -> CalibrationResult:
+        batch = _solve_batch(_Geometry.varied(template, field, [x]), cfg, e_min, e_max, constants,
+                             predicted)
         return fit(x, batch.energy[batch.kept])
 
-    def newton_step(at: CalibrationResult) -> float:
-        """Gauss-Newton step on the nearest-level residuals; nan if it has no slope."""
-        matched = _nearest(at.levels, targets)
-        slope = _level_slopes(
-            template, field, at.value, matched, (lo, hi), _SLOPE_H * step,
+    def newton_step(at: CalibrationResult) -> tuple[float, list[float]]:
+        """Gauss-Newton step on the nearest-level residuals, nan if it has no slope, and the
+        slope of every level of ``at``."""
+        slopes = _level_slopes(
+            template, field, at.value, at.levels, (lo, hi), _SLOPE_H * step,
             _SLOPE_H * cfg.grid_step, constants,
         )
+        nearest = _nearest(at.levels, targets)
+        slope, matched = slopes[nearest], np.array(at.levels)[nearest]
         gain = float(slope @ slope)
         if not (math.isfinite(gain) and gain > 0.0):
-            return math.nan
-        return -float(slope @ (np.array(matched) - targets)) / gain
+            return math.nan, []
+        return -float(slope @ (matched - targets)) / gain, slopes.tolist()
 
     # a one-point range is a one-point grid, after the same step check
     grid = uniform_grid(lo, hi, step).tolist()
@@ -851,14 +899,15 @@ def _calibrate_1d(template, field, targets, lo, hi, step, cfg, constants, what):
         xtol = 0.5e-6 * max(step, 1e-9)
         fine = best
         for _ in range(_NEWTON_ITERATIONS):
-            dx = newton_step(fine)
+            dx, slopes = newton_step(fine)
             if math.isfinite(dx):
                 dx = min(max(fine.value + dx, g_lo), g_hi) - fine.value
             iterates.append((fine.value, fine.misfit, dx))
             if not math.isfinite(dx):
                 break
             while abs(dx) > xtol:
-                trial = evaluate(fine.value + dx)
+                # each level of the trial predicted on its slope, to seed the count's first round
+                trial = evaluate(fine.value + dx, [e + s * dx for e, s in zip(fine.levels, slopes)])
                 solves += 1
                 if trial.misfit < fine.misfit:
                     break

@@ -603,7 +603,7 @@ def test_count_is_monotone_where_the_shallow_well_holds_whole_half_waves(referen
 @pytest.mark.parametrize("dip", [(0.5, 0.52), (0.69995, 0.7)])
 def test_a_count_that_falls_along_a_row_raises(pair1, monkeypatch, dip):
     # a count of levels at 0.3, 0.7 and 1.1 eV, one too low on ``dip``: the wide
-    # dip holds points of the first round, which cuts the window 0.0156 eV apart;
+    # dip holds points of the first round, which cuts the window 0.002 eV apart;
     # the narrow one, just below a level, is seen only inside that level's
     # bracket, below the count at the bracket's low end
     def falling(segments, energies, constants):
@@ -622,16 +622,68 @@ def test_a_count_that_falls_along_a_row_raises(pair1, monkeypatch, dip):
 
 
 def test_a_count_below_its_brackets_low_end_raises(pair1):
-    # grid index i at i eV over 130 points, one level at 4.5 eV: the first round
-    # cuts the window at 3 and 5, and the next at 4 alone, where the count falls
-    # below the 5 at the bracket's low end; the bracket's ends are in the check
+    # grid index i at i eV over 2 000 points, more than a round's 512, one level at
+    # 1000.5 eV: the first round cuts the window at 999 and 1003, and the next at
+    # 1000, 1001 and 1002, where the count at 1000 falls below the 5 at the
+    # bracket's low end; the bracket's ends are in the check
     def count(owner, energies):
-        return 5 + (energies > 4.5) - ((3.5 < energies) & (energies < 4.5))
+        return 5 + (energies > 1000.5) - ((999.5 < energies) & (energies < 1000.5))
 
+    assert 2000 > eigensolver._ROUND_POINTS
     geometry = eigensolver._Geometry.of([pair1])
-    with pytest.raises(SturmCountError, match=r"falls from 5 at 3.0 eV to 4 at 4.0 eV$"):
-        eigensolver._cells(count, lambda index: 1.0 * index, np.array([130]), -1.0,
-                           np.array([130.0]), geometry)
+    with pytest.raises(SturmCountError, match=r"falls from 5 at 999.0 eV to 4 at 1000.0 eV$"):
+        eigensolver._cells(count, lambda index: 1.0 * index, np.array([2000]), -1.0,
+                           np.array([2000.0]), geometry)
+
+
+def _cells_of(pairs, step, e_min, e_max, predicted=()):
+    """``_cells`` of ``pairs`` as ``_solve_batch`` calls it, and the size of each count call."""
+    geometry = eigensolver._Geometry.of(pairs)
+    bottom, top, first, size = eigensolver._grids(geometry, step, e_min, e_max)
+    calls = []
+
+    def count(owner, energies):
+        calls.append(energies.size)
+        return count_below(pair_segments(geometry.take(owner)), energies)
+
+    cells = eigensolver._cells(count, lambda index: first + step * index, size, bottom, top,
+                               geometry, predicted)
+    return [x.tolist() for x in cells], calls, size
+
+
+_PAIR = st.builds(
+    lambda width, barrier, v_deep, share: WellPair(
+        width=width, distance=width + barrier, v_shallow=share * v_deep, v_deep=v_deep),
+    st.floats(5.0, 50.0), st.floats(0.5, 20.0), st.floats(0.3, 2.0), st.floats(0.1, 0.9),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    pairs=st.lists(_PAIR, min_size=1, max_size=3),
+    step=st.sampled_from([2e-5, 1e-4, 5e-4]),
+    window=st.one_of(st.none(), st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 0.3))),
+    right=st.sampled_from([0, 1, 2]),
+    offset=st.floats(0.0, 0.999),
+    wrong=st.lists(st.floats(-0.5, 1.5), max_size=4),
+    special=st.lists(st.sampled_from([math.nan, math.inf, -math.inf, -1e6, 1e300]), max_size=3),
+)
+def test_predicted_cells_leave_every_cell_as_it_is(pairs, step, window, right, offset, wrong,
+                                                   special):
+    # extra points of the first round change no cell: each level's cell is the
+    # one grid index where the count passes its index.  The predictions are grid
+    # positions: the true cells (``right`` times, so 2 duplicates them), others
+    # anywhere over the grid and around it, out of every window and no numbers
+    e_min, e_max = (None, None) if window is None else (
+        window[0] * pairs[0].v_deep, (window[0] + window[1]) * pairs[0].v_deep)
+    cells, calls, size = _cells_of(pairs, step, e_min, e_max)
+    truth = [a + offset for a in cells[2]] * right
+    predicted = truth + [w * int(size.max(initial=1)) for w in wrong] + special
+    predicted_cells, predicted_calls, _ = _cells_of(pairs, step, e_min, e_max, predicted)
+    assert predicted_cells == cells
+    if right:
+        # every cell was predicted, so the first round finds them all
+        assert len(predicted_calls) == 1
 
 
 def test_no_bound_state_for_tiny_well():
@@ -994,6 +1046,109 @@ def test_calibration_screen_equals_the_exhaustive_search(reference_spec, monkeyp
     sizes.clear()
     assert calibrate() == screened
     assert sizes[0] == points
+
+
+def test_a_count_that_falls_inside_a_screen_window_raises(pair1, monkeypatch):
+    # the count of the widest candidate, 60.5 A, falls by three levels from 1.445
+    # to 1.5 eV: inside the first rung's window around the target 1.445 eV only,
+    # where it proves no bound, so the screen raises rather than drop the candidate
+    distance = uniform_grid(60.0, 60.5, 0.01)[-1]
+    lo, hi = 1.445 - eigensolver._SEARCH_PAD, 1.445 + eigensolver._SEARCH_PAD
+    n_lo, n_hi = count_below(pair_segments(replace(pair1, distance=distance)), np.array([lo, hi]))
+    assert n_hi - 3 < n_lo
+
+    def falling(segments, energies, constants):
+        widest = np.broadcast_to(segments[0][0], energies.shape) == np.min(segments[0][0])
+        dip = widest & (1.445 < energies) & (energies < 1.5)
+        return count_below(segments, energies, constants) - 3 * dip
+
+    monkeypatch.setattr(eigensolver, "count_below", falling)
+    with pytest.raises(SturmCountError) as error:
+        calibrate_distance(pair1, [1.445, 1.460], (60.0, 60.5))
+    assert str(error.value) == (
+        f"the oscillation count of the pair (width 43.85 A, distance {distance} A, depths "
+        f"0.272/1.585 eV) falls from {n_lo} at {lo} eV to {n_hi - 3} at {hi} eV"
+    )
+
+
+# pair index -> a window that holds its doublet
+_DOUBLET_WINDOWS = {0: (1.43, 1.47), 1: (0.26, 0.28), 2: (0.43, 0.46)}
+
+
+@pytest.mark.parametrize("index", sorted(_DOUBLET_WINDOWS))
+@pytest.mark.parametrize("role", ["distance", "shallow"])
+def test_predicted_cells_change_no_calibration(reference_spec, monkeypatch, index, role):
+    # seeded hidden values: the distance within 0.1 A, the deep depth within 0.3%,
+    # each inside a 40-step search range; with and without the trials' predictions
+    template, field = reference_spec.pair(index), FIELDS[role]
+    step = 0.01 if role == "distance" else 5e-4
+    solve_batch, predicted = eigensolver._solve_batch, []
+
+    def recording(*args):
+        predicted.extend(args[5:])
+        return solve_batch(*args)
+
+    def unpredicted(*args):
+        return solve_batch(*args[:5])
+
+    def calibrate(targets, x_range, solve):
+        monkeypatch.setattr(eigensolver, "_solve_batch", solve)
+        try:
+            if role == "distance":
+                return calibrate_distance(template, targets, x_range, step=step)
+            return calibrate_depth(template, role, targets, x_range, step=step)
+        except CalibrationError as error:
+            return str(error), error.best
+
+    for seed in (1, 2, 3):
+        rng = np.random.default_rng(seed)
+        x = getattr(template, field)
+        hidden = x + rng.uniform(-0.1, 0.1) if role == "distance" else x * (
+            1.0 + rng.uniform(-0.003, 0.003))
+        lo = hidden - rng.uniform(0.2, 0.8) * 40 * step
+        window = _DOUBLET_WINDOWS[index]
+        levels = solve_pair(_vary(template, role)(hidden), e_min=window[0], e_max=window[1]).levels
+        targets = [lv.energy for lv in levels]
+        assert targets
+        assert calibrate(targets, (lo, lo + 40 * step), recording) == calibrate(
+            targets, (lo, lo + 40 * step), unpredicted)
+    assert any(len(p) for p in predicted)
+
+
+# the CI's exact distance fit and the README's distance and depth fits:
+# pair index, role, targets, range and the value the CLI prints
+_PRINTED_FITS = {
+    "ci-exact": (0, "distance", [1.4448517161, 1.4599071581], (60.0, 61.0), "60.230000"),
+    "readme-distance": (0, "distance", [1.445, 1.460], (60.0, 65.0), "60.188796"),
+    "readme-depth": (1, "shallow", [0.268, 0.274], (0.50, 0.55), "0.523438"),
+}
+
+
+@pytest.mark.parametrize("fit", _PRINTED_FITS)
+def test_each_newton_trial_finds_its_cells_in_one_count_call(reference_spec, monkeypatch, fit):
+    index, role, targets, x_range, printed = _PRINTED_FITS[fit]
+    cells, trials = eigensolver._cells, []
+
+    def spying(count, *args):
+        calls = []
+
+        def counting(*count_args):
+            calls.append(1)
+            return count(*count_args)
+
+        found = cells(counting, *args)
+        if args[5]:  # predicted levels: a Newton trial
+            trials.append(len(calls))
+        return found
+
+    monkeypatch.setattr(eigensolver, "_cells", spying)
+    template = reference_spec.pair(index)
+    if role == "distance":
+        result = calibrate_distance(template, targets, x_range)
+    else:
+        result = calibrate_depth(template, role, targets, x_range)
+    assert f"{result.value:.6f}" == printed
+    assert trials and trials == [1] * len(trials)
 
 
 def test_calibration_logs_one_debug_record(pair1, caplog, capsys):
