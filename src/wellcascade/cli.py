@@ -6,9 +6,10 @@ resonance search that comes up empty), 2 configuration or usage error.
 
 The configuration file is flat INI text with sections [wells], [solver],
 [oracle], [output] and optionally [constants].  Keys are case sensitive and
-unknown keys are rejected rather than ignored; the [solver], [oracle] and
-[constants] keys and the two schedule keys of [wells] are named once, in
-``_KEYWORDS``.
+unknown keys are rejected rather than ignored.  Every key of [wells],
+[solver], [oracle] and [constants] is named once, in ``_KEYWORDS``, beside
+the keyword of the record its section builds; the record checks the values
+(counts, finiteness, order), and the error names the section.
 
 This module writes every output file: JSON through ``_write_json`` (the
 report and solve-pair dictionaries are built here) and every CSV through
@@ -45,12 +46,10 @@ from .eigensolver import (
     uniform_grid,
 )
 from .potential import CascadeSpec, WellPair, cascade_profile, pair_profile
-from .quantities import PhysicalConstants, make_constants
+from .quantities import PhysicalConstants
 from .transcendental import GridScan, grid_scan
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config", "report_to_dict", "main"]
-
-_REQUIRED_KEYS = (("wells", "widths_A"), ("wells", "depths_eV"), ("wells", "distances_A"))
 
 
 class ConfigError(ValueError):
@@ -103,9 +102,33 @@ def _int(section: str, key: str, raw: str) -> int:
         raise ConfigError(f"[{section}] {key}: expected an integer")
 
 
+def _labels(section: str, key: str, raw: str) -> tuple[str, ...]:
+    return tuple(s.strip() for s in raw.split(",") if s.strip())
+
+
+def _cascade_spec(widths, distances, closing_distance=None, **keywords) -> CascadeSpec:
+    """Build the [wells] spec in the config's two conventions.
+
+    One width stands for all four, and ``closing_distance_A`` follows exactly
+    three ``distances_A``, so a fourth ``distances_A`` value is an error.
+    """
+    if len(distances) != 3:
+        raise ValueError(f"distances_A takes 3 values, got {len(distances)}; "
+                         "the closing pair's is closing_distance_A")
+    if closing_distance is not None:
+        distances = [*distances, closing_distance]
+    return CascadeSpec(widths=widths * 4 if len(widths) == 1 else widths,
+                       distances=distances, **keywords)
+
+
 # [section] key -> (keyword of the object the section builds, parser of the value)
 _KEYWORDS = {
     "wells": {
+        "widths_A": ("widths", _floats),
+        "depths_eV": ("depths", _floats),
+        "distances_A": ("distances", _floats),
+        "closing_distance_A": ("closing_distance", _float),
+        "labels": ("labels", _labels),
         "absorption_target_eV": ("absorption_target_ev", _float),
         "resonance_window_eV": ("resonance_window_ev", _float),
     },
@@ -121,13 +144,8 @@ _KEYWORDS = {
     },
 }
 
-_KNOWN_KEYS = {
-    **_KEYWORDS,
-    "wells": {
-        "labels", "closing_distance_A", *(key for _, key in _REQUIRED_KEYS), *_KEYWORDS["wells"]
-    },
-    "output": {"directory"},
-}
+_KNOWN_KEYS = {**_KEYWORDS, "output": {"directory"}}
+_REQUIRED_KEYS = ("widths_A", "depths_eV", "distances_A")
 
 
 def _build(parser: configparser.ConfigParser, section: str, build, rejected: str):
@@ -148,8 +166,8 @@ def parse_config(text: str) -> RunConfig:
     """Parse and validate configuration text into a :class:`RunConfig`.
 
     Unknown sections or keys are errors; missing required keys are reported
-    all at once.  Geometry and tolerance invariants are checked here, before
-    any computation.
+    all at once.  The records built here check their own invariants, so a
+    bad geometry or tolerance is rejected before any computation.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     parser.optionxform = str  # keys are case sensitive
@@ -165,39 +183,11 @@ def parse_config(text: str) -> RunConfig:
             if key not in _KNOWN_KEYS[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
 
-    missing = [
-        f"[{sec}] {key}"
-        for sec, key in _REQUIRED_KEYS
-        if not parser.has_option(sec, key)
-    ]
+    missing = [f"[wells] {key}" for key in _REQUIRED_KEYS if not parser.has_option("wells", key)]
     if missing:
         raise ConfigError("missing required key(s): " + ", ".join(missing))
 
-    wells = parser["wells"]
-    widths = _floats("wells", "widths_A", wells["widths_A"])
-    if len(widths) == 1:
-        widths = widths * 4
-    if len(widths) != 4:
-        raise ConfigError(f"[wells] widths_A: expected 1 or 4 values, got {len(widths)}")
-    depths = _floats("wells", "depths_eV", wells["depths_eV"])
-    if len(depths) != 4:
-        raise ConfigError(f"[wells] depths_eV: expected 4 values, got {len(depths)}")
-    distances = _floats("wells", "distances_A", wells["distances_A"])
-    if len(distances) != 3:
-        raise ConfigError(f"[wells] distances_A: expected 3 values, got {len(distances)}")
-    if parser.has_option("wells", "closing_distance_A"):
-        distances = distances + [_float("wells", "closing_distance_A", wells["closing_distance_A"])]
-    labels = ("P", "B", "H", "Q")
-    if parser.has_option("wells", "labels"):
-        raw_labels = tuple(s.strip() for s in wells["labels"].split(",") if s.strip())
-        if len(raw_labels) != 4:
-            raise ConfigError(f"[wells] labels: expected 4 labels, got {len(raw_labels)}")
-        labels = raw_labels
-
-    def build_spec(**schedule) -> CascadeSpec:
-        return CascadeSpec(tuple(widths), tuple(distances), tuple(depths), labels, **schedule)
-
-    spec = _build(parser, "wells", build_spec, "invalid geometry or schedule")
+    spec = _build(parser, "wells", _cascade_spec, "invalid geometry or schedule")
     solver = _build(parser, "solver", SolverConfig, "invalid configuration")
     oracle = _build(parser, "oracle", FdConfig, "invalid configuration")
 
@@ -207,7 +197,7 @@ def parse_config(text: str) -> RunConfig:
         if not output_dir:
             raise ConfigError("[output] directory: must not be empty")
 
-    constants = _build(parser, "constants", make_constants, "invalid override")
+    constants = _build(parser, "constants", PhysicalConstants, "invalid override")
 
     return RunConfig(
         spec=spec,
@@ -478,10 +468,11 @@ def _cmd_oracle(args) -> int:
     from .oracle import fd_solve, fd_states
 
     config = load_config(args.config)
+    states = None
     if args.cascade:
         profile = cascade_profile(config.spec)
         n_levels = args.levels or 12
-        fd = fd_solve(profile, n_levels, config.oracle, config.constants)
+        oracle_levels = fd_solve(profile, n_levels, config.oracle, config.constants).levels
         globals_all = []
         for i in (1, 2, 3):
             pair, offset, _ = _resolve_pair(config, i)
@@ -489,35 +480,34 @@ def _cmd_oracle(args) -> int:
             globals_all.extend(lv.energy + offset for lv in result.levels)
         globals_all.sort()
         print(f"{'idx':>3} {'fd_global_eV':>14} {'nearest_pairwise_eV':>20} {'diff_eV':>12}")
-        for i, e in enumerate(fd.levels):
+        for i, e in enumerate(oracle_levels):
             nearest = min(globals_all, key=lambda g: abs(g - e)) if globals_all else float("nan")
             print(f"{i:>3} {e:>14.9f} {nearest:>20.9f} {e - nearest:>12.2e}")
-        if fd.truncated:
-            print(f"note: only {len(fd.levels)} bound state(s) below the barrier top")
-        return 0
-    pair, offset, name = _resolve_pair(config, args.pair)
-    result = solve_pair(pair, config.solver, constants=config.constants)
-    n_levels = args.levels or max(len(result.levels), 1)
-    profile = pair_profile(pair)
-    states = None
-    if args.emit_states:
-        states = fd_states(profile, n_levels, config.oracle, config.constants)
-    if states is not None and not config.oracle.extrapolate:
-        # fd_states runs fd_solve's eigensolve, with vectors: same levels, one solve
-        oracle_levels = states[1].tolist()
     else:
-        oracle_levels = fd_solve(profile, n_levels, config.oracle, config.constants).levels
-    print(f"pair {args.pair} ({name}): transcendental vs finite-difference (local eV)")
-    print(f"{'idx':>3} {'transcendental':>15} {'finite_diff':>15} {'diff':>12}")
-    for i in range(max(len(result.levels), len(oracle_levels))):
-        t = f"{result.levels[i].energy:>15.9f}" if i < len(result.levels) else " " * 15
-        o = f"{oracle_levels[i]:>15.9f}" if i < len(oracle_levels) else " " * 15
-        d = (
-            f"{result.levels[i].energy - oracle_levels[i]:>12.2e}"
-            if i < len(result.levels) and i < len(oracle_levels)
-            else " " * 12
-        )
-        print(f"{i:>3} {t} {o} {d}")
+        pair, offset, name = _resolve_pair(config, args.pair)
+        result = solve_pair(pair, config.solver, constants=config.constants)
+        n_levels = args.levels or max(len(result.levels), 1)
+        profile = pair_profile(pair)
+        if args.emit_states:
+            states = fd_states(profile, n_levels, config.oracle, config.constants)
+        if states is not None and not config.oracle.extrapolate:
+            # fd_states runs fd_solve's eigensolve, with vectors: same levels, one solve
+            oracle_levels = states[1].tolist()
+        else:
+            oracle_levels = fd_solve(profile, n_levels, config.oracle, config.constants).levels
+        print(f"pair {args.pair} ({name}): transcendental vs finite-difference (local eV)")
+        print(f"{'idx':>3} {'transcendental':>15} {'finite_diff':>15} {'diff':>12}")
+        for i in range(max(len(result.levels), len(oracle_levels))):
+            t = f"{result.levels[i].energy:>15.9f}" if i < len(result.levels) else " " * 15
+            o = f"{oracle_levels[i]:>15.9f}" if i < len(oracle_levels) else " " * 15
+            d = (
+                f"{result.levels[i].energy - oracle_levels[i]:>12.2e}"
+                if i < len(result.levels) and i < len(oracle_levels)
+                else " " * 12
+            )
+            print(f"{i:>3} {t} {o} {d}")
+    if len(oracle_levels) < n_levels:
+        print(f"note: only {len(oracle_levels)} bound state(s) below the barrier top")
     if states is not None:
         x, _, vectors = states
         out = _output_dir(config, args.output_dir) / f"oracle_pair{args.pair}_states.csv"

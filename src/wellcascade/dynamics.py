@@ -1,13 +1,13 @@
 """Two-level resonance dynamics: oscillation, tunneling time, decay time.
 
-A :class:`ResonantPair` holds the two eigenstates of a near-degenerate
-doublet.  The oscillation probability between the wells is
+A :class:`ResonantPair` is a near-degenerate doublet, its two eigenstate
+energies E+ > E-.  In the resonant approximation the oscillation probability
+between the wells is
 
-    P(t) = [4|W|^2 / ((E1 - E2)^2 + 4|W|^2)] * sin^2((E+ - E-) t / (2 hbar))
+    P(t) = sin^2((E+ - E-) t / (2 hbar)),
 
-When the unperturbed levels and coupling are not supplied the resonant
-approximation applies and the bracket is exactly one.  The tunneling time is
-the time of the sine's k-th maximum,
+which reaches one at every maximum.  The tunneling time is the time of the
+k-th maximum,
 
     T = (2k + 1) * pi * hbar / (E+ - E-),
 
@@ -33,18 +33,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ResonantPair:
-    """Near-degenerate doublet (energies in eV).
-
-    ``e1``/``e2`` are the unperturbed single-well levels and ``w12`` the
-    coupling magnitude; all three are optional because the model normally
-    runs in the resonant approximation where only the splitting matters.
-    """
+    """Near-degenerate doublet: its two finite energies, ``e_plus > e_minus`` (eV)."""
 
     e_plus: float
     e_minus: float
-    e1: float | None = None
-    e2: float | None = None
-    w12: float | None = None
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.e_plus) and math.isfinite(self.e_minus)):
@@ -53,20 +45,11 @@ class ResonantPair:
             raise ValueError(
                 f"doublet requires e_plus > e_minus, got {self.e_plus} / {self.e_minus}"
             )
-        given = (self.e1 is not None, self.e2 is not None, self.w12 is not None)
-        if any(given) and not all(given):
-            raise ValueError("supply e1, e2 and w12 together or not at all")
-        if self.w12 is not None and self.w12 == 0.0:
-            raise ValueError("coupling w12 must be non-zero when supplied")
 
     @property
     def splitting(self) -> float:
         """E+ - E- in eV (always positive)."""
         return self.e_plus - self.e_minus
-
-    @property
-    def resonant_mode(self) -> bool:
-        return self.w12 is None
 
 
 @dataclass(frozen=True)
@@ -97,17 +80,11 @@ def rabi_probability(
     pair: ResonantPair,
     constants: PhysicalConstants = CODATA2018,
 ) -> float:
-    """Oscillation probability at time ``t_s`` (seconds)."""
+    """Resonant oscillation probability at time ``t_s`` (seconds)."""
     if not (math.isfinite(t_s) and t_s >= 0.0):
         raise ValueError(f"time must be non-negative, got {t_s!r}")
-    if pair.resonant_mode:
-        prefactor = 1.0
-    else:
-        detuning_sq = (pair.e1 - pair.e2) ** 2
-        coupling_sq = 4.0 * pair.w12 * pair.w12
-        prefactor = coupling_sq / (detuning_sq + coupling_sq)
     phase = pair.splitting * t_s / (2.0 * constants.hbar_eV_s)
-    return prefactor * math.sin(phase) ** 2
+    return math.sin(phase) ** 2
 
 
 def tunneling_time(
@@ -118,10 +95,7 @@ def tunneling_time(
     """Time of the oscillation's k-th maximum, (2k+1) pi hbar / splitting."""
     if k < 0 or k != int(k):
         raise ValueError(f"k must be a non-negative integer, got {k!r}")
-    splitting = pair.splitting
-    if splitting <= 0.0:
-        raise ValueError("tunneling time requires a positive splitting")
-    return (2 * k + 1) * math.pi * constants.hbar_eV_s / splitting
+    return (2 * k + 1) * math.pi * constants.hbar_eV_s / pair.splitting
 
 
 def decay_time(delta_e_ev: float, constants: PhysicalConstants = CODATA2018) -> float:

@@ -275,8 +275,7 @@ def _multisect(lo, hi, decide):
     one of its ends, where a consistent ``decide`` moves toward the other
     end: the walk keeps the bracket, and the next round closes it.  Rounds
     carry only the open brackets, and each bracket's ends are written back
-    when it closes; a one-level round builds no tree, as each bracket keeps
-    the half its move names.
+    when it closes.
     """
     lo, hi = lo.copy(), hi.copy()
     live, a, b, halvings = np.arange(lo.size), lo, hi, 0
@@ -293,10 +292,6 @@ def _multisect(lo, hi, decide):
         n = live.size
         depth = min(max(1, min(_SECTIONS, _ROUND_POINTS // n + 1).bit_length() - 1), 200 - halvings)
         halvings += depth
-        if depth == 1:
-            move = decide(live, root[:, None])[:, 0]
-            a, b = np.where(move < 0, a, root), np.where(move > 0, b, root)
-            continue
         # the tree in order: ends[m] is the midpoint of node m, which spans
         # ends[m - h] to ends[m + h] with h = 2**(depth - 1 - level); its children
         # are m - h/2 and m + h/2

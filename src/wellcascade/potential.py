@@ -98,9 +98,10 @@ class CascadeSpec:
         for name in ("widths", "depths", "distances"):
             values = getattr(self, name)
             _require(all(map(math.isfinite, values)), f"{name} must be finite, got {values}")
-        _require(len(self.widths) == 4, "cascade needs exactly 4 well widths")
-        _require(len(self.depths) == 4, "cascade needs exactly 4 well depths")
-        _require(len(self.labels) == 4, "cascade needs exactly 4 site labels")
+        for name, what in (("widths", "well widths"), ("depths", "well depths"),
+                           ("labels", "site labels")):
+            count = len(getattr(self, name))
+            _require(count == 4, f"cascade needs exactly 4 {what}, got {count}")
         _require(
             len(self.distances) in (3, 4),
             "cascade needs 3 inter-well distances (closing distance optional 4th)",

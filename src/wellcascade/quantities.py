@@ -5,7 +5,9 @@ package.  Internal working units are eV and Angstrom (seconds for times),
 which keeps all magnitudes within a comfortable floating-point range; SI
 conversions happen only at I/O boundaries.
 
-Constants are pinned to CODATA-2018 so golden tests are deterministic.
+Constants are pinned to CODATA-2018 so golden tests are deterministic:
+they are the defaults of :class:`PhysicalConstants`, and ``CODATA2018`` is
+the record built from them.
 """
 
 from __future__ import annotations
@@ -17,16 +19,8 @@ from functools import cached_property
 __all__ = [
     "PhysicalConstants",
     "CODATA2018",
-    "make_constants",
     "photon_wavelength_nm",
 ]
-
-# CODATA-2018 primitives (eV_in_J and h are exact by the 2019 SI redefinition).
-_HBAR_J_S = 1.054571817e-34
-_ELECTRON_MASS_KG = 9.1093837015e-31
-_EV_IN_J = 1.602176634e-19
-_PLANCK_J_S = 6.62607015e-34
-_LIGHT_SPEED_M_S = 299_792_458.0
 
 
 @dataclass(frozen=True)
@@ -39,14 +33,17 @@ class PhysicalConstants:
         eV_in_J: one electronvolt in joule.
         hc_eV_nm: photon energy-wavelength product in eV*nm.
 
-    ``hbar_eV_s`` and ``wavenumber_factor`` are derived from these fields,
-    once per instance.
+    Each field defaults to its CODATA-2018 value, so ``PhysicalConstants()``
+    is the reference record and a keyword overrides one field (the
+    ``[constants]`` config section).  ``hbar_eV_s`` and ``wavenumber_factor``
+    are derived from the fields, once per instance, and cannot be set.
     """
 
-    hbar_J_s: float
-    electron_mass_kg: float
-    eV_in_J: float
-    hc_eV_nm: float
+    # eV_in_J and h are exact by the 2019 SI redefinition; hc = h*c/eV_in_J
+    hbar_J_s: float = 1.054571817e-34
+    electron_mass_kg: float = 9.1093837015e-31
+    eV_in_J: float = 1.602176634e-19
+    hc_eV_nm: float = 6.62607015e-34 * 299_792_458.0 / 1.602176634e-19 * 1e9
 
     def __post_init__(self) -> None:
         for field in fields(self):
@@ -71,26 +68,7 @@ class PhysicalConstants:
         return 1.0 / self.wavenumber_factor**2
 
 
-def make_constants(**overrides: float) -> PhysicalConstants:
-    """Build a constants record: CODATA-2018 values, any of the four fields overridden.
-
-    The derived ``hbar_eV_s`` and ``wavenumber_factor`` follow the overrides
-    and cannot be set themselves.  Intended for sensitivity studies via the
-    ``[constants]`` config section.
-    """
-    unknown = set(overrides) - {field.name for field in fields(PhysicalConstants)}
-    if unknown:
-        raise ValueError(f"unknown constant override(s): {sorted(unknown)}")
-    defaults = {
-        "hbar_J_s": _HBAR_J_S,
-        "electron_mass_kg": _ELECTRON_MASS_KG,
-        "eV_in_J": _EV_IN_J,
-        "hc_eV_nm": _PLANCK_J_S * _LIGHT_SPEED_M_S / _EV_IN_J * 1e9,
-    }
-    return PhysicalConstants(**{**defaults, **overrides})
-
-
-CODATA2018 = make_constants()
+CODATA2018 = PhysicalConstants()
 
 
 def photon_wavelength_nm(delta_e_ev: float, constants: PhysicalConstants = CODATA2018) -> float:

@@ -35,11 +35,8 @@ def first_maximum_time(pair, constants: PhysicalConstants = CODATA2018) -> float
 
     Independent cross-check of :func:`wellcascade.dynamics.tunneling_time`
     with ``k = 0``: samples one full period, brackets the first peak, then
-    golden-section maximises.
-    Only meaningful in resonant mode where the peak reaches probability one.
+    golden-section maximises.  The resonant probability reaches one at the peak.
     """
-    if not pair.resonant_mode:
-        raise ValueError("first-maximum scan applies to the resonant approximation")
     period = 2.0 * math.pi * constants.hbar_eV_s / pair.splitting
     step = period / (_PERIOD_SAMPLES - 1)
     best_i, best_p = 0, -1.0

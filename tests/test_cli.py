@@ -105,6 +105,28 @@ def test_schedule_input_must_be_positive(tmp_path, capsys, key, value):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("widths_A = 43.85, 43.85", "cascade needs exactly 4 well widths, got 2"),
+        ("depths_eV = 1.585, 0.272, 0.524", "cascade needs exactly 4 well depths, got 3"),
+        ("labels = P, B, H", "cascade needs exactly 4 site labels, got 3"),
+        ("distances_A = 60.19, 60.0, 60.0, 62.5",
+         "distances_A takes 3 values, got 4; the closing pair's is closing_distance_A"),
+    ],
+    ids=["widths", "depths", "labels", "distances"],
+)
+def test_a_wrong_count_is_one_config_error_line(tmp_path, capsys, line, message):
+    key = line.split(" = ")[0]
+    rows = [row for row in MINIMAL.splitlines() if not row.startswith(key)] + [line]
+    cfg = tmp_path / "count.cfg"
+    cfg.write_text("\n".join(rows) + "\n")
+    assert main(["cascade", "--config", str(cfg), "--output-dir", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: [wells] invalid geometry or schedule: {message}\n"
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_bad_number_reports_field():
     with pytest.raises(ConfigError) as info:
         parse_config(MINIMAL.replace("43.85", "wide"))
@@ -535,6 +557,19 @@ def test_oracle_pair_command(reference_config_file, capsys):
     rc = main(["oracle", "--config", str(reference_config_file), "--pair", "2", "--levels", "4"])
     assert rc == 0
     assert "finite-difference" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("emit_states", [False, True], ids=["table", "emit-states"])
+def test_oracle_pair_notes_a_table_shorter_than_requested(reference_config_file, tmp_path, capsys,
+                                                          emit_states):
+    # the closing pair binds 16 states below its barrier top, so 100 cannot all be printed
+    args = ["oracle", "--config", str(reference_config_file), "--pair", "4", "--levels", "100",
+            "--output-dir", str(tmp_path)]
+    assert main(args + ["--emit-states"] * emit_states) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 + 16 + 1 + emit_states
+    assert lines[18] == "note: only 16 bound state(s) below the barrier top"
+    assert [line for line in lines if line.startswith("note:")] == lines[18:19]
 
 
 def test_oracle_emit_states_solves_once(reference_config_file, tmp_path, capsys, monkeypatch):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wellcascade.potential import WellPair
-from wellcascade.quantities import CODATA2018, make_constants, photon_wavelength_nm
+from wellcascade.quantities import CODATA2018, PhysicalConstants, photon_wavelength_nm
 from wellcascade.transcendental import _wavenumbers
 
 # Independent recomputation from CODATA-2018 literals (the test-side oracle).
@@ -41,10 +41,10 @@ def test_wavenumber_sqrt_scaling():
 def test_wavenumber_rejects_negative():
     # the factor is derived, so no value of it can be set; its inputs must be positive
     for factor in (-CODATA2018.wavenumber_factor, math.nan):
-        with pytest.raises(ValueError, match=r"unknown .*\['wavenumber_factor'\]"):
-            make_constants(wavenumber_factor=factor)
+        with pytest.raises(TypeError, match="unexpected keyword argument 'wavenumber_factor'"):
+            PhysicalConstants(wavenumber_factor=factor)
     with pytest.raises(ValueError, match="electron_mass_kg must be finite and positive"):
-        make_constants(electron_mass_kg=-M_E)
+        PhysicalConstants(electron_mass_kg=-M_E)
 
 
 def test_ev_joule_reference_points():
@@ -56,7 +56,7 @@ def test_ev_joule_reference_points():
 def test_ev_joule_round_trip():
     # hbar in eV*s is hbar in J*s converted by eV_in_J, for any override
     for ev in (EV, 2.0 * EV):
-        c = make_constants(eV_in_J=ev)
+        c = PhysicalConstants(eV_in_J=ev)
         assert c.hbar_eV_s * c.eV_in_J == pytest.approx(c.hbar_J_s, rel=1e-14)
 
 
@@ -115,7 +115,8 @@ def test_constants_consistency_10_digits():
 
 
 def test_make_constants_recomputes_derived_fields():
-    tweaked = make_constants(electron_mass_kg=2.0 * M_E)
+    # a keyword of PhysicalConstants overrides one field; the derived constants follow it
+    tweaked = PhysicalConstants(electron_mass_kg=2.0 * M_E)
     assert tweaked.wavenumber_factor == pytest.approx(
         math.sqrt(2.0) * CODATA2018.wavenumber_factor, rel=1e-12
     )
@@ -123,18 +124,34 @@ def test_make_constants_recomputes_derived_fields():
 
 
 def test_make_constants_rejects_unknown_and_derived():
-    # only the four fields can be set: the derived constants are unknown overrides
+    # only the four fields of PhysicalConstants can be set: the derived constants are
+    # no keywords of its constructor
     for name, value in (
         ("planck_length", 1.0),
         ("wavenumber_factor", 2.0 * CODATA2018.wavenumber_factor),
         ("hbar_eV_s", CODATA2018.hbar_eV_s),
     ):
-        with pytest.raises(ValueError, match=f"unknown constant override.*{name}"):
-            make_constants(**{name: value})
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+            PhysicalConstants(**{name: value})
 
 
 def test_non_finite_inputs_rejected():
     with pytest.raises(ValueError):
-        make_constants(eV_in_J=math.inf)
+        PhysicalConstants(eV_in_J=math.inf)
     with pytest.raises(ValueError):
-        make_constants(hbar_J_s=math.nan)
+        PhysicalConstants(hbar_J_s=math.nan)
+
+
+def test_default_constants_are_codata_2018_bit_for_bit():
+    # the six values every golden number was computed with, as exact hex floats
+    pinned = {
+        "hbar_J_s": "0x1.185a7054e4c91p-113",
+        "electron_mass_kg": "0x1.279dcc8b6b7edp-100",
+        "eV_in_J": "0x1.7a4da290c1653p-63",
+        "hc_eV_nm": "0x1.35f5e312406c8p+10",
+        "hbar_eV_s": "0x1.7b6ef0a8654dfp-51",
+        "wavenumber_factor": "0x1.064e609ec8f90p-1",
+    }
+    for constants in (PhysicalConstants(), CODATA2018):
+        assert {name: getattr(constants, name).hex() for name in pinned} == pinned
+    assert PhysicalConstants().hc_eV_nm == H_PLANCK * C_LIGHT / EV * 1e9
