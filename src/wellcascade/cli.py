@@ -465,6 +465,11 @@ def _cmd_scan_pair(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.cascade and args.emit_states:
+        # argparse's own wording, on one line: the states are written in pair mode only
+        print("wellcascade oracle: error: argument --emit-states: not allowed with argument "
+              "--cascade", file=sys.stderr)
+        return 2
     from .oracle import fd_solve, fd_states
 
     config = load_config(args.config)

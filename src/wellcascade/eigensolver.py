@@ -61,11 +61,13 @@ so that the pair's levels best match a set of target energies: a
 deterministic coarse search, then Newton refinement on implicit level
 slopes inside the best cell.  The coarse search first screens its grid by
 the count alone: a ladder of windows ``t +- delta`` around each target,
-``delta`` falling by decades from ``_SEARCH_PAD``, drops every candidate
-that has no level in some window, and that window proves a lower bound on
-its misfit.  The candidates left at the last rung are solved as one batch,
-then those whose bound does not exceed the best misfit found; every misfit
-is read from the level arrays at once, and no pair object is built per
+``delta`` falling by decades from the misfit threshold ``_MISFIT_TOL``, drops
+every candidate that has no level in some window, and that window proves a
+lower bound on its misfit.  One count call covers three rungs
+(``_SCREEN_RUNGS``), which are then applied one at a time, so the ladder is
+that of one call per rung.  The candidates left at the last rung are solved
+as one batch, then those whose bound does not exceed the best misfit
+found; every misfit is read from the level arrays at once, and no pair object is built per
 candidate.  The others cannot win, so the best coarse point is that of
 solving the whole grid, bit for bit.  Each target is matched to its
 nearest level; the slope of a level follows from
@@ -123,6 +125,12 @@ _NEWTON_ITERATIONS = 10
 _MISFIT_TOL = 5e-3
 # margin (eV) of a calibration's solve window beyond its lowest and highest target
 _SEARCH_PAD = 0.05
+# rungs of the count screen per count_below call.  A calibrate-sweep fit descends 3 to 7
+# rungs from _MISFIT_TOL (5.3 on average, seeds 1-3), so three a call take about two
+# calls; more rungs a call count more points that the ladder never reads.  Against one
+# rung a call, calibrate-sweep's op_rel_p50 fell 6.3%, 9.5% and 7.5% with 2, 3 and 4
+# (2-CPU x86-64 host)
+_SCREEN_RUNGS = 3
 # most points of one grid: 125x the 79k energies of a full-range solve at 2e-5 eV; it
 # also bounds the oracle's rows and a sampled wavefunction's points
 _MAX_GRID_POINTS = 10_000_000
@@ -767,39 +775,56 @@ def _level_slopes(template, field, x, energies, x_range, h, h_e, constants) -> n
 def _screen(geometry, targets, constants):
     """Prove lower bounds on the coarse candidates' misfits by the count alone.
 
-    A ladder of rungs ``delta = _SEARCH_PAD, _SEARCH_PAD/10, ...``: each rung
-    is one :func:`count_below` call at ``t - delta`` and ``t + delta`` for
-    every target ``t`` of every candidate still passing.  A candidate without
-    a level between those ends for some target leaves the ladder: each of its
-    levels lies at least ``gap``, the nearer end's distance, from that target,
-    so its misfit is at least ``gap`` as :func:`_misfits` rounds it, whatever
-    the solver keeps of the levels the count sees.  The descent stops when at
-    most one candidate passes, or before a rung that none passes.  A count
-    that falls from ``t - delta`` to ``t + delta`` proves no bound: it raises
-    :class:`SturmCountError`, naming the candidate and both energies.  Returns
-    the candidates passing at the last rung, each candidate's bound (0 for
-    those passing) and the number of rungs.
+    A ladder of rungs ``delta = _MISFIT_TOL, _MISFIT_TOL/10, ...``: a rung
+    counts the levels between ``t - delta`` and ``t + delta`` for every target
+    ``t`` of every candidate still passing.  A candidate without a level
+    between those ends for some target leaves the ladder: each of its levels
+    lies at least ``gap``, the nearer end's distance, from that target, so its
+    misfit is at least ``gap`` as :func:`_misfits` rounds it, whatever the
+    solver keeps of the levels the count sees.  The ladder starts at the
+    threshold, since a rung above it could drop only candidates that fail
+    anyway (the 0.05 eV rung once passed every candidate of calibrate-sweep).
+    The descent stops when at most one candidate passes, or before a rung
+    that none passes.  A count that falls from ``t - delta`` to ``t + delta``
+    proves no bound: it raises :class:`SturmCountError`, naming the candidate
+    and both energies.  One :func:`count_below` call
+    counts ``_SCREEN_RUNGS`` consecutive rungs of every candidate passing;
+    the rungs are then applied in order, each to the candidates still
+    passing, and the counts past the stop are never read, so no fall there is
+    checked.  The result is that of one call per rung.  Returns the
+    candidates passing at the last rung, each candidate's bound (0 for those
+    passing) and the number of rungs.
     """
     t = np.array(targets)
     bound = np.zeros(geometry.width.size)
-    passing, delta, rungs = np.arange(bound.size), _SEARCH_PAD, 0
+    passing, delta, rungs = np.arange(bound.size), _MISFIT_TOL, 0
     while passing.size > 1:
-        ends = np.concatenate([t - delta, t + delta])
+        # ends[r] = (t - delta, t + delta) of rung r, all rungs in one count call
+        ends = []
+        for _ in range(_SCREEN_RUNGS):
+            ends.append([t - delta, t + delta])
+            delta /= 10.0
+        ends = np.array(ends)
         segments = pair_segments(geometry.take(np.repeat(passing, ends.size)))
-        n = count_below(segments, np.tile(ends, passing.size), constants)
-        n = n.reshape(passing.size, 2, t.size)
-        fall = np.argwhere(n[:, 1] < n[:, 0])
-        if fall.size:
-            c, j = fall[0]
-            raise _count_falls(geometry, passing[c], n[c, 0, j], ends[j], n[c, 1, j],
-                               ends[t.size + j])
-        rungs += 1
-        inside = (n[:, 1] > n[:, 0]).all(axis=1)
-        if not inside.any():
-            break
-        gap = np.minimum(t - ends[: t.size], ends[t.size :] - t).min()
-        bound[passing[~inside]] = np.sqrt(np.float_power(gap, 2))
-        passing, delta = passing[inside], delta / 10.0
+        counts = count_below(segments, np.tile(ends.ravel(), passing.size), constants)
+        counts = counts.reshape(passing.size, *ends.shape)
+        # the rows of ``counts`` still passing; counts past the stop are never read
+        rows = np.arange(passing.size)
+        for r, (low, high) in enumerate(ends):
+            if passing.size <= 1:
+                break
+            n = counts[rows, r]
+            fall = np.argwhere(n[:, 1] < n[:, 0])
+            if fall.size:
+                c, j = fall[0]
+                raise _count_falls(geometry, passing[c], n[c, 0, j], low[j], n[c, 1, j], high[j])
+            rungs += 1
+            inside = (n[:, 1] > n[:, 0]).all(axis=1)
+            if not inside.any():
+                return passing, bound, rungs
+            gap = np.minimum(t - low, high - t).min()
+            bound[passing[~inside]] = np.sqrt(np.float_power(gap, 2))
+            passing, rows = passing[inside], rows[inside]
     return passing, bound, rungs
 
 
@@ -812,8 +837,11 @@ def _calibrate_1d(template, field, targets, lo, hi, step, cfg, constants, what):
     proven bound does not exceed M*.  Every other candidate's misfit is
     above M*, so the best coarse point and its levels are those of solving
     the whole grid, bit for bit (a candidate's levels do not depend on its
-    batch).  Every solve, the coarse batches and each Newton trial alike, is
-    a :func:`_solve_batch` of parameter arrays; the callers' range checks
+    batch).  The screen's ladder starts at ``_MISFIT_TOL``: a candidate that
+    fails its first rung has a bound of about ``_MISFIT_TOL`` and is solved
+    only where M* is that large, in a fit that fails unless Newton rescues
+    it.  Every solve, the coarse batches and each Newton trial alike, is a
+    :func:`_solve_batch` of parameter arrays; the callers' range checks
     keep every pair in the range valid, so no :class:`WellPair` is built.
     A Newton step takes the slope of every level of its iterate, and each
     trial passes the levels it predicts from them to :func:`_solve_batch`,
@@ -894,6 +922,9 @@ def _calibrate_1d(template, field, targets, lo, hi, step, cfg, constants, what):
         xtol = 0.5e-6 * max(step, 1e-9)
         fine = best
         for _ in range(_NEWTON_ITERATIONS):
+            if fine.misfit == 0.0:
+                # an exact fit: the step could only be 0 (or nan), so no slopes are taken
+                break
             dx, slopes = newton_step(fine)
             if math.isfinite(dx):
                 dx = min(max(fine.value + dx, g_lo), g_hi) - fine.value

@@ -626,6 +626,19 @@ def test_oracle_rejects_non_positive_levels(reference_config_file, capsys, mode,
     assert "argument --levels" in captured.err
 
 
+def test_oracle_cascade_rejects_emit_states(reference_config_file, tmp_path, capsys):
+    # the states are written in pair mode only; a cascade run must not drop the flag silently
+    out = tmp_path / "states"
+    rc = main(["oracle", "--config", str(reference_config_file), "--cascade", "--emit-states",
+               "--output-dir", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert "--emit-states" in line and "--cascade" in line and "Traceback" not in line
+    assert not out.exists()
+
+
 def test_oracle_cascade_command(reference_config_file, capsys):
     rc = main(["oracle", "--config", str(reference_config_file), "--cascade", "--levels", "4"])
     assert rc == 0

@@ -939,6 +939,32 @@ def test_calibration_recovers_off_grid_hidden_value(pair1, pair2, role, hidden, 
     assert result.misfit < 1e-9
 
 
+def test_newton_stops_at_an_exact_fit(pair2, monkeypatch):
+    # the hidden deep-well depth of pair 2 is recovered with misfit exactly 0; from
+    # such an iterate no step can move, so no slopes are taken of it
+    hidden = replace(pair2, v_shallow=0.27213)
+    targets = [lv.energy for lv in solve_pair(hidden, e_min=0.26, e_max=0.28).levels]
+    events = []
+    misfits, level_slopes = eigensolver._misfits, eigensolver._level_slopes
+
+    def recording_misfits(energies, counts, targets):
+        found = misfits(energies, counts, targets)
+        if found.size == 1:  # one iterate: the coarse best or a trial
+            events.append(float(found[0]))
+        return found
+
+    def recording_slopes(*args):
+        events.append("slopes")
+        return level_slopes(*args)
+
+    monkeypatch.setattr(eigensolver, "_misfits", recording_misfits)
+    monkeypatch.setattr(eigensolver, "_level_slopes", recording_slopes)
+    result = calibrate_depth(pair2, "deep", targets, (0.26, 0.28))
+    assert result.misfit == 0.0 and 0.0 in events and "slopes" in events
+    exact = events.index(0.0)
+    assert "slopes" not in events[exact:]
+
+
 def test_calibration_refines_in_a_few_solves(pair1, monkeypatch):
     batches = []
     solve_batch = eigensolver._solve_batch
@@ -957,23 +983,56 @@ def test_calibration_refines_in_a_few_solves(pair1, monkeypatch):
     assert 1 < len(batches) <= 1 + 6
 
 
-def _exhaustive_coarse_best(template, field, targets, x_range, step):
-    """The best coarse point of the whole grid solved as one batch, as a CalibrationResult."""
+def _coarse_grid(x_range, step):
+    """The coarse grid of a calibration over ``x_range``, as :func:`_calibrate_1d` builds it."""
     lo, hi = x_range
     grid = uniform_grid(lo, hi, step).tolist()
     if grid[-1] < hi - 1e-12 * max(1.0, abs(hi)):
         grid.append(hi)
+    return grid
+
+
+def _exhaustive_misfits(template, field, targets, grid):
+    """Every coarse point's misfit, with the kept levels and their counts, the whole grid
+    solved as one batch."""
     pad = eigensolver._SEARCH_PAD
     batch = eigensolver._solve_batch(eigensolver._Geometry.varied(template, field, grid),
                                      SolverConfig(), min(targets) - pad, max(targets) + pad,
                                      CODATA2018)
     energies = batch.energy[batch.kept]
     counts = np.bincount(batch.owner[batch.kept], minlength=len(grid))
-    misfits = eigensolver._misfits(energies, counts, targets)
+    return eigensolver._misfits(energies, counts, targets), energies, counts
+
+
+def _exhaustive_coarse_best(template, field, targets, x_range, step):
+    """The best coarse point of the whole grid solved as one batch, as a CalibrationResult."""
+    grid = _coarse_grid(x_range, step)
+    misfits, energies, counts = _exhaustive_misfits(template, field, targets, grid)
     b = int(np.argmin(misfits))
     first = int(counts[:b].sum())
     levels = tuple(energies[first : first + counts[b]].tolist())
     return eigensolver.CalibrationResult(value=grid[b], misfit=float(misfits[b]), levels=levels)
+
+
+def _one_rung_screen(geometry, targets):
+    """The count screen with one count call per rung, from ``_MISFIT_TOL`` down by decades."""
+    t = np.array(targets)
+    bound = np.zeros(geometry.width.size)
+    passing, delta, rungs = np.arange(bound.size), eigensolver._MISFIT_TOL, 0
+    while passing.size > 1:
+        low, high = t - delta, t + delta
+        segments = pair_segments(geometry.take(np.repeat(passing, 2 * t.size)))
+        n = count_below(segments, np.tile(np.concatenate([low, high]), passing.size))
+        n = n.reshape(passing.size, 2, t.size)
+        assert (n[:, 1] >= n[:, 0]).all()
+        rungs += 1
+        inside = (n[:, 1] > n[:, 0]).all(axis=1)
+        if not inside.any():
+            break
+        gap = np.minimum(t - low, high - t).min()
+        bound[passing[~inside]] = np.sqrt(np.float_power(gap, 2))
+        passing, delta = passing[inside], delta / 10.0
+    return passing, bound, rungs
 
 
 # id -> (role, pair index, targets, or the seed of a hidden value drawn from the
@@ -992,11 +1051,14 @@ SCREEN_CASES = {
     "deep-seed-2": ("deep", 1, 2, (0.25, 0.30), (0.26, 0.28)),
     # the README's inexact fit, flat at the screen's resolution over 501 points
     "readme-flat": ("distance", 0, [1.445, 1.460], (60.0, 65.0), None),
+    # no fit within the threshold (the CI pins its error line): no candidate has a
+    # level within _MISFIT_TOL of both targets, so the first rung passes none
+    "no-fit": ("distance", 0, [1.30, 1.32], (60.0, 60.2), None),
 }
 
 
-@pytest.mark.parametrize("case", SCREEN_CASES)
-def test_calibration_screen_equals_the_exhaustive_search(reference_spec, monkeypatch, case):
+def _screen_case(reference_spec, case):
+    """``(template, field, targets, x_range, step)`` of a ``SCREEN_CASES`` entry."""
     role, index, targets, x_range, window = SCREEN_CASES[case]
     template = reference_spec.pair(index)
     step = 0.01 if role == "distance" else 5e-4
@@ -1006,11 +1068,21 @@ def test_calibration_screen_equals_the_exhaustive_search(reference_spec, monkeyp
         targets = [lv.energy for lv in solve_pair(hidden, e_min=window[0],
                                                   e_max=window[1]).levels]
         assert targets
+    return template, FIELDS[role], targets, x_range, step
+
+
+@pytest.mark.parametrize("case", SCREEN_CASES)
+def test_calibration_screen_equals_the_exhaustive_search(reference_spec, monkeypatch, case):
+    role = SCREEN_CASES[case][0]
+    template, field, targets, x_range, step = _screen_case(reference_spec, case)
 
     def calibrate():
-        if role == "distance":
-            return calibrate_distance(template, targets, x_range)
-        return calibrate_depth(template, role, targets, x_range)
+        try:
+            if role == "distance":
+                return calibrate_distance(template, targets, x_range)
+            return calibrate_depth(template, role, targets, x_range)
+        except CalibrationError as error:
+            return error
 
     sizes, logged = [], []
     solve_batch, log_calibration = eigensolver._solve_batch, eigensolver._log_calibration
@@ -1030,12 +1102,15 @@ def test_calibration_screen_equals_the_exhaustive_search(reference_spec, monkeyp
     # the coarse batches come before the refinement solves
     coarse = sizes[: len(sizes) - solves]
     assert sum(coarse) == solved <= points
-    assert start == _exhaustive_coarse_best(template, FIELDS[role], targets, x_range, step)
+    assert start == _exhaustive_coarse_best(template, field, targets, x_range, step)
+    assert isinstance(screened, CalibrationError) == (case == "no-fit")
     if case == "exact-grid-point":
         assert points == 101 and solved <= 3 and rungs > 1
         assert f"{screened.value:.6f}" == "60.230000"
     if case == "survivor-wins":
         assert coarse[0] == 1 and len(coarse) == 2 and start.value == 60.02
+    if case == "no-fit":
+        assert rungs == 1 and solved == points == 21
 
     # the exhaustive search: every coarse point passes the screen, one batch solves them all
     def passing_all(geometry, *args):
@@ -1044,8 +1119,28 @@ def test_calibration_screen_equals_the_exhaustive_search(reference_spec, monkeyp
 
     monkeypatch.setattr(eigensolver, "_screen", passing_all)
     sizes.clear()
-    assert calibrate() == screened
+    exhaustive = calibrate()
+    if case == "no-fit":
+        assert str(exhaustive) == str(screened) and exhaustive.best == screened.best
+    else:
+        assert exhaustive == screened
     assert sizes[0] == points
+
+
+@pytest.mark.parametrize("case", SCREEN_CASES)
+def test_screen_equals_the_one_rung_ladder_and_bounds_every_misfit(reference_spec, case):
+    template, field, targets, x_range, step = _screen_case(reference_spec, case)
+    grid = _coarse_grid(x_range, step)
+    geometry = eigensolver._Geometry.varied(template, field, grid)
+    passing, bound, rungs = eigensolver._screen(geometry, targets, CODATA2018)
+    ref_passing, ref_bound, ref_rungs = _one_rung_screen(geometry, targets)
+    assert passing.tolist() == ref_passing.tolist() and rungs == ref_rungs
+    assert bound.tobytes() == ref_bound.tobytes()
+    # a proven bound never exceeds the misfit of solving the candidate
+    misfits, _, _ = _exhaustive_misfits(template, field, targets, grid)
+    out = np.setdiff1d(np.arange(len(grid)), passing)
+    assert (bound[out] <= misfits[out]).all()
+    assert (bound[passing] == 0.0).all()
 
 
 def test_a_count_that_falls_inside_a_screen_window_raises(pair1, monkeypatch):
@@ -1053,7 +1148,8 @@ def test_a_count_that_falls_inside_a_screen_window_raises(pair1, monkeypatch):
     # to 1.5 eV: inside the first rung's window around the target 1.445 eV only,
     # where it proves no bound, so the screen raises rather than drop the candidate
     distance = uniform_grid(60.0, 60.5, 0.01)[-1]
-    lo, hi = 1.445 - eigensolver._SEARCH_PAD, 1.445 + eigensolver._SEARCH_PAD
+    lo, hi = 1.445 - eigensolver._MISFIT_TOL, 1.445 + eigensolver._MISFIT_TOL
+    assert (lo, hi) == (1.4400000000000002, 1.45)
     n_lo, n_hi = count_below(pair_segments(replace(pair1, distance=distance)), np.array([lo, hi]))
     assert n_hi - 3 < n_lo
 
@@ -1159,7 +1255,7 @@ def test_calibration_logs_one_debug_record(pair1, caplog, capsys):
     message = record.getMessage()
     assert "best of 51 coarse points distance=60.19" in message
     # the flat targets leave every coarse point passing the screen
-    assert "4 screen rungs, 51 coarse points solved" in message
+    assert "3 screen rungs, 51 coarse points solved" in message
     assert "x=60.19 misfit=" in message and "refinement solves" in message
     assert capsys.readouterr().out == ""
 
